@@ -195,8 +195,6 @@ def run_bench() -> dict:
         shutil.rmtree(work_dir, ignore_errors=True)
         cfg = ExtractionConfig(
             input_paths=pages_glob, work_dir=work_dir, files_per_chunk=16,
-            chunks_per_exec=4,  # >1 group per pass: the window-2 pass-1
-            # overlap is on the measured path, as it would be mid-crawl
             correct_concurrency=(int(pool), int(pool)) if pool else None)
         t0 = time.time()
         run_extraction(cfg)

@@ -14,7 +14,8 @@ cluster; the SAME entrypoint smoke-runs single-node with
 The work dir is the resume point: re-submitting the identical command
 after a mid-crawl failure skips every chunk whose manifest fingerprint
 is already committed (`pipelines/extraction.py` pass-1/pass-2
-manifests), so a lost node costs one chunk group, not the run.
+manifests), so a lost node costs the chunks not yet committed, not the
+run.
 
 Emits one JSON line with row counts, per-stage lineage counters and
 wall time — the per-cluster-size throughput record that the N vs 4N

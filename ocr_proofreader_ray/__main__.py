@@ -54,25 +54,16 @@ def cmd_build_dict(args) -> int:
     from ocr_proofreader_ray.config import ExtractionConfig
     from ocr_proofreader_ray.pipelines.extraction import (
         build_dictionary,
-        discover_files,
-        make_chunks,
+        input_chunks,
         run_pass1_group,
     )
-    from ocr_proofreader_ray.state import manifest as mstate
 
     _init_ray(args.num_cpus)
     cfg = ExtractionConfig(input_paths=args.input, work_dir=args.work_dir,
                            files_per_chunk=args.files_per_chunk)
-    import os
-
-    os.makedirs(cfg.work_dir, exist_ok=True)
-    m1 = mstate.Manifest(cfg.manifest_dir, "pass1")
-    for chunk_id, chunk_files in enumerate(
-            make_chunks(discover_files(cfg.input_paths), cfg.files_per_chunk)):
-        fp = mstate.fingerprint_files(chunk_files)
-        if not m1.completed(chunk_id, fp):
-            run_pass1_group(cfg, [(chunk_id, chunk_files)], None)
-            m1.record_done(chunk_id, fp, chunk_files, {}, 0.0)
+    # the same pass-1 entry point (fingerprints, manifest counters) as
+    # `extract`, so either command resumes the other's committed chunks
+    run_pass1_group(cfg, input_chunks(cfg))
     path = build_dictionary(cfg)
     print(json.dumps({"dict_path": path}))
     return 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -10,7 +10,8 @@ class ExtractionConfig:
     """All knobs of the two-pass extraction pipeline.
 
     Scale guidance (100 TB / multi-node): ``files_per_chunk`` bounds the
-    checkpoint-resume unit (one streaming execution per chunk);
+    checkpoint-resume unit (each pass is one streaming execution over every
+    pending chunk; a chunk commits as its last row is written);
     ``correct_batch_size`` × actor-pool size bounds corrector heap;
     extraction batches are byte-bounded by Ray's block splitting
     (``batch_size=None``), so whale pages cannot blow a worker's memory.
@@ -29,7 +30,7 @@ class ExtractionConfig:
 
     # parallelism / batching
     correct_batch_size: int = 128
-    # None → fixed pool of ncpu - max(2, ncpu//8) actors (the reserved CPUs
+    # None → fixed pool of ncpu - max(2, ncpu//4) actors (the reserved CPUs
     # run the read/LPT/write tasks feeding the pool; measured in
     # BASELINE.md round 2) — see pipelines/extraction.py _corrector_concurrency
     correct_concurrency: tuple[int, int] | int | None = None
@@ -51,32 +52,14 @@ class ExtractionConfig:
     # checkpoint-resume granularity: input files per chunk; 0 → single chunk
     files_per_chunk: int = 64
 
-    # chunks processed per Dataset execution (both passes): one flat read
-    # and one actor pool / task pipeline serve the whole group instead of
-    # paying pipeline + pool startup and an execution barrier per chunk
-    # (barriers idle the entire cluster at every chunk boundary).  Outputs
-    # still commit atomically per chunk; a crash mid-group re-runs the
-    # group (bounded wasted work, identical bytes).
+    # no longer changes execution: each pass is one streaming execution over
+    # every pending chunk.  Still accepted so existing callers keep working.
     chunks_per_exec: int = 8
-
-    # window-2 pipelining of consecutive PASS-1 group executions (disjoint
-    # chunks; the dictionary barrier still separates the passes): group
-    # k+1's read/ramp fills the cluster while group k drains and commits,
-    # so finer checkpoint granularity (smaller chunks_per_exec) stops
-    # costing a full barrier per group.  Pass-2 groups always run serial —
-    # two concurrent FIXED corrector pools reserve every CPU slot and
-    # deadlock-starve both executions' read/write tasks (measured; see
-    # pipelines/extraction.py run_groups).  Commits stay per-chunk atomic;
-    # manifest bookkeeping stays on the driver thread.
-    overlap_groups: bool = True
 
     # live-progress counter actor (advisory telemetry DURING a run).  The
     # manifest's per-chunk lineage counters do not depend on it — they are
-    # always derived exactly from the committed parquet outputs.
+    # summed from the write stage's per-file results.
     enable_lineage: bool = False
-
-    # output column layout
-    extra_columns: tuple[str, ...] = field(default=())
 
     @property
     def raw_dir(self) -> str:

@@ -822,8 +822,6 @@ def q_dedup_simhash_hamming(sf_dir: str):
     JOIN sizes sb ON sb.doc_id = doc_b
     WHERE 10 * inter >= 9 * (sa.sz + sb.sz - inter)
     """,
-    # LSH-prefiltered plan vs exact SQL: per-true-pair miss ~(1-0.9^4)^32
-    sketch_miss_bound=1.5e-15,
 )
 def q_dedup_ngram_jaccard(sf_dir: str):
     """Unigram-set Jaccard >= 0.9 between docs of the same (lang, source).

@@ -1,25 +1,29 @@
 """The flagship two-pass extraction pipeline (SURVEY.md §3.2).
 
-    PASS 1 per GROUP : read pages (one flat read across the group's
-                       chunks) → extract_main_text (stateless tasks,
-                       byte-bounded Arrow batches, rows tagged with their
-                       source chunk) → write raw_extracted/ partitioned by
-                       chunk → token partial counts → token_counts/
-    DICT             : groupby(lang, token).sum over the compact partials
-                       (the only all-to-all shuffle; document text never
-                       shuffles) → deterministic min_count/top_k policy
-                       → lang_dict.parquet
-    PASS 2 per GROUP : read raw_extracted (flat) → size-bucket sort (skew:
-                       biggest docs first, homogeneous batches) →
-                       Corrector actor pool (dict loaded once per actor)
-                       → write extracted/ partitioned by chunk
+    PASS 1 : read pages (one flat read over every pending chunk) → one
+             fused task per byte-bounded Arrow block: extract_main_text
+             (rows tagged with their source chunk) → raw_extracted/ write
+             → token partial counts → token_counts/ write
+    DICT   : groupby(lang, token).sum over the compact partials (the only
+             all-to-all shuffle; document text never shuffles) →
+             deterministic min_count/top_k policy → lang_dict.parquet
+    PASS 2 : read raw_extracted (flat) → size-bucket sort (skew: biggest
+             docs first, homogeneous batches) → Corrector actor pool (dict
+             loaded once per actor) → extracted/ write
 
-Chunks are the checkpoint-resume unit: outputs commit atomically per
-chunk and a manifest JSON (input fingerprint + per-stage lineage
-counters) marks completion; a rerun skips completed chunks (see
-state/manifest.py).  Chunks execute in GROUPS (cfg.chunks_per_exec) so
-pipeline/pool startup and the end-of-execution barrier amortize across
-the group — per-chunk executions measured 2.6x slower at sf0.1.
+Each pass is ONE streaming Ray Data execution over every pending chunk,
+with one corrector pool in pass 2: pipeline and pool start-up are paid
+once, and no execution barrier idles the cluster between chunks
+(per-chunk executions measured 2.6x slower at sf0.1).
+
+Chunks are still the checkpoint-resume unit.  The write stage puts each
+batch's rows of chunk K in ``<root>/.pending/chunk-K/<url-hash>.parquet``
+and returns one small result row per file; the driver drains those rows and,
+as soon as chunk K's rows reach the expected count, promotes
+``.pending/chunk-K`` to ``chunk-K`` and records the chunk's manifest JSON
+(input fingerprint + lineage counters summed from the results).  A rerun
+skips completed chunks (see state/manifest.py); a crash loses only the
+chunks not yet committed.
 
 Design notes for 100 TB scale:
 * Extraction reads only (url, html, lang) — column pruning at the Parquet
@@ -35,7 +39,10 @@ Design notes for 100 TB scale:
 from __future__ import annotations
 
 import glob as globmod
+import hashlib
+import json
 import os
+import shutil
 import time
 import uuid
 
@@ -81,23 +88,161 @@ def make_chunks(files: list[str], files_per_chunk: int) -> list[list[str]]:
     return [files[i:i + files_per_chunk] for i in range(0, len(files), files_per_chunk)]
 
 
+def input_chunks(cfg: ExtractionConfig) -> list[list[str]]:
+    """The input files of ``cfg``, split into checkpoint chunks."""
+    files = discover_files(cfg.input_paths)
+    if not files:
+        raise FileNotFoundError(f"no parquet inputs under {cfg.input_paths!r}")
+    return make_chunks(files, cfg.files_per_chunk)
+
+
 # --------------------------------------------------------------------------
-# lineage-wrapped stage callables (module-level for clean serialization)
+# per-chunk pending writes and their commit
 # --------------------------------------------------------------------------
 
-class _ExtractStage:
-    """Extract + tag each row with its source chunk (derived from the input
-    file path, so a grouped execution needs no per-chunk branches/unions —
-    a measured 2x pass-2 penalty came from `Dataset.union` of per-chunk
-    branches)."""
+# rows per pass-2 output file at most: Ray's read splits inputs into ~2xCPU
+# blocks, and a file per block fragments a chunk into hundreds of ~1 MB
+# files (measured: 208/chunk at sf0.1); 50k rows ≈ 30-60 MB
+_MIN_ROWS_PER_FILE = 50_000
 
-    def __init__(self, lineage_name: str | None, chunk_id: int,
-                 path_to_chunk: dict[str, int] | None = None,
-                 max_html_bytes: int | None = None):
+_SUMMED = ("rows", "html_bytes", "n_chars", "truncated")
+
+
+def _pending_dir(root: str, chunk_id: int) -> str:
+    return os.path.join(root, ".pending", f"chunk-{chunk_id:05d}")
+
+
+def _sum_col(t: pa.Table, col: str) -> int:
+    if col not in t.schema.names:
+        return 0
+    return int(pc.sum(pc.cast(t.column(col), pa.int64())).as_py() or 0)
+
+
+def _write_pending(batch: pa.Table, sinks: list[tuple]) -> pa.Table:
+    """Write each chunk's rows of ``batch`` (tagged by its ``chunk_id``
+    column) through every ``(root, transform, compression)`` sink to
+    ``<root>/.pending/chunk-K/<name>``, and return one result row per chunk
+    written: ``(chunk_id, name, rows, html_bytes, n_chars, truncated)``.
+
+    ``name`` hashes the rows' urls, so a retried task overwrites its file
+    instead of adding a second copy of the rows."""
+    cids = batch.column("chunk_id")
+    data = batch.drop_columns(["chunk_id"])
+    uniq = pc.unique(cids)
+    out = {"chunk_id": [], "name": [], **{k: [] for k in _SUMMED}}
+    for cid in uniq.to_pylist():
+        part = (data if len(uniq) == 1
+                else data.filter(pc.equal(cids, pa.scalar(cid, cids.type))))
+        digest = hashlib.sha1()
+        for url in part.column("url").to_pylist():
+            digest.update((url or "").encode() + b"\0")
+        name = digest.hexdigest() + ".parquet"
+        for root, transform, compression in sinks:
+            d = _pending_dir(root, cid)
+            os.makedirs(d, exist_ok=True)
+            pq.write_table(transform(part) if transform else part,
+                           os.path.join(d, name), compression=compression)
+        out["chunk_id"].append(cid)
+        out["name"].append(name)
+        out["rows"].append(part.num_rows)
+        for col in _SUMMED[1:]:
+            out[col].append(_sum_col(part, col))
+    return pa.table(out, schema=pa.schema(
+        [("chunk_id", pa.int32()), ("name", pa.string())]
+        + [(k, pa.int64()) for k in _SUMMED]))
+
+
+def _sweep_pending(roots) -> None:
+    """Drop the uncommitted writes a crashed run left behind."""
+    for root in roots:
+        shutil.rmtree(os.path.join(root, ".pending"), ignore_errors=True)
+
+
+def _promote(root: str, chunk_id: int, names: set[str]) -> None:
+    """Atomically replace ``chunk-K`` with ``.pending/chunk-K``, keeping only
+    the files the write results reported (an empty dir for a chunk with no
+    rows)."""
+    src = _pending_dir(root, chunk_id)
+    final = os.path.join(root, f"chunk-{chunk_id:05d}")
+    os.makedirs(src, exist_ok=True)
+    for f in os.listdir(src):
+        if f not in names:  # left by a task attempt whose result was lost
+            os.remove(os.path.join(src, f))
+    if os.path.isdir(final):
+        shutil.rmtree(final)
+    os.replace(src, final)
+
+
+def _commit_stream(results, roots, expected: dict[int, int],
+                   on_commit) -> float:
+    """Drain the write results and commit each chunk as its last row lands.
+
+    Chunk K is promoted in every root, then ``on_commit(K, sums)`` records
+    it, as soon as its summed ``rows`` reach ``expected[K]``.  A count above
+    the expected one, a file name reported twice for one chunk, and a chunk
+    still short when the stream ends all raise.  Returns the seconds spent
+    committing."""
+    sums = {cid: dict.fromkeys(_SUMMED, 0) for cid in expected}
+    names: dict[int, set[str]] = {cid: set() for cid in expected}
+    spent = 0.0
+
+    def commit(cid: int) -> None:
+        nonlocal spent
+        t = time.perf_counter()
+        for root in roots:
+            _promote(root, cid, names[cid])
+        on_commit(cid, sums[cid])
+        spent += time.perf_counter() - t
+
+    for cid, n in expected.items():
+        if n == 0:
+            commit(cid)
+    for batch in results:
+        for r in batch.to_pylist():
+            cid = r["chunk_id"]
+            if r["name"] in names[cid]:
+                raise RuntimeError(
+                    f"chunk {cid}: two batches wrote {r['name']} (duplicate "
+                    "urls?) — the second would replace the first")
+            names[cid].add(r["name"])
+            s = sums[cid]
+            for k in _SUMMED:
+                s[k] += r[k]
+            if s["rows"] > expected[cid]:
+                raise RuntimeError(f"chunk {cid}: {s['rows']} rows written, "
+                                   f"expected {expected[cid]}")
+            if s["rows"] == expected[cid]:
+                commit(cid)
+    short = {cid: (s["rows"], expected[cid]) for cid, s in sums.items()
+             if s["rows"] < expected[cid]}
+    if short:
+        raise RuntimeError(
+            f"stream ended with chunks short of rows (written, expected): "
+            f"{short}")
+    return spent
+
+
+# --------------------------------------------------------------------------
+# stage callables (module-level for clean serialization)
+# --------------------------------------------------------------------------
+
+class _Pass1Stage:
+    """Fused pass-1 task: extract → raw write → token partial counts →
+    counts write, per byte-bounded block.  Each row's chunk comes from its
+    input file path (include_paths), so one flat read serves every chunk
+    with no per-chunk branches (`Dataset.union` of branches measured ~2x
+    slower)."""
+
+    def __init__(self, cfg: ExtractionConfig, path_to_chunk: dict[str, int],
+                 lineage_name: str | None):
+        self.path_to_chunk = path_to_chunk
+        self.max_html_bytes = cfg.whale_max_html_bytes
         self.lineage_name = lineage_name
-        self.chunk_id = chunk_id
-        self.path_to_chunk = path_to_chunk or {}
-        self.max_html_bytes = max_html_bytes
+        # snappy for the raw INTERMEDIATE (written once, read once on pass
+        # 2's critical path — cheap decompress beats zstd's ~30% size win
+        # there); counts stay zstd
+        self.sinks = [(cfg.raw_dir, None, "snappy"),
+                      (cfg.counts_dir, tokenize_count_batch, "zstd")]
 
     def _chunk_ids(self, batch: pa.Table) -> pa.Array:
         paths = batch.column("path").to_pylist()
@@ -105,10 +250,9 @@ class _ExtractStage:
         cids = [lookup.get(p, lookup.get(os.path.abspath(p), -1))
                 for p in paths]
         if -1 in cids:
-            # ADVICE r02: an unmapped path would land its rows in a
-            # chunk_id=-1 dir that the commit never promotes — silent data
-            # loss with the chunk still marked complete.  Fail loudly; the
-            # only known cause is a Ray path-normalization change.
+            # ADVICE r02: an unmapped path would land its rows in a chunk
+            # the commit never expects.  Fail loudly; the only known cause
+            # is a Ray path-normalization change.
             bad = sorted({p for p, c in zip(paths, cids) if c == -1})[:3]
             raise RuntimeError(
                 f"extract: input path(s) not in the chunk map, e.g. {bad} "
@@ -116,54 +260,45 @@ class _ExtractStage:
         return pa.array(cids, pa.int32())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        chunk_col = None
-        if "path" in batch.schema.names:
-            chunk_col = self._chunk_ids(batch)
-            batch = batch.drop_columns(["path"])
-        out = extract_batch(batch, max_html_bytes=self.max_html_bytes)
-        mstate.report(
-            self.lineage_name, self.chunk_id, "extract",
-            rows_in=batch.num_rows, rows_out=out.num_rows,
-            bytes_in=int(pc.sum(out.column("html_bytes")).as_py() or 0),
-            bytes_out=int(pc.sum(out.column("n_chars")).as_py() or 0),
-        )
-        if chunk_col is not None:
-            out = out.append_column("chunk_id", chunk_col)
-        return out
+        chunk_col = self._chunk_ids(batch)
+        out = extract_batch(batch.drop_columns(["path"]),
+                            max_html_bytes=self.max_html_bytes)
+        res = _write_pending(out.append_column("chunk_id", chunk_col),
+                             self.sinks)
+        for r in res.to_pylist():
+            mstate.report(self.lineage_name, r["chunk_id"], "extract",
+                          rows_in=r["rows"], rows_out=r["rows"],
+                          bytes_in=r["html_bytes"], bytes_out=r["n_chars"])
+        return res
 
 
 class _CorrectorStage(Corrector):
-    def __init__(self, dict_path: str, lineage_name: str | None, chunk_id: int,
+    def __init__(self, dict_path: str, lineage_name: str | None,
                  fix_log_path: str | None = None):
         super().__init__(dict_path, fix_log_path=fix_log_path)
         self.lineage_name = lineage_name
-        self.chunk_id = chunk_id
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # grouped executions tag rows with their source chunk for the
-        # partitioned write; the column rides around the correction (rows
-        # map 1:1) and back onto the output
-        chunk_col = None
-        if "chunk_id" in batch.schema.names:
-            chunk_col = batch.column("chunk_id")
-            batch = batch.drop_columns(["chunk_id"])
+        # rows are tagged with their source chunk for the per-chunk write;
+        # the column rides around the correction (rows map 1:1) and back
+        # onto the output
+        chunk_col = batch.column("chunk_id")
+        batch = batch.drop_columns(["chunk_id"])
         out = super().__call__(batch)
+        # a batch may span chunks: its counters are not attributed (-1)
         mstate.report(
-            self.lineage_name, self.chunk_id, "correct",
+            self.lineage_name, -1, "correct",
             rows_in=batch.num_rows, rows_out=out.num_rows,
             bytes_in=int(pc.sum(pc.utf8_length(batch.column("raw_text"))).as_py() or 0),
             bytes_out=int(pc.sum(pc.utf8_length(out.column("extracted_text"))).as_py() or 0),
         )
-        if chunk_col is not None:
-            out = out.append_column("chunk_id", chunk_col)
-        return out
+        return out.append_column("chunk_id", chunk_col)
 
 
 def _tag_chunk_from_dir(b: pa.Table) -> pa.Table:
     """Recover chunk identity from the ``chunk-000NN`` directory of each
-    row's source file (include_paths read) — lets a grouped pass-2 do ONE
-    flat read over every pending chunk instead of per-chunk branches
-    (`Dataset.union` of branches measured ~2x slower than a flat read)."""
+    row's source file (include_paths read) — lets pass 2 do ONE flat read
+    over every pending chunk instead of per-chunk branches."""
     paths = b.column("path").to_pylist()
     cids = [int(os.path.basename(os.path.dirname(p)).rsplit("-", 1)[1])
             for p in paths]
@@ -175,124 +310,56 @@ def _tag_chunk_from_dir(b: pa.Table) -> pa.Table:
 # passes
 # --------------------------------------------------------------------------
 
-# coalesce output files: Ray's read splits inputs into ~2xCPU blocks and
-# writes one file per block by default, fragmenting a chunk into hundreds
-# of ~1 MB files (measured: 208/chunk at sf0.1); 50k rows ≈ 30-60 MB
-_MIN_ROWS_PER_FILE = 50_000
+def run_pass1_group(cfg: ExtractionConfig, chunks: list[list[str]],
+                    lineage_name: str | None = None) -> dict:
+    """Extract + tokenize every chunk whose pass-1 record is missing or
+    stale, in ONE streaming execution, committing each chunk (raw text,
+    token counts, manifest record) as its last row is written.
 
-
-def _replace_dir(src: str, final: str) -> None:
-    """Atomic dir promotion: replace any stale final dir with src."""
-    import shutil
-
-    if os.path.isdir(final):
-        shutil.rmtree(final)
-    os.replace(src, final)
-
-
-def _commit_partitioned(group_tmp: str, out_root: str,
-                        chunk_ids: list[int]) -> None:
-    """Atomically promote a partitioned write's chunk_id=K dirs to the
-    per-chunk chunk-000K layout (empty dir when a chunk had zero rows)."""
-    import shutil
-
-    for cid in chunk_ids:
-        src = os.path.join(group_tmp, f"chunk_id={cid}")
-        final = os.path.join(out_root, f"chunk-{cid:05d}")
-        if os.path.isdir(final):
-            shutil.rmtree(final)
-        if os.path.isdir(src):
-            os.replace(src, final)
-        else:
-            os.makedirs(final, exist_ok=True)
-    shutil.rmtree(group_tmp, ignore_errors=True)
-
-
-def run_pass1_group(cfg: ExtractionConfig,
-                    group: list[tuple[int, list[str]]],
-                    lineage_name: str | None) -> dict:
-    """Extract + tokenize a GROUP of chunks in one Dataset execution each.
-
-    One flat read covers every chunk's files (chunk identity is recovered
-    from the file path — include_paths — so no per-chunk branches/unions);
-    the raw and counts writes partition on chunk_id and commit per chunk,
-    preserving chunk-granular resume.  A crash mid-group commits nothing
-    and the group re-runs — bounded wasted work, identical bytes.
-    """
-    import shutil
-
-    chunk_ids = [cid for cid, _f in group]
+    Returns ``{"chunks": chunks run, "commit_sec": driver commit time}``."""
+    m1 = mstate.Manifest(cfg.manifest_dir, "pass1")
+    # the whale cap changes pass-1 OUTPUT for the same input bytes, so it is
+    # part of the fingerprint: resuming with a different cap must invalidate
+    # completed chunks or resumed output would no longer be byte-identical
+    # to a fresh run
+    fps = {cid: (mstate.fingerprint_files(files)
+                 + f":cap={cfg.whale_max_html_bytes}")
+           for cid, files in enumerate(chunks)}
+    pending = {cid: chunks[cid] for cid, fp in fps.items()
+               if not m1.completed(cid, fp)}
+    _sweep_pending((cfg.raw_dir, cfg.counts_dir))
+    if not pending:
+        return {"chunks": 0, "commit_sec": 0.0}
+    expected = {cid: sum(pq.read_metadata(f).num_rows for f in files)
+                for cid, files in pending.items()}
     path_to_chunk = {os.path.abspath(p): cid
-                     for cid, files in group for p in files}
-    all_files = [p for _cid, files in group for p in files]
-
-    os.makedirs(cfg.raw_dir, exist_ok=True)
-    os.makedirs(cfg.counts_dir, exist_ok=True)
-    # tmp dirs carry the group's first chunk id so OVERLAPPED group
-    # executions (run_extraction's window-2 pipelining) never collide;
-    # stale tmps from crashed runs are swept by run_extraction
-    raw_tmp = os.path.join(cfg.raw_dir, f".group_tmp-{chunk_ids[0]:05d}")
-    counts_tmp = os.path.join(cfg.counts_dir,
-                              f".group_tmp-{chunk_ids[0]:05d}")
-    for d in (raw_tmp, counts_tmp):
-        if os.path.isdir(d):
-            shutil.rmtree(d)
-
-    # single-chunk fast path: no path tagging or partitioned write needed —
-    # the whole execution belongs to one chunk
-    single = len(group) == 1
+                     for cid, files in pending.items() for p in files}
 
     t0 = time.time()
-    ds = ray.data.read_parquet(all_files, columns=["url", "html", "lang"],
-                               include_paths=not single)
+    ds = ray.data.read_parquet(
+        [p for files in pending.values() for p in files],
+        columns=["url", "html", "lang"], include_paths=True)
     ds = ds.map_batches(
-        _ExtractStage(lineage_name,
-                      chunk_ids[0] if single else -1,
-                      None if single else path_to_chunk,
-                      max_html_bytes=cfg.whale_max_html_bytes),
+        _Pass1Stage(cfg, path_to_chunk, lineage_name),
         batch_format="pyarrow",
         batch_size=None,  # byte-bounded blocks: whale pages can't blow memory
         num_cpus=cfg.extract_num_cpus,
         zero_copy_batch=True,
     )
-    # materialize the extracted blocks (html already dropped, so this is the
-    # NARROW table) so the tokenize pass consumes them from the object store
-    # instead of re-reading + decompressing the parquet it just wrote;
-    # memory is group-bounded and the store spills under pressure
-    raw_mat = ds.materialize()
-    # snappy for the raw INTERMEDIATE (written once, read once on pass 2's
-    # critical path — cheap decompress beats zstd's ~30% size win there);
-    # counts and the final extracted output stay zstd
-    if single:
-        raw_mat.write_parquet(raw_tmp, compression="snappy",
-                              min_rows_per_file=_MIN_ROWS_PER_FILE)
-        _replace_dir(raw_tmp, f"{cfg.raw_dir}/chunk-{chunk_ids[0]:05d}")
-    else:
-        raw_mat.write_parquet(raw_tmp, compression="snappy",
-                              partition_cols=["chunk_id"],
-                              min_rows_per_file=_MIN_ROWS_PER_FILE)
-        _commit_partitioned(raw_tmp, cfg.raw_dir, chunk_ids)
-    t_extract = time.time() - t0
 
-    # token partials from the in-memory raw blocks — HTML is parsed exactly
-    # once even though the pipeline is two-pass; partials key on chunk_id
-    # too so each chunk's counts commit (and invalidate) independently
-    t0 = time.time()
-    tok_cols = (["lang", "raw_text"] if single
-                else ["chunk_id", "lang", "raw_text"])
-    counts_ds = raw_mat.select_columns(tok_cols).map_batches(
-        tokenize_count_batch, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
-    if single:
-        counts_ds.write_parquet(counts_tmp, compression="zstd")
-        _replace_dir(counts_tmp, f"{cfg.counts_dir}/chunk-{chunk_ids[0]:05d}")
-    else:
-        counts_ds.write_parquet(counts_tmp, compression="zstd",
-                                partition_cols=["chunk_id"])
-        _commit_partitioned(counts_tmp, cfg.counts_dir, chunk_ids)
-    return {"extract_write_sec": round(t_extract, 3),
-            "tokenize_write_sec": round(time.time() - t0, 3)}
+    def record(cid: int, s: dict) -> None:
+        m1.record_done(cid, fps[cid], pending[cid], {"extract": {
+            "rows_in": expected[cid],
+            "rows_out": s["rows"],
+            "bytes_in": s["html_bytes"],
+            "bytes_out": s["n_chars"],
+            "docs_truncated": s["truncated"],
+        }}, time.time() - t0)
+
+    spent = _commit_stream(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None),
+        (cfg.raw_dir, cfg.counts_dir), expected, record)
+    return {"chunks": len(pending), "commit_sec": round(spent, 3)}
 
 
 def _topk_per_lang(group: pa.Table, top_k: int) -> pa.Table:
@@ -395,333 +462,17 @@ def _corrector_concurrency(cfg: ExtractionConfig) -> tuple[int, int] | int:
     return concurrency
 
 
-def run_pass2_group(cfg: ExtractionConfig, chunk_ids: list[int],
-                    lineage_name: str | None) -> None:
-    """Correct a GROUP of chunks in one Dataset execution.
+def run_pass2_group(cfg: ExtractionConfig, chunks: list[list[str]],
+                    lineage_name: str | None = None) -> dict:
+    """Correct every chunk whose pass-2 record is missing or stale, in ONE
+    streaming execution with one corrector actor pool (pool start-up — N
+    actors x dictionary load — is paid once per pass, not per chunk: 54 s
+    vs 13 s for the same 8-chunk workload at sf0.1/32), committing each
+    chunk as its last row is written.  Every chunk needs a pass-1 record.
 
-    One corrector actor pool serves every chunk in the group (pool startup
-    — N actors x dictionary load — was paid per chunk before: measured 54s
-    vs 13s for the same 8-chunk workload at sf0.1/32, and on a real
-    cluster every per-chunk execution barrier idles all nodes).  Rows are
-    tagged with their source chunk and the write partitions on it, so each
-    chunk's output directory still commits atomically and resume
-    granularity is unchanged; a crash mid-group commits nothing and the
-    group re-runs (bounded wasted work, identical bytes)."""
-    import shutil
-
-    group_tmp = os.path.join(cfg.out_dir, f".group_tmp-{chunk_ids[0]:05d}")
-    if os.path.isdir(group_tmp):
-        shutil.rmtree(group_tmp)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
-    raw_files = [f for cid in chunk_ids
-                 for f in sorted(globmod.glob(
-                     f"{cfg.raw_dir}/chunk-{cid:05d}/*.parquet"))]
-    if not raw_files:  # every chunk in the group was empty
-        for cid in chunk_ids:
-            os.makedirs(f"{cfg.out_dir}/chunk-{cid:05d}", exist_ok=True)
-        return
-    # single-chunk fast path: no path tagging or partitioned write needed
-    single = len(chunk_ids) == 1
-    ds = ray.data.read_parquet(
-        raw_files, columns=["url", "lang", "raw_text", "n_chars", "truncated"],
-        include_paths=not single)
-    if not single:
-        ds = ds.map_batches(_tag_chunk_from_dir, batch_format="pyarrow",
-                            zero_copy_batch=True)
-
-    if cfg.size_bucketing:
-        ds = ds.map_batches(_lpt_order, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    ds = ds.map_batches(
-        _CorrectorStage,
-        fn_constructor_args=(cfg.dict_path, lineage_name,
-                             chunk_ids[0] if single else -1,
-                             cfg.fix_log_path),
-        batch_format="pyarrow",
-        batch_size=cfg.correct_batch_size,
-        concurrency=_corrector_concurrency(cfg),
-        num_cpus=1,
-        zero_copy_batch=True,
-    )
-    if single:
-        ds.write_parquet(group_tmp, compression="zstd",
-                         min_rows_per_file=_MIN_ROWS_PER_FILE)
-        _replace_dir(group_tmp, f"{cfg.out_dir}/chunk-{chunk_ids[0]:05d}")
-    else:
-        ds.write_parquet(group_tmp, compression="zstd",
-                         partition_cols=["chunk_id"],
-                         min_rows_per_file=_MIN_ROWS_PER_FILE)
-        _commit_partitioned(group_tmp, cfg.out_dir, chunk_ids)
-
-
-# --------------------------------------------------------------------------
-# lineage counters from committed outputs
-# --------------------------------------------------------------------------
-
-@ray.remote(num_cpus=1)
-def _col_sum(d: str, col: str) -> int:
-    """Sum one int64/bool column across a committed chunk directory."""
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-    import pyarrow.parquet as _pq
-
-    total = 0
-    for f in os.listdir(d):
-        if f.endswith(".parquet"):
-            t = _pq.read_table(f"{d}/{f}", columns=[col])
-            c = t.column(col)
-            if _pa.types.is_boolean(c.type):
-                c = _pc.cast(c, _pa.int64())
-            total += int(_pc.sum(c).as_py() or 0)
-    return total
-
-
-# Per-chunk, per-stage counters are derived EXACTLY from the COMMITTED
-# parquet outputs — facts about data on disk, not messages racing the
-# execution.  Row counts come from footer metadata (driver-cheap); column
-# sums run as PARALLEL Ray tasks, launched when a chunk commits and
-# resolved one group later (_launch_counter_sums / _resolve_chunk_counters
-# + the pending/flush lookahead in run_extraction).
-
-def _launch_counter_sums(raw_dir: str, out_dir: str | None) -> list:
-    """Kick off the column-sum tasks WITHOUT waiting — the driver loop
-    overlaps them with the next chunk's pipeline (one-chunk lookahead), so
-    multi-chunk crawl runs never serialize on lineage accounting."""
-    refs = [_col_sum.remote(raw_dir, "html_bytes"),
-            _col_sum.remote(raw_dir, "n_chars"),
-            _col_sum.remote(raw_dir, "truncated")]
-    if out_dir is not None and os.path.isdir(out_dir):
-        refs.append(_col_sum.remote(out_dir, "n_chars"))
-    return refs
-
-
-def _dir_rows(d: str) -> int:
-    """Row count of a committed chunk directory from footer metadata."""
-    return sum(pq.read_metadata(f"{d}/{f}").num_rows
-               for f in os.listdir(d) if f.endswith(".parquet"))
-
-
-def _resolve_chunk_counters(refs: list, raw_dir: str, out_dir: str | None,
-                            input_rows: int) -> dict:
-    with_out = len(refs) == 4
-    raw_rows = _dir_rows(raw_dir)
-    sums = ray.get(refs)
-
-    counters = {
-        "extract": {
-            "rows_in": input_rows,
-            "rows_out": raw_rows,
-            "bytes_in": sums[0],
-            "bytes_out": sums[1],
-            "docs_truncated": sums[2],
-        }
-    }
-    if with_out:
-        counters["correct"] = {
-            "rows_in": raw_rows,
-            "rows_out": _dir_rows(out_dir),
-            "bytes_in": sums[1],
-            "bytes_out": sums[3],
-        }
-    return counters
-
-
-# --------------------------------------------------------------------------
-# driver entry points
-# --------------------------------------------------------------------------
-
-def _pin_fsspec_http_stub() -> None:
-    """Make Ray's lazy ``fsspec.implementations.http`` probe thread-safe.
-
-    That module cannot import in this environment (aiohttp is absent), and
-    a FAILED import is retried on every Ray path resolution; with two
-    overlapped group executions resolving paths concurrently, CPython's
-    import-deadlock avoidance can expose the half-initialized module and
-    raise ``ImportError: cannot import name 'HTTPFileSystem'`` — which
-    Ray's ``except ModuleNotFoundError`` does not catch.  When the real
-    import fails, pin a stub module whose ``HTTPFileSystem`` is a marker
-    class that is never instantiated: Ray only ever isinstance-checks
-    against it, so behavior is identical to the ModuleNotFoundError path,
-    and the import becomes a stable sys.modules hit.  No-op when the real
-    module imports (aiohttp present)."""
-    import sys
-    import types
-
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-        return
-    except ImportError:
-        pass
-    if "fsspec.implementations.http" in sys.modules:
-        return
-    stub = types.ModuleType("fsspec.implementations.http")
-    stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
-    sys.modules["fsspec.implementations.http"] = stub
-
-
-def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
-    """Run (or resume) the full two-pass pipeline; returns the final Dataset."""
-    files = discover_files(cfg.input_paths)
-    if not files:
-        raise FileNotFoundError(f"no parquet inputs under {cfg.input_paths!r}")
-    chunks = make_chunks(files, cfg.files_per_chunk)
-    os.makedirs(cfg.work_dir, exist_ok=True)
-    # sweep crash artifacts: uncommitted group tmps from any prior run (tmp
-    # names carry the group's first chunk id, so a re-grouped resume would
-    # not necessarily overwrite a stale one)
-    import shutil as _shutil
-
-    for root in (cfg.raw_dir, cfg.counts_dir, cfg.out_dir):
-        for stale in globmod.glob(os.path.join(root, ".group_tmp*")):
-            _shutil.rmtree(stale, ignore_errors=True)
-
-    lineage_name = None
-    lineage_handle = None
-    if cfg.enable_lineage:
-        lineage_name = f"opr_lineage_{uuid.uuid4().hex[:8]}"
-        lineage_handle = mstate.LineageActor.options(name=lineage_name).remote()
-
+    Returns ``{"chunks": chunks run, "commit_sec": driver commit time}``."""
     m1 = mstate.Manifest(cfg.manifest_dir, "pass1")
     m2 = mstate.Manifest(cfg.manifest_dir, "pass2")
-
-    def chunk_rows(chunk_files: list[str]) -> int:
-        return sum(pq.read_metadata(f).num_rows for f in chunk_files)
-
-    timings = {"pass1_sec": 0.0, "dict_sec": 0.0, "pass2_sec": 0.0,
-               "counters_sec": 0.0, "pass1_stages": {}, }
-
-    # One-chunk lookahead for lineage counters: after a chunk's outputs
-    # commit, its counter tasks are LAUNCHED but resolved only when the next
-    # chunk finishes (or at pass end), so multi-chunk crawl runs overlap
-    # counting with the next chunk's pipeline instead of serializing on it.
-    # The manifest is still written only from committed outputs — a crash in
-    # the window merely re-runs an already-committed chunk on resume.
-    pending: list = []
-
-    def flush_pending() -> None:
-        tc = time.time()
-        while pending:
-            manifest, chunk_id, fp, chunk_files, resolve, wall, extra = \
-                pending.pop(0)
-            manifest.record_done(chunk_id, fp, chunk_files, resolve(), wall,
-                                 extra=extra)
-        timings["counters_sec"] += time.time() - tc
-
-    def pass2_resolver(chunk_id: int, raw_dir: str, out_dir: str,
-                       chunk_files: list[str]):
-        """Pass-2 counters reuse the raw-side sums already recorded in the
-        pass-1 manifest (same committed files — no point re-reading 2M rows
-        of html_bytes/n_chars); only the output n_chars sum is computed,
-        launched now and resolved at flush time."""
-        rec = m1.load(chunk_id)
-        extract = (rec or {}).get("counters", {}).get("extract")
-        if extract is None:  # no pass-1 record (shouldn't happen): recompute
-            refs = _launch_counter_sums(raw_dir, out_dir)
-            return lambda: _resolve_chunk_counters(
-                refs, raw_dir, out_dir, chunk_rows(chunk_files))
-        out_ref = _col_sum.remote(out_dir, "n_chars")
-
-        def resolve() -> dict:
-            return {
-                "extract": extract,
-                "correct": {
-                    "rows_in": extract["rows_out"],
-                    "rows_out": _dir_rows(out_dir),
-                    "bytes_in": extract["bytes_out"],
-                    "bytes_out": ray.get(out_ref),
-                },
-            }
-
-        return resolve
-
-    def chunk_dirs(chunk_id: int, with_pass2: bool) -> tuple[str, str | None]:
-        return (f"{cfg.raw_dir}/chunk-{chunk_id:05d}",
-                f"{cfg.out_dir}/chunk-{chunk_id:05d}" if with_pass2 else None)
-
-    group_n = max(1, cfg.chunks_per_exec)
-    pending1 = []
-    for chunk_id, chunk_files in enumerate(chunks):
-        # the whale cap changes pass-1 OUTPUT for the same input bytes, so
-        # it is part of the fingerprint: resuming with a different cap must
-        # invalidate completed chunks or resumed output would no longer be
-        # byte-identical to a fresh run
-        fp = (mstate.fingerprint_files(chunk_files)
-              + f":cap={cfg.whale_max_html_bytes}")
-        if not m1.completed(chunk_id, fp):
-            pending1.append((chunk_id, fp, chunk_files))
-
-    dict_needed = not os.path.exists(cfg.dict_path) or bool(pending1)
-
-    # Group executions within a pass are independent (disjoint chunks, the
-    # dictionary barrier sits BETWEEN passes), so consecutive PASS-1 groups
-    # run through a window-2 thread pool when cfg.overlap_groups: group
-    # k+1's read/ramp fills the cluster while group k drains its straggler
-    # batches and commits (VERDICT r04 #6).  Pass-2 groups stay SERIAL:
-    # each one's FIXED corrector pool reserves ncpu-reserve CPU slots, so
-    # two concurrent pools reserve every slot and starve both executions'
-    # read/write tasks — a measured full deadlock, the same stall mechanics
-    # as the round-2 full-width-pool finding (an autoscaling pool would
-    # dodge the reservation but idles ~45% of pool-seconds, also measured).
-    # All manifest bookkeeping stays on the driver thread, in submission
-    # order — commits remain per-chunk atomic, resume semantics unchanged.
-    from concurrent.futures import ThreadPoolExecutor
-
-    _pin_fsspec_http_stub()
-
-    def run_groups(groups: list, submit_fn, on_done,
-                   overlap: bool = True) -> None:
-        window = 2 if (overlap and cfg.overlap_groups
-                       and len(groups) > 1) else 1
-        with ThreadPoolExecutor(max_workers=window) as tpool:
-            futs: list = []
-
-            def finish_one() -> None:
-                grp, t_sub, fut = futs.pop(0)
-                result = fut.result()
-                flush_pending()
-                on_done(grp, result, time.time() - t_sub)
-
-            for grp in groups:
-                futs.append((grp, time.time(), tpool.submit(submit_fn, grp)))
-                if len(futs) >= window:
-                    finish_one()
-            while futs:
-                finish_one()
-
-    groups1 = [pending1[g:g + group_n]
-               for g in range(0, len(pending1), group_n)]
-    t_pass1 = time.time()
-
-    def pass1_done(grp, stage_t, wall) -> None:
-        for cid, fp, chunk_files in grp:
-            raw_dir, _out = chunk_dirs(cid, False)
-            refs = _launch_counter_sums(raw_dir, None)
-            n_rows = chunk_rows(chunk_files)
-            resolve1 = (lambda refs=refs, raw_dir=raw_dir, n_rows=n_rows:
-                        _resolve_chunk_counters(refs, raw_dir, None, n_rows))
-            pending.append((m1, cid, fp, chunk_files, resolve1, wall,
-                            {"stage_sec": stage_t,
-                             "group_chunks": [c for c, _x, _y in grp]}))
-        for k, v in stage_t.items():
-            timings["pass1_stages"][k] = round(
-                timings["pass1_stages"].get(k, 0.0) + v, 3)
-
-    run_groups(
-        groups1,
-        lambda grp: run_pass1_group(
-            cfg, [(cid, files) for cid, _fp, files in grp], lineage_name),
-        pass1_done)
-    if groups1:
-        timings["pass1_sec"] += time.time() - t_pass1
-    # the last pass-1 group's counters stay pending ACROSS the dictionary
-    # build and the first pass-2 group — maximal overlap
-
-    if dict_needed:
-        t0 = time.time()
-        build_dictionary(cfg)
-        timings["dict_sec"] = time.time() - t0
-
     # Pass-2 outputs depend on the chunk's input, the frozen dictionary AND
     # the fix-log: a dictionary rebuild (triggered by any changed/new pass-1
     # chunk) or an edited fix-log must invalidate every pass-2 chunk whose
@@ -734,41 +485,106 @@ def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
     # too: a cap change with a coincidentally unchanged dictionary must
     # still re-correct the re-extracted chunks
     dict_fp += f":cap={cfg.whale_max_html_bytes}"
-    pending2 = [(chunk_id, mstate.fingerprint_files(chunk_files) + ":" + dict_fp,
-                 chunk_files)
-                for chunk_id, chunk_files in enumerate(chunks)]
-    pending2 = [(cid, fp, files) for cid, fp, files in pending2
-                if not m2.completed(cid, fp)]
-    group_n = max(1, cfg.chunks_per_exec)
-    groups2 = [pending2[g:g + group_n]
-               for g in range(0, len(pending2), group_n)]
-    t_pass2 = time.time()
+    fps = {cid: mstate.fingerprint_files(files) + ":" + dict_fp
+           for cid, files in enumerate(chunks)}
+    pending = [cid for cid, fp in fps.items() if not m2.completed(cid, fp)]
+    _sweep_pending((cfg.out_dir,))
+    if not pending:
+        return {"chunks": 0, "commit_sec": 0.0}
+    extract = {cid: m1.load(cid)["counters"]["extract"] for cid in pending}
+    expected = {cid: extract[cid]["rows_out"] for cid in pending}
 
-    def pass2_done(group, _result, wall) -> None:
-        # flush_pending already ran: pass-1 records exist before resolvers
-        for cid, fp, chunk_files in group:
-            raw_dir, out_dir = chunk_dirs(cid, True)
-            resolve2 = pass2_resolver(cid, raw_dir, out_dir, chunk_files)
-            pending.append((m2, cid, fp, chunk_files, resolve2, wall,
-                            {"group_chunks": [c for c, _x, _y in group]}))
+    t0 = time.time()
 
-    run_groups(
-        groups2,
-        lambda group: run_pass2_group(
-            cfg, [cid for cid, _fp, _f in group], lineage_name),
-        pass2_done, overlap=False)  # fixed-pool reservation: see run_groups
-    if groups2:
-        timings["pass2_sec"] += time.time() - t_pass2
-    flush_pending()
+    def record(cid: int, s: dict) -> None:
+        m2.record_done(cid, fps[cid], chunks[cid], {
+            "extract": extract[cid],
+            "correct": {
+                "rows_in": extract[cid]["rows_out"],
+                "rows_out": s["rows"],
+                "bytes_in": extract[cid]["bytes_out"],
+                "bytes_out": s["n_chars"],
+            },
+        }, time.time() - t0)
+
+    raw_files = [f for cid in pending
+                 for f in sorted(globmod.glob(
+                     f"{cfg.raw_dir}/chunk-{cid:05d}/*.parquet"))]
+    results = []
+    if raw_files:
+        ds = ray.data.read_parquet(
+            raw_files,
+            columns=["url", "lang", "raw_text", "n_chars", "truncated"],
+            include_paths=True)
+        ds = ds.map_batches(_tag_chunk_from_dir, batch_format="pyarrow",
+                            zero_copy_batch=True)
+        if cfg.size_bucketing:
+            ds = ds.map_batches(_lpt_order, batch_format="pyarrow",
+                                zero_copy_batch=True)
+        ds = ds.map_batches(
+            _CorrectorStage,
+            fn_constructor_args=(cfg.dict_path, lineage_name,
+                                 cfg.fix_log_path),
+            batch_format="pyarrow",
+            batch_size=cfg.correct_batch_size,
+            concurrency=_corrector_concurrency(cfg),
+            num_cpus=1,
+            zero_copy_batch=True,
+        )
+        # a chunk's last rows wait in the write bundle until it fills, so it
+        # holds at most an average chunk's rows: no chunk's commit waits on
+        # a 50k-row bundle.  (The smallest chunk's rows would bound the
+        # wait tighter, but one tiny chunk would then shrink every file.)
+        ds = ds.map_batches(
+            _write_pending,
+            fn_args=([(cfg.out_dir, None, "zstd")],),
+            batch_format="pyarrow",
+            batch_size=max(1, min(_MIN_ROWS_PER_FILE,
+                                  sum(expected.values()) // len(expected))),
+            zero_copy_batch=True,
+        )
+        results = ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    spent = _commit_stream(results, (cfg.out_dir,), expected, record)
+    return {"chunks": len(pending), "commit_sec": round(spent, 3)}
+
+
+# --------------------------------------------------------------------------
+# driver entry point
+# --------------------------------------------------------------------------
+
+def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
+    """Run (or resume) the full two-pass pipeline; returns the final Dataset."""
+    chunks = input_chunks(cfg)
+    os.makedirs(cfg.work_dir, exist_ok=True)
+
+    lineage_name = None
+    lineage_handle = None
+    if cfg.enable_lineage:
+        lineage_name = f"opr_lineage_{uuid.uuid4().hex[:8]}"
+        lineage_handle = mstate.LineageActor.options(name=lineage_name).remote()
+
+    timings = {"pass1_sec": 0.0, "dict_sec": 0.0, "pass2_sec": 0.0}
+    t0 = time.time()
+    pass1 = run_pass1_group(cfg, chunks, lineage_name)
+    timings["pass1_sec"] = time.time() - t0
+
+    if pass1["chunks"] or not os.path.exists(cfg.dict_path):
+        t0 = time.time()
+        build_dictionary(cfg)
+        timings["dict_sec"] = time.time() - t0
+
+    t0 = time.time()
+    pass2 = run_pass2_group(cfg, chunks, lineage_name)
+    timings["pass2_sec"] = time.time() - t0
 
     # per-stage wall-time split for the scaling analysis (BASELINE.md):
     # facts about where the time went, written next to the manifests
-    for k in ("pass1_sec", "dict_sec", "pass2_sec", "counters_sec"):
-        timings[k] = round(timings[k], 3)
+    timings = {k: round(v, 3) for k, v in timings.items()}
+    timings["counters_sec"] = round(
+        pass1["commit_sec"] + pass2["commit_sec"], 3)
+    timings["pass1_stages"] = pass1
     with open(os.path.join(cfg.work_dir, "timings.json"), "w") as f:
-        import json as _json
-
-        _json.dump(timings, f, indent=1)
+        json.dump(timings, f, indent=1)
 
     if lineage_handle is not None:
         ray.kill(lineage_handle)

@@ -11,21 +11,13 @@ from typing import Any
 
 _QUERIES: dict[str, Callable[[str], Any]] = {}
 _ORACLES: dict[str, str] = {}
-# queries whose plan is probabilistic-recall (sketch-prefiltered) yet keep an
-# EXACT SQL oracle: equality is a data-dependent fact pinned at test scales,
-# not a structural guarantee; the value records the accepted per-true-pair
-# miss bound (ADVICE r02)
-_SKETCH_ORACLE_MISS: dict[str, float] = {}
 
 
-def register(name: str, sql: str | None = None,
-             sketch_miss_bound: float | None = None):
+def register(name: str, sql: str | None = None):
     def deco(fn: Callable[[str], Any]):
         _QUERIES[name] = fn
         if sql is not None:
             _ORACLES[name] = sql
-        if sketch_miss_bound is not None:
-            _SKETCH_ORACLE_MISS[name] = sketch_miss_bound
         return fn
 
     return deco
@@ -50,10 +42,3 @@ def all_queries() -> dict[str, Callable[[str], Any]]:
 def all_oracles() -> dict[str, str]:
     all_queries()
     return dict(_ORACLES)
-
-
-def sketch_oracle_miss_bounds() -> dict[str, float]:
-    """Oracle-checked queries with probabilistic-recall plans and the
-    accepted per-true-pair miss probability of each."""
-    all_queries()
-    return dict(_SKETCH_ORACLE_MISS)

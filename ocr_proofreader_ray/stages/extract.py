@@ -69,11 +69,6 @@ COUNTS_SCHEMA = pa.schema(
     [("lang", pa.string()), ("token", pa.string()), ("count", pa.int64())]
 )
 
-GROUPED_COUNTS_SCHEMA = pa.schema(
-    [("chunk_id", pa.int32()), ("lang", pa.string()),
-     ("token", pa.string()), ("count", pa.int64())]
-)
-
 
 def tokenize_count_batch(batch: pa.Table) -> pa.Table:
     """Per-batch partial token counts: (lang, raw_text) -> (lang, token, count).
@@ -81,53 +76,23 @@ def tokenize_count_batch(batch: pa.Table) -> pa.Table:
     This is the combiner half of the dictionary build: the subsequent
     ``groupby(["lang","token"])`` shuffles only these compact partials, never
     document text (SURVEY.md §4 "shuffle" row / FP-Hadoop-style partials).
-    An optional ``chunk_id`` column keys the partials per chunk too, so a
-    grouped pass-1 execution can partition the counts write per chunk
-    (independent commit/invalidation) in one pass.
     """
-    grouped = "chunk_id" in batch.schema.names
-    chunks = (batch.column("chunk_id").to_pylist() if grouped
-              else [0] * batch.num_rows)
-    per_key: dict[tuple[int, str], Counter] = {}
+    per_lang: dict[str, Counter] = {}
     langs = batch.column("lang").to_pylist()
     texts = batch.column("raw_text").to_pylist()
-    for cid, lang, text in zip(chunks, langs, texts):
+    for lang, text in zip(langs, texts):
         # update with the raw token LIST: Counter counts it in C; building
         # a per-doc Counter first and merging dicts was ~20% slower
-        per_key.setdefault((cid, lang), Counter()).update(
-            dict_tokens(text or ""))
-    out_cid, out_lang, out_tok, out_cnt = [], [], [], []
+        per_lang.setdefault(lang, Counter()).update(dict_tokens(text or ""))
+    out_lang, out_tok, out_cnt = [], [], []
     # None-safe key order: a null lang must not crash the sort
-    for cid, lang in sorted(per_key,
-                            key=lambda t: (t[0], t[1] is None, t[1] or "")):
-        counter = per_key[(cid, lang)]
+    for lang in sorted(per_lang, key=lambda k: (k is None, k or "")):
+        counter = per_lang[lang]
         for tok in sorted(counter):
-            out_cid.append(cid)
             out_lang.append(lang)
             out_tok.append(tok)
             out_cnt.append(counter[tok])
-    if grouped:
-        return pa.table(
-            {"chunk_id": out_cid, "lang": out_lang,
-             "token": out_tok, "count": out_cnt},
-            schema=GROUPED_COUNTS_SCHEMA,
-        )
     return pa.table(
         {"lang": out_lang, "token": out_tok, "count": out_cnt},
         schema=COUNTS_SCHEMA,
     )
-
-
-def add_size_bucket(batch: pa.Table) -> pa.Table:
-    """Tag rows with a coarse log2 size bucket of the extracted text
-    (SURVEY.md §2 A2) — used to order/partition work so the corrector pool
-    sees size-homogeneous batches."""
-    import pyarrow.compute as pc
-
-    n = batch.column("n_chars")
-    # bucket = floor(log2(1 + n_chars/1024)); cheap, vectorized
-    bucket = pc.cast(
-        pc.floor(pc.logb(pc.add(pc.divide(pc.cast(n, pa.float64()), 1024.0), 1.0), 2)),
-        pa.int32(),
-    )
-    return batch.append_column("size_bucket", bucket)

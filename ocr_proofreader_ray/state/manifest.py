@@ -4,16 +4,16 @@ Resume model (BASELINE.json north_rule: "resumable from checkpoint with
 per-partition lineage + metrics"):
 
 * The pipeline executes in **chunks** of input files.  Each chunk's outputs
-  are written to a temp dir and atomically renamed, then a manifest JSON is
-  recorded with the input fingerprint (paths + sizes) and the chunk's
-  per-stage counters.
+  are written under a pending dir and atomically renamed into place once
+  all its rows are written; then a manifest JSON is recorded with the input
+  fingerprint (paths + sizes) and the chunk's per-stage counters, summed
+  from the write stage's results (pipelines/extraction.py).
 * On restart, a chunk whose manifest exists *and* whose input fingerprint
   still matches is skipped entirely — nothing is recomputed, outputs are
   reused.  A changed fingerprint invalidates the chunk (its outputs are
   rewritten).
-* Counters (rows/bytes in/out per stage) are accumulated in a named Ray
-  actor — the one piece of shared mutable state in the engine, deliberately
-  tiny (a dict of integers), updated fire-and-forget per batch.
+* Optional live-progress counters go to a named Ray actor (LineageActor),
+  updated fire-and-forget per batch; the manifest does not depend on it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 
 import ray
@@ -90,14 +89,10 @@ def get_lineage_actor(name: str):
 
 def report(name: str | None, chunk_id: int, stage: str, rows_in: int,
            rows_out: int, bytes_in: int, bytes_out: int) -> None:
-    """Fire-and-forget counter delta: zero hot-path cost.
-
-    A synchronous ray.get here measured ~40% of total pipeline wall time at
-    3900 batches (one blocking round-trip per batch per actor).  Instead the
-    send is async and the DRIVER reconciles: it knows each chunk's input row
-    count from parquet metadata and polls the actor until the stage's
-    rows_in matches (``wait_for_rows``) before snapshotting the manifest —
-    race-free without ever blocking a worker."""
+    """Fire-and-forget counter delta to the live-progress actor: zero
+    hot-path cost (a synchronous ray.get per batch measured ~40% of total
+    pipeline wall time at 3900 batches).  Nothing waits for these deltas;
+    they are advisory telemetry only."""
     if not name:
         return
     try:
@@ -106,12 +101,6 @@ def report(name: str | None, chunk_id: int, stage: str, rows_in: int,
         )
     except Exception:
         pass  # lineage is advisory; never fail the data path
-
-
-# NOTE: the manifest's per-chunk counters are no longer sourced from this
-# actor — they are derived exactly from committed parquet outputs
-# (pipelines/extraction.py::_resolve_chunk_counters).  The actor remains as optional
-# LIVE progress telemetry (enable_lineage); snapshots are advisory.
 
 
 class Manifest:
@@ -156,20 +145,3 @@ class Manifest:
                 return json.load(f)
         except (OSError, json.JSONDecodeError):
             return None
-
-
-def atomic_output(final_dir: str):
-    """Context-manager-ish pair: returns (tmp_dir, commit_fn).  Write the
-    chunk's Parquet into tmp_dir, then call commit_fn() to atomically move it
-    into place (idempotent re-runs: a stale tmp or final dir is replaced)."""
-    tmp_dir = final_dir + ".tmp"
-    if os.path.isdir(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    os.makedirs(tmp_dir, exist_ok=True)
-
-    def commit() -> None:
-        if os.path.isdir(final_dir):
-            shutil.rmtree(final_dir)
-        os.replace(tmp_dir, final_dir)
-
-    return tmp_dir, commit

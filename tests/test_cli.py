@@ -60,3 +60,35 @@ def test_extract_subcommand_runs_and_resumes(tmp_path):
     # resubmission resumes from the committed manifests
     second = _run(*args)[-1]
     assert second["rows"] == 200
+
+
+def test_build_dict_then_extract_reuses_pass1(tmp_path):
+    """`build-dict` commits pass 1 exactly as `extract` would (same
+    fingerprints, real counters), so a following `extract` skips it."""
+    import glob
+    import os
+
+    from fixtures.gen_pages import generate_pages
+
+    pages = str(tmp_path / "pages")
+    generate_pages(pages, n_docs=120, seed=5, n_files=4)
+    work = str(tmp_path / "work")
+    common = ["--input", os.path.join(pages, "pages-*.parquet"),
+              "--work-dir", work, "--files-per-chunk", "2", "--num-cpus", "4"]
+
+    def pass1_records() -> dict:
+        recs = {}
+        for p in glob.glob(os.path.join(work, "manifest", "pass1", "*.json")):
+            with open(p) as f:
+                recs[os.path.basename(p)] = json.load(f)
+        return recs
+
+    _run("build-dict", *common)
+    before = pass1_records()
+    assert len(before) == 2
+    assert all(r["counters"]["extract"]["rows_out"] > 0
+               for r in before.values())
+    assert _run("extract", *common)[-1]["rows"] == 120
+    after = pass1_records()
+    assert {k: r["recorded_at"] for k, r in after.items()} == \
+           {k: r["recorded_at"] for k, r in before.items()}

@@ -156,41 +156,42 @@ def test_lineage_counters_recorded(ray_session, pages_dir, tmp_path):
     assert total_rows == 200
 
 
-def test_group_size_invariance(ray_session, pages_dir, tmp_path):
-    """north_rule byte-identity extends to the execution grouping: running
-    4 chunks one-per-execution vs all-in-one-group must produce identical
-    bytes (grouping only changes scheduling, never content)."""
-    import glob as _glob
-
-    from ocr_proofreader_ray.config import ExtractionConfig
-
-    outs = {}
-    for label, group_n in (("serial", 1), ("grouped", 4)):
+def test_files_per_chunk_invariance(ray_session, pages_dir, tmp_path):
+    """north_rule byte-identity extends to the checkpoint granularity: 4
+    chunks of 1 file, 2 of 2 and a single chunk must produce identical
+    bytes and an identical dictionary file (chunking only changes what
+    commits together, never content)."""
+    outs, dicts = {}, {}
+    for fpc in (1, 2, 0):
+        work = str(tmp_path / f"work_{fpc}")
         cfg = ExtractionConfig(
-            input_paths=sorted(_glob.glob(f"{pages_dir}/pages-*.parquet")),
-            work_dir=str(tmp_path / f"work_{label}"),
-            files_per_chunk=1,  # 4 chunks
-            chunks_per_exec=group_n,
+            input_paths=sorted(glob.glob(f"{pages_dir}/pages-*.parquet")),
+            work_dir=work,
+            files_per_chunk=fpc,
         )
         ds = run_extraction(cfg)
-        outs[label] = {r["url"]: (r["extracted_text"], r["n_tokens"])
-                       for r in ds.take_all()}
-    assert outs["serial"] == outs["grouped"]
+        outs[fpc] = {r["url"]: (r["extracted_text"], r["n_tokens"])
+                     for r in ds.take_all()}
+        with open(f"{work}/lang_dict.parquet", "rb") as f:
+            dicts[fpc] = f.read()
+    assert len(outs[1]) == 200
+    assert outs[1] == outs[2] == outs[0]
+    assert dicts[1] == dicts[2] == dicts[0]
 
 
-def test_stale_group_tmp_is_ignored_and_cleaned(ray_session, pages_dir, tmp_path):
-    """Simulated crash artifact: a stale .group_tmp (from a run that died
-    after writing but before committing) must be wiped on the next run and
-    never contaminate output."""
+def test_stale_pending_writes_are_swept(ray_session, pages_dir, tmp_path):
+    """Simulated crash artifact: files under ``.pending/chunk-K`` (from a
+    run that died after writing but before committing) must be wiped on
+    the next run and never contaminate output."""
     work = str(tmp_path / "work")
     cfg = ExtractionConfig(
         input_paths=sorted(glob.glob(f"{pages_dir}/pages-*.parquet")),
         work_dir=work,
         files_per_chunk=2,
     )
-    # plant junk where a crashed grouped execution would leave it
+    # plant junk where a crashed execution would leave it
     for sub in ("raw_extracted", "token_counts", "extracted"):
-        junk = os.path.join(work, sub, ".group_tmp", "chunk_id=0")
+        junk = os.path.join(work, sub, ".pending", "chunk-00000")
         os.makedirs(junk, exist_ok=True)
         with open(os.path.join(junk, "garbage.parquet"), "wb") as f:
             f.write(b"not parquet at all")
@@ -200,7 +201,9 @@ def test_stale_group_tmp_is_ignored_and_cleaned(ray_session, pages_dir, tmp_path
     golden = _golden_map(pages_dir)
     assert {u: g["extracted_text"] for u, g in golden.items()} == got
     for sub in ("raw_extracted", "token_counts", "extracted"):
-        assert not glob.glob(os.path.join(work, sub, ".group_tmp*"))
+        assert not glob.glob(os.path.join(work, sub, ".pending", "*", "*"))
+        assert not glob.glob(os.path.join(work, sub, "chunk-*",
+                                          "garbage.parquet"))
 
 
 def test_whale_truncation_capped_and_counted(ray_session, pages_dir, tmp_path):
@@ -294,26 +297,3 @@ def test_dictionary_exchange_branch_matches_driver(ray_session, pages_dir,
     a = pq.read_table(f"{tmp_path}/driver/lang_dict.parquet").sort_by(key)
     b = pq.read_table(f"{tmp_path}/exchange/lang_dict.parquet").sort_by(key)
     assert a.equals(b)
-
-
-def test_overlap_groups_byte_identity(ray_session, pages_dir, tmp_path):
-    """Window-2 pass-1 group pipelining is pure scheduling: overlapped and
-    serial runs of the same 4-chunk input must produce identical bytes and
-    identical dictionaries."""
-    outs = {}
-    for label, overlap in (("serial", False), ("overlap", True)):
-        cfg = ExtractionConfig(
-            input_paths=sorted(glob.glob(f"{pages_dir}/pages-*.parquet")),
-            work_dir=str(tmp_path / f"work_{label}"),
-            files_per_chunk=1,   # 4 chunks
-            chunks_per_exec=1,   # 4 groups -> 3 overlap boundaries
-            overlap_groups=overlap,
-        )
-        ds = run_extraction(cfg)
-        outs[label] = {r["url"]: (r["extracted_text"], r["n_tokens"])
-                       for r in ds.take_all()}
-        outs[label + "_dict"] = pq.read_table(
-            f"{tmp_path}/work_{label}/lang_dict.parquet").sort_by(
-            [("lang", "ascending"), ("token", "ascending")])
-    assert outs["serial"] == outs["overlap"]
-    assert outs["serial_dict"].equals(outs["overlap_dict"])
