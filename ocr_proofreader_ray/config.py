@@ -34,12 +34,6 @@ class ExtractionConfig:
     # run the read/LPT/write tasks feeding the pool; measured in
     # BASELINE.md round 2) — see pipelines/extraction.py _corrector_concurrency
     correct_concurrency: tuple[int, int] | int | None = None
-    extract_num_cpus: float = 1.0
-
-    # skew handling (SURVEY.md §2 A2): whales isolate into their own blocks
-    # via byte-bounded block splitting; per-block biggest-first ordering
-    # gives LPT dispatch and size-homogeneous actor batches (no shuffle)
-    size_bucketing: bool = True
 
     # whale-page hard cap (SURVEY.md §7 hard-parts): a single html value
     # larger than this is truncated to the cap BEFORE parsing — Ray's
@@ -55,11 +49,6 @@ class ExtractionConfig:
     # no longer changes execution: each pass is one streaming execution over
     # every pending chunk.  Still accepted so existing callers keep working.
     chunks_per_exec: int = 8
-
-    # live-progress counter actor (advisory telemetry DURING a run).  The
-    # manifest's per-chunk lineage counters do not depend on it — they are
-    # summed from the write stage's per-file results.
-    enable_lineage: bool = False
 
     @property
     def raw_dir(self) -> str:

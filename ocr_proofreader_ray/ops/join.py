@@ -1,17 +1,22 @@
 """Join strategies (SURVEY.md §2 B7/B8).
 
-Two physical strategies, chosen by the caller:
+Two physical strategies:
 
 * **Broadcast hash join** — the small side (dimension table, key set) is
   ``ray.put`` ONCE on the driver; every map task ``ray.get``s it (object is
   node-local after first fetch, and additionally memoized per worker process
   here) and joins each Arrow batch with ``pyarrow.Table.join`` (Arrow C++
-  hash join).  No shuffle; the big side streams.
-* **Shuffle hash join** — both sides large → ``Dataset.join`` (Ray 2.49
-  hash-partitioned join).  All-to-all exchange on the key; used only when the
-  small-side assumption fails.
+  hash join).  No shuffle; the big side streams.  Semi/anti joins broadcast
+  the key set and filter with ``pyarrow.compute.is_in``.
+* **Hash-exchange join** — both sides large → ``shuffle_join`` /
+  ``shuffle_semi_anti``: both sides tag a hash partition on the key and
+  meet in ONE ``groupby(partition).map_groups`` exchange, where each
+  partition joins (or ``is_in``-filters) its own rows with Arrow.
 
-Semi/anti joins broadcast the key set and filter with ``pyarrow.compute.is_in``.
+``join_table`` picks between them for a right side stored as one Parquet
+file: it broadcasts while the file's bytes fit ``_BROADCAST_MAX_BYTES`` and
+hash-exchanges above it, so query code describes its right side once.
+Tests force the exchange by patching that constant to 0.
 """
 
 from __future__ import annotations
@@ -80,6 +85,63 @@ def broadcast_semi_anti(
         return batch.filter(mask)
 
     return ds.map_batches(_filter, batch_format="pyarrow", zero_copy_batch=True)
+
+
+# broadcast-side budget (VERDICT r02 #7): a driver pq.read_table of the
+# "small" join side is only safe while its parquet bytes stay under this —
+# customer is fact-sized at crawl scale, so the plan is chosen by measured
+# file size, falling back to the hash-partitioned exchange above it
+_BROADCAST_MAX_BYTES = 256 << 20
+
+
+def join_table(
+    ds: "ray.data.Dataset",
+    path: str,
+    columns: list[str],
+    on: str,
+    right_on: str | None = None,
+    *,
+    prep=None,
+    how: str = "inner",
+) -> "ray.data.Dataset":
+    """Join ``ds`` against the Parquet file at ``path``, size-gated.
+
+    The right side is the file pruned to ``columns``, then ``prep``
+    (Arrow table -> Arrow table) applied to it.  While the file's bytes fit
+    ``_BROADCAST_MAX_BYTES`` it is read once on the driver, ``prep``-ed
+    whole and broadcast; above it (or when its size is unknown) it streams,
+    ``prep`` runs per batch, and both sides hash-exchange on the key.
+
+    ``how="inner"`` joins on ``on`` = ``right_on`` (keys coalesce into
+    ``on``); ``"semi"`` / ``"anti"`` keep the rows of ``ds`` whose ``on``
+    value is (not) among the right side's ``right_on`` values.  ``prep``
+    must be row-local (filter, project, rename, join a small table), so
+    applying it per batch equals applying it once."""
+    if how not in ("inner", "semi", "anti"):
+        raise ValueError(f"join_table: unknown how={how!r}")
+    right_on = right_on or on
+    try:
+        broadcast = os.path.getsize(path) <= _BROADCAST_MAX_BYTES
+    except OSError:
+        broadcast = False  # unknown size: assume big, take the exchange
+    if broadcast:
+        import pyarrow.parquet as pq
+
+        right = pq.read_table(path, columns=columns)
+        if prep is not None:
+            right = prep(right)
+        if how == "inner":
+            return broadcast_join(ds, right, on=on, right_on=right_on)
+        return broadcast_semi_anti(ds, right.column(right_on), on=on,
+                                   anti=how == "anti")
+    right = ray.data.read_parquet(path, columns=columns)
+    if prep is not None:
+        right = right.map_batches(prep, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    if how == "inner":
+        return shuffle_join(ds, right, on=(on,), right_on=(right_on,))
+    return shuffle_semi_anti(ds, right, on=on, keys_on=right_on,
+                             anti=how == "anti")
 
 
 def shuffle_semi_anti(

@@ -5,7 +5,7 @@ within each group" EXACTLY at any corpus size, with a two-plan size switch:
 
 - **driver gather** (small inputs): pull only the (group, value) pair
   columns to the driver and ``np.sort`` per group.  Chosen while the row
-  count stays under ``max_driver_rows``.
+  count stays under ``_DRIVER_SELECT_MAX_ROWS``.
 - **distributed bisection** (the scale path): selection-by-counting — each
   round broadcasts one candidate value per unfinished (group, rank) target,
   a combiner pass counts values at or under the candidate per target, and
@@ -39,8 +39,6 @@ def grouped_kth_smallest(
     group_col: str,
     value_col: str,
     ranks: dict,
-    max_driver_rows: int = _DRIVER_SELECT_MAX_ROWS,
-    force_bisect: bool = False,
 ) -> dict:
     """{group: [k-th smallest value_col for k in ranks[group]]}, exact.
 
@@ -51,7 +49,7 @@ def grouped_kth_smallest(
     """
     ds = ds.select_columns([group_col, value_col]).materialize()
     total = ds.count()
-    if not force_bisect and total <= max_driver_rows:
+    if total <= _DRIVER_SELECT_MAX_ROWS:
         return _kth_driver(ds, group_col, value_col, ranks)
     return _kth_bisect(ds, group_col, value_col, ranks)
 

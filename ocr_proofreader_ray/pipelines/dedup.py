@@ -267,7 +267,7 @@ def _candidate_pairs(bands: "ray.data.Dataset",
         # sort-shuffle cost dominated the incremental-dedup bench slice
         # (VERDICT r04 next-steps #3).  Identical output set: part_pairs
         # groups on the full bucket key, so partitioning was only ever a
-        # scale device; pinned equivalent by tests/test_plan_switches.py.
+        # scale device; pinned equivalent by tests/test_dedup.py.
         blocks = [blk.select(bucket_cols + ["doc_id"])
                   for blk in _arrow_blocks(bands)]
         if not blocks:

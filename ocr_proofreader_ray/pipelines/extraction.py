@@ -44,7 +44,6 @@ import json
 import os
 import shutil
 import time
-import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -233,11 +232,9 @@ class _Pass1Stage:
     with no per-chunk branches (`Dataset.union` of branches measured ~2x
     slower)."""
 
-    def __init__(self, cfg: ExtractionConfig, path_to_chunk: dict[str, int],
-                 lineage_name: str | None):
+    def __init__(self, cfg: ExtractionConfig, path_to_chunk: dict[str, int]):
         self.path_to_chunk = path_to_chunk
         self.max_html_bytes = cfg.whale_max_html_bytes
-        self.lineage_name = lineage_name
         # snappy for the raw INTERMEDIATE (written once, read once on pass
         # 2's critical path — cheap decompress beats zstd's ~30% size win
         # there); counts stay zstd
@@ -263,36 +260,18 @@ class _Pass1Stage:
         chunk_col = self._chunk_ids(batch)
         out = extract_batch(batch.drop_columns(["path"]),
                             max_html_bytes=self.max_html_bytes)
-        res = _write_pending(out.append_column("chunk_id", chunk_col),
-                             self.sinks)
-        for r in res.to_pylist():
-            mstate.report(self.lineage_name, r["chunk_id"], "extract",
-                          rows_in=r["rows"], rows_out=r["rows"],
-                          bytes_in=r["html_bytes"], bytes_out=r["n_chars"])
-        return res
+        return _write_pending(out.append_column("chunk_id", chunk_col),
+                              self.sinks)
 
 
 class _CorrectorStage(Corrector):
-    def __init__(self, dict_path: str, lineage_name: str | None,
-                 fix_log_path: str | None = None):
-        super().__init__(dict_path, fix_log_path=fix_log_path)
-        self.lineage_name = lineage_name
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         # rows are tagged with their source chunk for the per-chunk write;
         # the column rides around the correction (rows map 1:1) and back
         # onto the output
         chunk_col = batch.column("chunk_id")
         batch = batch.drop_columns(["chunk_id"])
-        out = super().__call__(batch)
-        # a batch may span chunks: its counters are not attributed (-1)
-        mstate.report(
-            self.lineage_name, -1, "correct",
-            rows_in=batch.num_rows, rows_out=out.num_rows,
-            bytes_in=int(pc.sum(pc.utf8_length(batch.column("raw_text"))).as_py() or 0),
-            bytes_out=int(pc.sum(pc.utf8_length(out.column("extracted_text"))).as_py() or 0),
-        )
-        return out.append_column("chunk_id", chunk_col)
+        return super().__call__(batch).append_column("chunk_id", chunk_col)
 
 
 def _tag_chunk_from_dir(b: pa.Table) -> pa.Table:
@@ -310,8 +289,7 @@ def _tag_chunk_from_dir(b: pa.Table) -> pa.Table:
 # passes
 # --------------------------------------------------------------------------
 
-def run_pass1_group(cfg: ExtractionConfig, chunks: list[list[str]],
-                    lineage_name: str | None = None) -> dict:
+def run_pass1_group(cfg: ExtractionConfig, chunks: list[list[str]]) -> dict:
     """Extract + tokenize every chunk whose pass-1 record is missing or
     stale, in ONE streaming execution, committing each chunk (raw text,
     token counts, manifest record) as its last row is written.
@@ -340,10 +318,10 @@ def run_pass1_group(cfg: ExtractionConfig, chunks: list[list[str]],
         [p for files in pending.values() for p in files],
         columns=["url", "html", "lang"], include_paths=True)
     ds = ds.map_batches(
-        _Pass1Stage(cfg, path_to_chunk, lineage_name),
+        _Pass1Stage(cfg, path_to_chunk),
         batch_format="pyarrow",
         batch_size=None,  # byte-bounded blocks: whale pages can't blow memory
-        num_cpus=cfg.extract_num_cpus,
+        num_cpus=1,
         zero_copy_batch=True,
     )
 
@@ -462,8 +440,7 @@ def _corrector_concurrency(cfg: ExtractionConfig) -> tuple[int, int] | int:
     return concurrency
 
 
-def run_pass2_group(cfg: ExtractionConfig, chunks: list[list[str]],
-                    lineage_name: str | None = None) -> dict:
+def run_pass2_group(cfg: ExtractionConfig, chunks: list[list[str]]) -> dict:
     """Correct every chunk whose pass-2 record is missing or stale, in ONE
     streaming execution with one corrector actor pool (pool start-up — N
     actors x dictionary load — is paid once per pass, not per chunk: 54 s
@@ -518,13 +495,11 @@ def run_pass2_group(cfg: ExtractionConfig, chunks: list[list[str]],
             include_paths=True)
         ds = ds.map_batches(_tag_chunk_from_dir, batch_format="pyarrow",
                             zero_copy_batch=True)
-        if cfg.size_bucketing:
-            ds = ds.map_batches(_lpt_order, batch_format="pyarrow",
-                                zero_copy_batch=True)
+        ds = ds.map_batches(_lpt_order, batch_format="pyarrow",
+                            zero_copy_batch=True)
         ds = ds.map_batches(
             _CorrectorStage,
-            fn_constructor_args=(cfg.dict_path, lineage_name,
-                                 cfg.fix_log_path),
+            fn_constructor_args=(cfg.dict_path, cfg.fix_log_path),
             batch_format="pyarrow",
             batch_size=cfg.correct_batch_size,
             concurrency=_corrector_concurrency(cfg),
@@ -557,15 +532,9 @@ def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
     chunks = input_chunks(cfg)
     os.makedirs(cfg.work_dir, exist_ok=True)
 
-    lineage_name = None
-    lineage_handle = None
-    if cfg.enable_lineage:
-        lineage_name = f"opr_lineage_{uuid.uuid4().hex[:8]}"
-        lineage_handle = mstate.LineageActor.options(name=lineage_name).remote()
-
     timings = {"pass1_sec": 0.0, "dict_sec": 0.0, "pass2_sec": 0.0}
     t0 = time.time()
-    pass1 = run_pass1_group(cfg, chunks, lineage_name)
+    pass1 = run_pass1_group(cfg, chunks)
     timings["pass1_sec"] = time.time() - t0
 
     if pass1["chunks"] or not os.path.exists(cfg.dict_path):
@@ -574,7 +543,7 @@ def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
         timings["dict_sec"] = time.time() - t0
 
     t0 = time.time()
-    pass2 = run_pass2_group(cfg, chunks, lineage_name)
+    pass2 = run_pass2_group(cfg, chunks)
     timings["pass2_sec"] = time.time() - t0
 
     # per-stage wall-time split for the scaling analysis (BASELINE.md):
@@ -585,9 +554,6 @@ def run_extraction(cfg: ExtractionConfig) -> "ray.data.Dataset":
     timings["pass1_stages"] = pass1
     with open(os.path.join(cfg.work_dir, "timings.json"), "w") as f:
         json.dump(timings, f, indent=1)
-
-    if lineage_handle is not None:
-        ray.kill(lineage_handle)
 
     out_files = sorted(globmod.glob(f"{cfg.out_dir}/chunk-*/*.parquet"))
     return ray.data.read_parquet(out_files)

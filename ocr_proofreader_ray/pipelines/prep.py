@@ -23,7 +23,6 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, shuffle_semi_anti
@@ -134,15 +133,17 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
     lineage.append(("decontaminate", n1, n2))
 
     # 3. per-source quota cap: the registered operator computes the exact
-    # survivor ids over the stage-2 corpus; semi-filter the full rows
-    # (size-gated: broadcast below _KEEP_BROADCAST_MAX, else the exchange)
+    # survivor ids over the stage-2 corpus; semi-filter the full rows.  A
+    # Dataset of ids (q_source_cap's large-corpus plan) goes straight into
+    # the exchange, never through the driver; a driver Table broadcasts
+    # below _KEEP_BROADCAST_MAX, else takes the exchange too
     def build_capped():
         keep = q_source_cap(s2)
-        if not isinstance(keep, pa.Table):
-            keep = pa.concat_tables(ray.get(keep.to_arrow_refs()),
-                                    promote_options="default")
         s2_docs = ray.data.read_parquet(
             os.path.join(s2, "documents.parquet"))
+        if not isinstance(keep, pa.Table):
+            return shuffle_semi_anti(
+                s2_docs, keep.select_columns(["doc_id"]), on="doc_id")
         if keep.num_rows <= _KEEP_BROADCAST_MAX:
             return broadcast_semi_anti(
                 s2_docs, keep.column("doc_id").combine_chunks(),

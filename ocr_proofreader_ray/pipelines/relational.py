@@ -27,35 +27,13 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ocr_proofreader_ray.ops.agg import grouped_agg, top_k
-from ocr_proofreader_ray.ops.join import (
-    asof_join,
-    broadcast_join,
-    broadcast_semi_anti,
-    shuffle_join,
-    shuffle_semi_anti,
-)
+from ocr_proofreader_ray.ops.join import asof_join, join_table, shuffle_join
 from ocr_proofreader_ray.pipelines.registry import register
 
 
 def t(sf_dir: str, name: str, columns: list[str] | None = None) -> "ray.data.Dataset":
     """Pruned Parquet scan of one testdata table (B1)."""
     return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
-
-
-# broadcast-side budget (VERDICT r02 #7): a driver pq.read_table of the
-# "small" join side is only safe while its parquet bytes stay under this —
-# customer is fact-sized at crawl scale, so the plan is chosen by measured
-# file size, falling back to the hash-partitioned shuffle join above it
-_BROADCAST_MAX_BYTES = 256 << 20
-
-
-def _table_bytes(sf_dir: str, name: str) -> int:
-    import os
-
-    try:
-        return os.path.getsize(f"{sf_dir}/{name}.parquet")
-    except OSError:
-        return 1 << 62  # unknown size: assume big, take the shuffle plan
 
 
 def imod(col, m: int):
@@ -334,8 +312,8 @@ def q_nation_revenue(sf_dir: str):
     import pyarrow.parquet as pq
 
     orders = t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    # nation is genuinely tiny (25 rows) — always broadcast; customer is
-    # only broadcast while its measured parquet size fits the budget
+    # nation is genuinely tiny (25 rows) — always read on the driver; the
+    # customer side (collapsed to a custkey -> nation map) is size-gated
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
 
@@ -346,28 +324,15 @@ def q_nation_revenue(sf_dir: str):
         })
 
     orders = orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    if _table_bytes(sf_dir, "customer") <= _BROADCAST_MAX_BYTES:
-        # dimension side materialized once on the driver, broadcast via
-        # ray.put: customer ⋈ nation collapses to a custkey -> nation map
-        cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                             columns=["c_custkey", "c_nationkey"])
-        cust_nation = cust.join(nation, keys=["c_nationkey"],
-                                right_keys=["n_nationkey"]).select(
+
+    def cust_nation(cust: pa.Table) -> pa.Table:
+        return cust.join(nation, keys=["c_nationkey"],
+                         right_keys=["n_nationkey"]).select(
             ["c_custkey", "n_name"]).rename_columns(["c_custkey", "nation"])
-        joined = broadcast_join(orders, cust_nation, on="o_custkey",
-                                right_on="c_custkey")
-    else:
-        # fact-sized customer: broadcast only nation onto the streaming
-        # customer scan, then hash-partition both fact sides once
-        cust_ds = broadcast_join(
-            t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-            nation.rename_columns(["c_nationkey", "nation"]),
-            on="c_nationkey")
-        cust_ds = cust_ds.map_batches(
-            lambda b: b.select(["c_custkey", "nation"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-        joined = shuffle_join(orders, cust_ds,
-                              on=("o_custkey",), right_on=("c_custkey",))
+
+    joined = join_table(orders, f"{sf_dir}/customer.parquet",
+                        ["c_custkey", "c_nationkey"], "o_custkey", "c_custkey",
+                        prep=cust_nation)
     return grouped_agg(joined, ["nation"], [
         ("cents", "sum", "revenue_cents"),
         (None, "count", "n_orders"),
@@ -388,9 +353,10 @@ def q_nation_revenue(sf_dir: str):
 def q_order_priority_revenue(sf_dir: str):
     """Fact-fact join with a size-gated plan (B7).
 
-    The projected orders side (key + priority) broadcasts while its
-    measured parquet size fits `_BROADCAST_MAX_BYTES` — cost-based, the
-    same gate as the customer joins; above it, ONE hash-partition exchange
+    The projected orders side (key + priority) goes through ``join_table``:
+    it broadcasts while the orders parquet fits the join budget
+    (``ops.join._BROADCAST_MAX_BYTES``) — the same gate as the customer
+    joins; above it, ONE hash-partition exchange
     joins both fact sides (that plan stays oracle-gated at every scale via
     `q_order_priority_revenue_salted`, which always takes the exchange,
     and pinned equal by the forced-path test).  (A
@@ -406,17 +372,9 @@ def q_order_priority_revenue(sf_dir: str):
                          "rev_ucents": to_units(r, 10000)})
 
     li = li.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
-    if _table_bytes(sf_dir, "orders") <= _BROADCAST_MAX_BYTES:
-        import pyarrow.parquet as pq
-
-        orders_tab = pq.read_table(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_orderpriority"])
-        joined = broadcast_join(li, orders_tab, on="l_orderkey",
-                                right_on="o_orderkey")
-    else:
-        orders = t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-        joined = shuffle_join(li, orders, on=("l_orderkey",),
-                              right_on=("o_orderkey",))
+    joined = join_table(li, f"{sf_dir}/orders.parquet",
+                        ["o_orderkey", "o_orderpriority"], "l_orderkey",
+                        "o_orderkey")
     return grouped_agg(joined, ["o_orderpriority"], [
         ("rev_ucents", "sum", "revenue_ucents"),
         (None, "count", "n_items"),
@@ -515,13 +473,6 @@ def q_urgent_order_revenue(sf_dir: str):
 # B8 — semi / anti join
 # ---------------------------------------------------------------------------
 
-def _order_custkeys(sf_dir: str) -> pa.ChunkedArray:
-    import pyarrow.parquet as pq
-
-    return pq.read_table(f"{sf_dir}/orders.parquet",
-                         columns=["o_custkey"]).column("o_custkey")
-
-
 @register(
     "q_customers_with_orders",
     sql="""
@@ -531,11 +482,8 @@ def _order_custkeys(sf_dir: str) -> pa.ChunkedArray:
 )
 def q_customers_with_orders(sf_dir: str):
     ds = t(sf_dir, "customer", ["c_custkey", "c_name"])
-    if _table_bytes(sf_dir, "orders") <= _BROADCAST_MAX_BYTES:
-        return broadcast_semi_anti(ds, _order_custkeys(sf_dir), on="c_custkey")
-    # fact-sized key side: hash-partition both sides, no driver key gather
-    keys = t(sf_dir, "orders", ["o_custkey"])
-    return shuffle_semi_anti(ds, keys, on="c_custkey", keys_on="o_custkey")
+    return join_table(ds, f"{sf_dir}/orders.parquet", ["o_custkey"],
+                      "c_custkey", "o_custkey", how="semi")
 
 
 @register(
@@ -549,25 +497,16 @@ def q_customers_with_orders(sf_dir: str):
 )
 def q_customers_without_orders(sf_dir: str):
     """Anti join: customers with no orders before 1996 (the date filter keeps
-    the result non-empty at every sf — every customer has *some* order)."""
-    import pyarrow.parquet as pq
-
+    the result non-empty at every sf — every customer has *some* order).
+    Above the join budget the anti join stays EXACT through the exchange
+    (a Bloom key set would wrongly drop customers on false positives)."""
     ds = t(sf_dir, "customer", ["c_custkey", "c_name"])
     cut = pa.scalar(datetime(1996, 1, 1), pa.timestamp("us"))
-    if _table_bytes(sf_dir, "orders") <= _BROADCAST_MAX_BYTES:
-        orders = pq.read_table(f"{sf_dir}/orders.parquet",
-                               columns=["o_custkey", "o_orderdate"])
-        orders = orders.filter(pc.less(orders.column("o_orderdate"), cut))
-        return broadcast_semi_anti(ds, orders.column("o_custkey"),
-                                   on="c_custkey", anti=True)
-    # fact-sized key side: the date filter streams, then both sides
-    # hash-partition — anti stays EXACT (a Bloom would wrongly drop on FPs)
-    keys = t(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
-        lambda b: b.filter(pc.less(b.column("o_orderdate"), cut))
-                   .select(["o_custkey"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return shuffle_semi_anti(ds, keys, on="c_custkey", keys_on="o_custkey",
-                             anti=True)
+    return join_table(ds, f"{sf_dir}/orders.parquet",
+                      ["o_custkey", "o_orderdate"], "c_custkey", "o_custkey",
+                      prep=lambda o: o.filter(
+                          pc.less(o.column("o_orderdate"), cut)),
+                      how="anti")
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +571,10 @@ def q_union_segments(sf_dir: str):
     return a.union(b)
 
 
-def _building_custkeys(sf_dir: str) -> "ray.data.Dataset":
-    """BUILDING-segment custkeys as a streaming Dataset (the at-scale key
-    side of the set-op semi/anti joins — never gathered to the driver)."""
-    return t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        lambda b: b.filter(
-            pc.equal(b.column("c_mktsegment"), "BUILDING")
-        ).select(["c_custkey"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+def _building(cust: pa.Table) -> pa.Table:
+    """BUILDING-segment customers: the key side of the set-op semi/anti
+    joins."""
+    return cust.filter(pc.equal(cust.column("c_mktsegment"), "BUILDING"))
 
 
 @register(
@@ -651,23 +586,14 @@ def _building_custkeys(sf_dir: str) -> "ray.data.Dataset":
     """,
 )
 def q_intersect_custkeys(sf_dir: str):
-    """INTERSECT via distinct + semi join — broadcast key set while the
-    customer parquet fits the budget, hash-partition exchange
-    (``shuffle_semi_anti``) above it."""
-    import pyarrow.parquet as pq
-
+    """INTERSECT via distinct + semi join — ``join_table`` broadcasts the
+    BUILDING key set while the customer parquet fits the join budget and
+    hash-exchanges both sides above it."""
     ds = t(sf_dir, "orders", ["o_custkey"])
     distinct = ds.groupby("o_custkey").count().select_columns(["o_custkey"])
-    if _table_bytes(sf_dir, "customer") <= _BROADCAST_MAX_BYTES:
-        building = pq.read_table(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_mktsegment"])
-        building = building.filter(
-            pc.equal(building.column("c_mktsegment"), "BUILDING")
-        ).column("c_custkey")
-        out = broadcast_semi_anti(distinct, building, on="o_custkey")
-    else:
-        out = shuffle_semi_anti(distinct, _building_custkeys(sf_dir),
-                                on="o_custkey", keys_on="c_custkey")
+    out = join_table(distinct, f"{sf_dir}/customer.parquet",
+                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
+                     prep=_building, how="semi")
     return out.map_batches(
         lambda b: b.rename_columns(["custkey"]),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -683,22 +609,11 @@ def q_intersect_custkeys(sf_dir: str):
     """,
 )
 def q_except_custkeys(sf_dir: str):
-    import pyarrow.parquet as pq
-
     ds = t(sf_dir, "orders", ["o_custkey"])
     distinct = ds.groupby("o_custkey").count().select_columns(["o_custkey"])
-    if _table_bytes(sf_dir, "customer") <= _BROADCAST_MAX_BYTES:
-        building = pq.read_table(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_mktsegment"])
-        building = building.filter(
-            pc.equal(building.column("c_mktsegment"), "BUILDING")
-        ).column("c_custkey")
-        out = broadcast_semi_anti(distinct, building, on="o_custkey",
-                                  anti=True)
-    else:
-        out = shuffle_semi_anti(distinct, _building_custkeys(sf_dir),
-                                on="o_custkey", keys_on="c_custkey",
-                                anti=True)
+    out = join_table(distinct, f"{sf_dir}/customer.parquet",
+                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
+                     prep=_building, how="anti")
     return out.map_batches(
         lambda b: b.rename_columns(["custkey"]),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -798,8 +713,6 @@ def q_rank_in_segment(sf_dir: str):
     market segment.  Revenue per customer via combiner partials shuffled
     through Ray (high-cardinality key); the per-segment ranking is a
     5-group map_groups with a deterministic total order."""
-    import pyarrow.parquet as pq
-
     orders = t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -812,20 +725,9 @@ def q_rank_in_segment(sf_dir: str):
         orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
         ["o_custkey"], [("cents", "sum", "revenue_cents")], final="ray",
     )
-    if _table_bytes(sf_dir, "customer") <= _BROADCAST_MAX_BYTES:
-        seg = pq.read_table(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_mktsegment"])
-        seg = seg.rename_columns(["c_custkey", "segment"])
-        rev = broadcast_join(rev, seg, on="o_custkey", right_on="c_custkey")
-    else:
-        # fact-sized customer (VERDICT r02 #7): stream the segment column
-        # and hash-partition both sides instead of a driver materialization
-        seg_ds = t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
-            .map_batches(
-                lambda b: b.rename_columns(["c_custkey", "segment"]),
-                batch_format="pyarrow", zero_copy_batch=True)
-        rev = shuffle_join(rev, seg_ds,
-                           on=("o_custkey",), right_on=("c_custkey",))
+    rev = join_table(rev, f"{sf_dir}/customer.parquet",
+                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
+                     prep=lambda c: c.rename_columns(["c_custkey", "segment"]))
 
     def rank_top3(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[("revenue_cents", "descending"),

@@ -1128,8 +1128,7 @@ _CAP_DRIVER_MAX_DOCS = 10_000_000
         FROM documents) WHERE rn <= {_SOURCE_CAP}
     """,
 )
-def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP,
-                 force_shuffle: bool = False):
+def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
     """Per-source quota capping (domain balancing): keep at most ``cap``
     documents per source, deterministically the lowest doc_ids — the
     standard guard against a single crawled domain dominating a training
@@ -1161,7 +1160,7 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP,
                      for frag in _pq.ParquetDataset(path).files)
     else:
         n_docs = _pq.read_metadata(path).num_rows
-    if n_docs <= _CAP_DRIVER_MAX_DOCS and not force_shuffle:
+    if n_docs <= _CAP_DRIVER_MAX_DOCS:
         out = grouped_top_k(ds, ["source"], [("doc_id", "ascending")], cap)
         return out.select(["doc_id", "source", "lang"])
 
@@ -1247,7 +1246,7 @@ def _tercile_thresholds_bisect(scores) -> dict:
     ``ceil(log2(score_range))`` passes over the materialized score rows
     replace the unbounded histogram gather (selection-by-counting, the
     classic exact distributed quantile plan).  Pinned equal to the
-    histogram path by pytest (force_bisect)."""
+    histogram path by pytest (``_TYP_HIST_MAX_DOCS`` patched to 0)."""
     import numpy as np
     import pandas as pd
 
@@ -1348,8 +1347,7 @@ def _tercile_thresholds_bisect(scores) -> dict:
     FROM scores s JOIN thr ON s.lang = thr.lang
     """,
 )
-def q_typicality_buckets(sf_dir: str, force_join: bool = False,
-                         force_bisect: bool = False):
+def q_typicality_buckets(sf_dir: str):
     """CCNet-style per-language typicality bucketing: score every document
     by how typical its tokens are of its language's corpus, then split each
     language into exact terciles (0 = least typical / tail, 2 = most
@@ -1385,7 +1383,7 @@ def q_typicality_buckets(sf_dir: str, force_join: bool = False,
     partials = ds.map_batches(_explode_token_counts, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
 
-    if partials.count() <= _TYP_BROADCAST_MAX_VOCAB and not force_join:
+    if partials.count() <= _TYP_BROADCAST_MAX_VOCAB:
         counts = grouped_agg(partials, ["lang", "tok"],
                              [("cnt", "sum", "cnt")])
         # "lang\x00tok" keys: one flat C-hash dict lookup per occurrence
@@ -1461,7 +1459,7 @@ def q_typicality_buckets(sf_dir: str, force_join: bool = False,
 
     # exact per-lang tercile thresholds: histogram gather below the doc
     # bound, distributed bisection selection above it (both exact)
-    if scores.count() <= _TYP_HIST_MAX_DOCS and not force_bisect:
+    if scores.count() <= _TYP_HIST_MAX_DOCS:
         thr = _tercile_thresholds_hist(scores)
     else:
         thr = _tercile_thresholds_bisect(scores)

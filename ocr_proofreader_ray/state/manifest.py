@@ -12,8 +12,6 @@ per-partition lineage + metrics"):
   still matches is skipped entirely — nothing is recomputed, outputs are
   reused.  A changed fingerprint invalidates the chunk (its outputs are
   rewritten).
-* Optional live-progress counters go to a named Ray actor (LineageActor),
-  updated fire-and-forget per batch; the manifest does not depend on it.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ import hashlib
 import json
 import os
 import time
-
-import ray
 
 
 def fingerprint_content(path: str) -> str:
@@ -48,59 +44,6 @@ def fingerprint_files(paths: list[str]) -> str:
             size = -1
         h.update(f"{p}:{size};".encode())
     return h.hexdigest()
-
-
-@ray.remote(num_cpus=0)
-class LineageActor:
-    """Accumulates (chunk, stage) -> counter dict.  num_cpus=0 so it never
-    competes with pipeline stages for a slot."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, dict[str, int]] = {}
-
-    def record(self, chunk_id: int, stage: str, rows_in: int, rows_out: int,
-               bytes_in: int, bytes_out: int) -> None:
-        key = f"{chunk_id}/{stage}"
-        c = self._counters.setdefault(
-            key, {"rows_in": 0, "rows_out": 0, "bytes_in": 0, "bytes_out": 0,
-                  "batches": 0},
-        )
-        c["rows_in"] += rows_in
-        c["rows_out"] += rows_out
-        c["bytes_in"] += bytes_in
-        c["bytes_out"] += bytes_out
-        c["batches"] += 1
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        return self._counters
-
-
-_ACTOR_CACHE: dict[str, "ray.actor.ActorHandle"] = {}
-
-
-def get_lineage_actor(name: str):
-    """Worker-side cached lookup of the named lineage actor."""
-    handle = _ACTOR_CACHE.get(name)
-    if handle is None:
-        handle = ray.get_actor(name)
-        _ACTOR_CACHE[name] = handle
-    return handle
-
-
-def report(name: str | None, chunk_id: int, stage: str, rows_in: int,
-           rows_out: int, bytes_in: int, bytes_out: int) -> None:
-    """Fire-and-forget counter delta to the live-progress actor: zero
-    hot-path cost (a synchronous ray.get per batch measured ~40% of total
-    pipeline wall time at 3900 batches).  Nothing waits for these deltas;
-    they are advisory telemetry only."""
-    if not name:
-        return
-    try:
-        get_lineage_actor(name).record.remote(
-            chunk_id, stage, rows_in, rows_out, bytes_in, bytes_out
-        )
-    except Exception:
-        pass  # lineage is advisory; never fail the data path
 
 
 class Manifest:

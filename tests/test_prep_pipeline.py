@@ -65,3 +65,25 @@ def test_prep_resume_skips_completed_stages(ray_session):
     assert os.path.getmtime(s1) == mtime_before[s1]        # s1 skipped
     assert os.path.getmtime(s2) > s2_mtime                 # s2 re-ran
     assert os.path.getmtime(final) == mtime_before[final]  # final skipped
+
+
+def test_prep_source_cap_exchange_plan_matches_driver(ray_session,
+                                                      monkeypatch):
+    """Above _CAP_DRIVER_MAX_DOCS q_source_cap returns a Dataset of keep
+    ids; the prep chain must semi-filter with it (no driver gather) and
+    produce the same lineage and final corpus as the driver-merge plan."""
+    import ocr_proofreader_ray.pipelines.text_analysis as ta
+
+    final = "/tmp/opr_llm_prep/sf0.001/final/documents.parquet"
+
+    def final_ids():
+        return sorted(pq.ParquetDataset(final).read(columns=["doc_id"])
+                      .column("doc_id").to_pylist())
+
+    driver = q_llm_prep_corpus(SF, resume=False)
+    driver_ids = final_ids()
+    monkeypatch.setattr(ta, "_CAP_DRIVER_MAX_DOCS", 0)
+    exchange = q_llm_prep_corpus(SF, resume=False)
+    assert exchange.equals(driver)
+    assert final_ids() == driver_ids
+    assert len(driver_ids) > 0

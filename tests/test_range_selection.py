@@ -6,6 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
+from ocr_proofreader_ray.ops import selection
 from ocr_proofreader_ray.ops.join import range_count_join
 from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 
@@ -22,7 +23,7 @@ def _ranks_oracle(df: pd.DataFrame, ranks: dict) -> dict:
     return out
 
 
-def test_grouped_kth_driver_vs_bisect_equal(ray_session):
+def test_grouped_kth_driver_vs_bisect_equal(ray_session, monkeypatch):
     rng = np.random.default_rng(7)
     df = pd.DataFrame({
         "g": rng.choice(["a", "b", "c"], size=500),
@@ -34,13 +35,13 @@ def test_grouped_kth_driver_vs_bisect_equal(ray_session):
 
     want = _ranks_oracle(df, ranks)
     got_driver = grouped_kth_smallest(_ds(t), "g", "v", ranks)
-    got_bisect = grouped_kth_smallest(_ds(t), "g", "v", ranks,
-                                      force_bisect=True)
+    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    got_bisect = grouped_kth_smallest(_ds(t), "g", "v", ranks)
     assert got_driver == want
     assert got_bisect == want
 
 
-def test_grouped_kth_duplicate_values(ray_session):
+def test_grouped_kth_duplicate_values(ray_session, monkeypatch):
     # many ties: k-th order statistic must count duplicates, not collapse
     t = pa.table({
         "g": pa.array(["x"] * 10),
@@ -49,19 +50,19 @@ def test_grouped_kth_duplicate_values(ray_session):
     ranks = {"x": [1, 2, 3, 4, 5, 6, 7, 10]}
     want = {"x": [1, 1, 2, 5, 5, 5, 9, 9]}
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks,
-                                force_bisect=True) == want
+    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
 
 
-def test_grouped_kth_negative_and_single(ray_session):
+def test_grouped_kth_negative_and_single(ray_session, monkeypatch):
     t = pa.table({
         "g": pa.array(["a", "a", "b"]),
         "v": pa.array([-7, -3, 42], pa.int64()),
     })
     ranks = {"a": [1, 2], "b": [1], "missing": [1]}
     want = {"a": [-7, -3], "b": [42], "missing": [None]}
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks,
-                                force_bisect=True) == want
+    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
 
 
 def _window_oracle(left_days, right_days, right_vals, window):

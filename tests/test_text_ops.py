@@ -203,12 +203,13 @@ def test_contamination_screen_finds_planted_probe(ray_session, tmp_path):
     assert all(v == 1 for k, v in hits.items() if k != 0)
 
 
-def test_source_cap_paths_equivalent(ray_session):
+def test_source_cap_paths_equivalent(ray_session, monkeypatch):
     """Driver-merge and shuffle plans of q_source_cap must select the
     identical capped corpus (both exact; also oracle-pinned in
     test_relational_oracle.py)."""
     import pandas as pd
 
+    import ocr_proofreader_ray.pipelines.text_analysis as ta
     from ocr_proofreader_ray.pipelines.text_analysis import q_source_cap
 
     sf = "/root/testdata/sf0.001"
@@ -218,19 +219,22 @@ def test_source_cap_paths_equivalent(ray_session):
         return df.sort_values(["source", "doc_id"]).reset_index(drop=True)
 
     a = canon(q_source_cap(sf))
-    b = canon(q_source_cap(sf, force_shuffle=True))
+    monkeypatch.setattr(ta, "_CAP_DRIVER_MAX_DOCS", 0)
+    b = canon(q_source_cap(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # every source holds at most the cap, with the lowest doc_ids kept
     sizes = a.groupby("source")["doc_id"].count()
     assert (sizes <= 10).all()
 
 
-def test_typicality_broadcast_and_join_paths_equivalent(ray_session):
+def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
+                                                        monkeypatch):
     """The broadcast-dict and shuffle-join scoring plans of
     q_typicality_buckets must produce identical per-doc scores and
     terciles (both exact; oracle-pinned in test_relational_oracle.py)."""
     import pandas as pd
 
+    import ocr_proofreader_ray.pipelines.text_analysis as ta
     from ocr_proofreader_ray.pipelines.text_analysis import (
         q_typicality_buckets,
     )
@@ -242,11 +246,15 @@ def test_typicality_broadcast_and_join_paths_equivalent(ray_session):
         return df.sort_values(["doc_id"]).reset_index(drop=True)
 
     a = canon(q_typicality_buckets(sf))
-    b = canon(q_typicality_buckets(sf, force_join=True))
+    with monkeypatch.context() as m:
+        m.setattr(ta, "_TYP_BROADCAST_MAX_VOCAB", 0)
+        b = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # distributed bisection selection must find the identical thresholds
     # (and so identical terciles) as the histogram gather
-    c = canon(q_typicality_buckets(sf, force_bisect=True))
+    with monkeypatch.context() as m:
+        m.setattr(ta, "_TYP_HIST_MAX_DOCS", 0)
+        c = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, c, check_dtype=False)
     # terciles split each language into near-equal thirds (exact order
     # statistics: sizes differ by at most the tie mass at the cut)
