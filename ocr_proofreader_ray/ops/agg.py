@@ -35,7 +35,15 @@ _RAY_AGG = {"sum": Sum, "count": Sum, "min": Min, "max": Max}
 
 
 def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
-    """Materialize a (small) dataset's non-empty blocks as Arrow tables.
+    """Gather a (small) dataset's non-empty blocks to the driver as Arrow
+    tables — the one way query code drains a plan.
+
+    The plan is materialized first: on a lazy plan, ``to_arrow_refs``
+    executes it and then reads its schema through a second ``limit=1``
+    execution, and an upstream all-to-all (shuffle join, sort) cannot stop
+    early, so that probe re-runs the whole upstream (measured 2x the join
+    per aggregate).  A materialized dataset has its schema cached and
+    materializing it again executes nothing.
 
     ``to_arrow_refs`` passes pandas blocks through unconverted (seen when an
     upstream ``map_groups(batch_format="pandas")`` emitted only empty frames
@@ -43,7 +51,7 @@ def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
     import pandas as pd
 
     out = []
-    for blk in ray.get(ds.to_arrow_refs()):
+    for blk in ray.get(ds.materialize().to_arrow_refs()):
         if isinstance(blk, pd.DataFrame):
             if len(blk):
                 out.append(pa.Table.from_pandas(blk, preserve_index=False))
@@ -110,11 +118,7 @@ def grouped_agg(
         ])
         return merged
 
-    # materialize the (tiny) partials before draining: to_arrow_refs'
-    # internal schema probe otherwise runs the upstream plan a SECOND time
-    # via a limit-1 execution, and an upstream all-to-all (shuffle join,
-    # sort) cannot early-stop — measured 2x the whole join per aggregate
-    tables = _arrow_blocks(parts.materialize())
+    tables = _arrow_blocks(parts)
     if not tables:
         # empty input: derive an empty partial so output schema is stable
         tables = [partial(_empty_like(ds))]
@@ -161,7 +165,7 @@ def grouped_top_k(
             preserve_index=False, schema=b.schema)
 
     parts = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    tables = _arrow_blocks(parts.materialize())
+    tables = _arrow_blocks(parts)
     if not tables:
         return _empty_like(ds)
     merged = pa.concat_tables(tables, promote_options="default")
@@ -192,9 +196,7 @@ def top_k(
         return b.take(idx[:k])
 
     parts = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    # materialize before draining — same double-execution trap as in
-    # grouped_agg: the schema probe would re-run the upstream plan
-    tables = _arrow_blocks(parts.materialize())
+    tables = _arrow_blocks(parts)
     if not tables:
         return _empty_like(ds)
     merged = pa.concat_tables(tables, promote_options="default")

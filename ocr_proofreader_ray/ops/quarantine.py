@@ -23,7 +23,11 @@ import traceback
 import pyarrow as pa
 import ray.data
 
+from ocr_proofreader_ray.ops.agg import _arrow_blocks
+
 _QUAR_COLS = ("__bad", "__row_json", "__error", "__error_type")
+# the quarantine table split_quarantine returns
+_QUAR_SCHEMA = pa.schema([(c, pa.string()) for c in _QUAR_COLS[1:]])
 
 
 def _good_table(out: pa.Table) -> pa.Table:
@@ -102,6 +106,7 @@ def split_quarantine(tagged: "ray.data.Dataset"):
         lambda b: b.filter(b.column("__bad"))
                    .select(["__row_json", "__error", "__error_type"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    bad = pa.concat_tables(ray.get(bad_ds.to_arrow_refs()),
-                           promote_options="default")
+    bad = pa.concat_tables(
+        _arrow_blocks(bad_ds) or [_QUAR_SCHEMA.empty_table()],
+        promote_options="default")
     return good, bad

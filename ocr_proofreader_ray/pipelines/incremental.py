@@ -35,6 +35,7 @@ increment the plan is:
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -175,7 +176,7 @@ def dedup_increment(
         new_bands = _band_rows(new_docs, shingle_n).materialize()
 
         new_ids = pa.concat_tables(
-            ray.get(new_docs.select_columns(["doc_id"]).to_arrow_refs()),
+            _arrow_blocks(new_docs.select_columns(["doc_id"])),
             promote_options="default",
         ).column("doc_id").combine_chunks().unique()
         new_id_set = set(new_ids.to_pylist())
@@ -184,7 +185,9 @@ def dedup_increment(
         # (32 keys/doc); over-selection from a cross-band key collision only
         # admits old rows whose old-old pairs are filtered out below
         new_keys = pa.concat_tables(
-            ray.get(new_bands.select_columns(["band_key"]).to_arrow_refs()),
+            _arrow_blocks(new_bands.select_columns(["band_key"]))
+            # docs with an empty shingle set band to no rows
+            or [pa.table({"band_key": pa.array([], pa.int64())})],
             promote_options="default",
         ).column("band_key").combine_chunks().unique()
     _t_pairs0 = time.perf_counter()
@@ -346,6 +349,9 @@ def q_dedup_incremental(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 _EXACT_INDEX_SUBDIR = "exact_index"
+# beside the index directory, not in it: read_parquet would read any file
+# inside it
+_EXACT_INDEX_STAMP = "exact_index.hash.json"
 
 
 def _exact_index_dir(work_dir: str) -> str:
@@ -367,10 +373,43 @@ def _write_exact_index_batch(work_dir: str, keys: "ray.data.Dataset",
         out, min_rows_per_file=500_000)
 
 
+def _exact_hash_stamp() -> dict:
+    """The hash implementation behind the persisted content keys.  polars
+    does not promise ``Series.hash`` output across versions, so keys from
+    another polars version would silently never match.  The version comes
+    from package metadata: importing polars here would load it into the
+    driver, which only hashes in worker tasks."""
+    from importlib.metadata import version
+
+    return {"hash": "polars.Series.hash", "polars": version("polars")}
+
+
+def _write_exact_hash_stamp(work_dir: str) -> None:
+    path = os.path.join(work_dir, _EXACT_INDEX_STAMP)
+    with open(path + ".tmp", "w") as f:
+        json.dump(_exact_hash_stamp(), f, sort_keys=True)
+    os.replace(path + ".tmp", path)
+
+
+def _check_exact_hash_stamp(work_dir: str) -> None:
+    """Refuse an index whose keys another hash implementation wrote."""
+    path = os.path.join(work_dir, _EXACT_INDEX_STAMP)
+    try:
+        with open(path) as f:
+            stamp = json.load(f)
+    except FileNotFoundError:
+        stamp = None
+    if stamp != _exact_hash_stamp():
+        raise RuntimeError(
+            f"exact-dedup index under {work_dir} was written with hash "
+            f"{stamp}, but this process hashes with {_exact_hash_stamp()}; "
+            "its keys would not match — re-bootstrap the index")
+
+
 def bootstrap_exact_index(docs: "ray.data.Dataset", work_dir: str) -> dict:
     """Exact-dedup the initial corpus (keep min doc_id per 128-bit content
-    key — `dedup.content_keys_batch`), persist the retained keys, return
-    {"keep": (h1, h2, doc_id) Dataset}."""
+    key — `dedup.content_keys_batch`), persist the retained keys and the
+    hash stamp beside them, return {"keep": (h1, h2, doc_id) Dataset}."""
     from ocr_proofreader_ray.pipelines.dedup import content_keys_batch
 
     keyed = docs.map_batches(content_keys_batch, batch_format="pyarrow",
@@ -382,6 +421,7 @@ def bootstrap_exact_index(docs: "ray.data.Dataset", work_dir: str) -> dict:
                        [("doc_id", "min", "doc_id")], final="ray",
                        ).materialize()
     _write_exact_index_batch(work_dir, keep, "bootstrap")
+    _write_exact_hash_stamp(work_dir)
     return {"keep": keep}
 
 
@@ -394,13 +434,15 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     ``is_in`` filter against the broadcast increment key set; only the
     matched key rows (duplicate-bounded + ~|index|·|new|/2^64 expected
     h1-lane false positives) gather, and the exact (h1, h2) anti join of
-    the increment against them is a vectorized polars join per batch.
+    the increment against them is one Arrow join on the driver.
     Nothing corpus-sized ever concentrates.  Returns the kept
     (doc_id) rows and drop counts; appends kept keys under ``batch_tag``.
+    Raises ``RuntimeError`` when the index's hash stamp is missing or names
+    another hash implementation.
     """
-    import polars as pl
-
     from ocr_proofreader_ray.pipelines.dedup import content_keys_batch
+
+    _check_exact_hash_stamp(work_dir)
 
     keyed = new_docs.map_batches(content_keys_batch, batch_format="pyarrow",
                                  zero_copy_batch=True)
@@ -422,14 +464,15 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     matched = index.map_batches(h1_hits, batch_format="pyarrow",
                                 zero_copy_batch=True)
     matched_tbl = pa.concat_tables(
-        _arrow_blocks(matched.materialize()) or
+        _arrow_blocks(matched) or
         [pa.table({"h1": pa.array([], pa.int64()),
                    "h2": pa.array([], pa.int64())})],
         promote_options="default")
 
-    kept = pl.from_arrow(new_keys).join(
-        pl.from_arrow(matched_tbl.select(["h1", "h2"])),
-        on=["h1", "h2"], how="anti").to_arrow()
+    # h1/h2 are never null, so no null-key semantics apply; sorted because
+    # Arrow's join output order is unspecified
+    kept = new_keys.join(matched_tbl.select(["h1", "h2"]), keys=["h1", "h2"],
+                         join_type="left anti").sort_by("doc_id")
     n_dropped_vs_corpus = n_new_distinct - kept.num_rows
     n_dropped_within = (
         # rows that collapsed into another increment row's key

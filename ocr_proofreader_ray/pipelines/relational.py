@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ocr_proofreader_ray.ops.agg import grouped_agg, top_k
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
 from ocr_proofreader_ray.ops.join import asof_join, join_table, shuffle_join
 from ocr_proofreader_ray.pipelines.registry import register
 
@@ -259,10 +259,8 @@ def q_approx_distinct_users(sf_dir: str):
                          "registers": pa.array(out_r, pa.binary())})
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    import ray as _ray
-
     merged: dict[str, np.ndarray] = {}
-    for tbl in _ray.get(parts.to_arrow_refs()):
+    for tbl in _arrow_blocks(parts):
         for et, regs in zip(tbl.column("event_type").to_pylist(),
                             tbl.column("registers").to_pylist()):
             arr = np.frombuffer(regs, dtype=np.uint8)
@@ -991,8 +989,6 @@ def q_value_quantiles_approx(sf_dir: str):
     import pickle
 
     from ocr_proofreader_ray.functions.kll import KLLSketch
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
     ds = t(sf_dir, "events", ["event_type", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1017,7 +1013,7 @@ def q_value_quantiles_approx(sf_dir: str):
     merged: dict[str, object] = {}
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
-    for blk in _arrow_blocks(parts.materialize()):
+    for blk in _arrow_blocks(parts):
         for etype, payload in zip(blk.column("event_type").to_pylist(),
                                   blk.column("payload").to_pylist()):
             sk = pickle.loads(payload)
@@ -2498,8 +2494,6 @@ def q_approx_overlap_users(sf_dir: str):
                            zero_copy_batch=True)
     merged = {"click": hll.empty_registers(),
               "purchase": hll.empty_registers()}
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
     for blk in _arrow_blocks(parts):
         for which, regs in zip(blk.column("which").to_pylist(),
                                blk.column("registers").to_pylist()):

@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import grouped_agg, top_k
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -150,8 +150,6 @@ def _train_centroids(sf_dir: str, n_cells: int) -> np.ndarray:
     targets ``_IVF_TRAIN_MAX`` rows at any corpus size): keep rows whose
     multiplicative id-hash falls under a threshold derived from the
     metadata-cheap row count, train once on the driver, broadcast."""
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
     emb_all = t(sf_dir, "embeddings", ["vec_id", "embedding"])
     n_total = emb_all.count()  # parquet metadata, no column scan
     keep_prob = min(1.0, _IVF_TRAIN_MAX / max(1, n_total))
@@ -448,7 +446,10 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                columns=["vec_id", "embedding"])
     ds = ds.materialize()  # two passes: moments + projection
-    dim = len(ds.take(1)[0]["embedding"])
+    # dim from the first non-empty cached block: ``take(1)`` would be one
+    # more execution
+    dim = next(len(blk.column("embedding")[0])
+               for blk in map(ray.get, ds.to_arrow_refs()) if blk.num_rows)
 
     def moments(b: pa.Table) -> pa.Table:
         mat = _batch_matrix(b).astype(np.float64)
@@ -480,7 +481,7 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     reduced = partials.map_batches(reduce_partials, batch_format="pyarrow",
                                    batch_size=1024)
     final = reduce_partials(pa.concat_tables(
-        ray.get(reduced.to_arrow_refs()), promote_options="default"))
+        _arrow_blocks(reduced), promote_options="default"))
     n = int(final.column("n")[0].as_py())
     s1 = np.asarray(final.column("s1")[0].as_py(), np.float64)
     s2 = np.asarray(final.column("s2")[0].as_py(),

@@ -446,12 +446,13 @@ def _per_lang_topk(partials: "ray.data.Dataset", key_col: str, k: int):
     # languages with Arrow group_by — null langs hash via a fill applied
     # ONLY to the partition id, never the data.
     import numpy as np
-    import polars as pl
     import ray
 
     n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
     def add_part(b: pa.Table) -> pa.Table:
+        import polars as pl
+
         langs = pc.fill_null(b.column("lang"), "\x00<null>").combine_chunks()
         h = pl.Series(langs).hash(seed=0).to_numpy()
         return b.append_column(
@@ -541,7 +542,6 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
     it with near certainty — the standard sketch+candidates plan.
     """
     import numpy as np
-    import polars as pl
 
     from ocr_proofreader_ray.functions.cms import CountMinSketch
     from ocr_proofreader_ray.ops.agg import _arrow_blocks
@@ -552,6 +552,8 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
     ds = t(sf_dir, "documents", ["lang", "text"])
 
     def _key_hashes(langs: pa.Array, toks: pa.Array) -> "np.ndarray":
+        import polars as pl
+
         joined = pc.binary_join_element_wise(
             pc.cast(langs, pa.string()), pc.cast(toks, pa.string()), "\x00")
         return pl.Series(joined.combine_chunks()
@@ -603,8 +605,10 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
         return pa.table({"lang": pa.array([], pa.string()),
                          "tok": pa.array([], pa.string()),
                          "est": pa.array([], pa.int64())})
-    est = sketch.estimate(_key_hashes(pa.array(cand_langs),
-                                      pa.array(cand_toks)))
+    # the candidates hash in a worker task, like the sketch partials: the
+    # driver never imports polars
+    est = sketch.estimate(ray.get(ray.remote(_key_hashes).remote(
+        pa.array(cand_langs), pa.array(cand_toks))))
     full = pa.table({"lang": pa.array(cand_langs),
                      "tok": pa.array(cand_toks),
                      "est": pa.array(est, pa.int64())})
@@ -808,11 +812,11 @@ def q_repetition_stats(sf_dir: str):
     (no Python loop over rows; split semantics verified identical to the
     oracle's ``string_split``).  Embarrassingly parallel — no shuffle, the
     natural pre-filter stage shape for a 100-TB quality pass."""
-    import polars as pl
-
     ds = t(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
     def rep(b: pa.Table) -> pa.Table:
+        import polars as pl
+
         b = b.filter(pc.greater(b.column("n_chars"), 0))
         words = pl.Series(b.column("text").combine_chunks()).str.split(" ")
         n = pa.array(words.list.len().cast(pl.Int64).to_numpy(), pa.int64())
@@ -1144,8 +1148,6 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
     exact and pinned equivalent by pytest."""
     import numpy as np
     import pyarrow.parquet as _pq
-
-    import polars as pl
     import ray
 
     from ocr_proofreader_ray.ops.agg import grouped_top_k
@@ -1167,6 +1169,8 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
     n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
     def local_head(b: pa.Table) -> pa.Table:
+        import polars as pl
+
         idx = pc.sort_indices(b, sort_keys=[("doc_id", "ascending")])
         df = b.take(idx).to_pandas()
         out = pa.Table.from_pandas(

@@ -20,3 +20,25 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def count_executions(monkeypatch):
+    """Counter of Ray Data executions started in this process: every plan
+    run (materialize, iteration, a ``limit=1`` schema probe) goes through
+    one ``StreamingExecutor.execute`` call."""
+    from types import SimpleNamespace
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    counter = SimpleNamespace(n=0)
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        counter.n += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    yield counter

@@ -1,0 +1,79 @@
+"""The query driver holds plans and small results only: polars runs inside
+worker tasks, never in the driver process.  Run in a SUBPROCESS so that no
+earlier test (or the shared session fixture) has loaded polars already."""
+
+import os
+import subprocess
+import sys
+
+from fixtures.gen_golden_queries import SF_DIR as SF
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_QUERIES = [
+    "q_llm_prep_corpus", "q_repetition_stats", "q_heavy_hitters",
+    "q_bigram_heavy_hitters", "q_heavy_hitters_approx",
+    "q_dedup_exact_incremental",
+]
+
+_DRIVER = f"""
+import sys
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from ocr_proofreader_ray.pipelines.registry import all_queries
+
+queries = all_queries()
+for name in {_QUERIES!r}:
+    out = queries[name]({SF!r})
+    rows = out.num_rows if hasattr(out, "num_rows") else out.count()
+    assert rows > 0, name
+    assert "polars" not in sys.modules, "polars imported by " + name
+ray.shutdown()
+print("ok")
+"""
+
+
+def test_query_driver_never_imports_polars():
+    proc = subprocess.run([sys.executable, "-c", _DRIVER],
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().endswith("ok")
+
+
+def _lazy_lineitem():
+    import ray
+
+    return ray.data.read_parquet(f"{SF}/lineitem.parquet").map_batches(
+        lambda b: b, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def test_arrow_blocks_executes_a_lazy_plan_once(ray_session,
+                                                count_executions):
+    # to_arrow_refs alone would run the plan, then a limit=1 schema probe
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+
+    rows = sum(t.num_rows for t in _arrow_blocks(_lazy_lineitem()))
+    assert rows > 0
+    assert count_executions.n == 1
+
+
+def test_grouped_agg_executes_once(ray_session, count_executions):
+    from ocr_proofreader_ray.ops.agg import grouped_agg
+
+    out = grouped_agg(_lazy_lineitem(), ["l_returnflag"],
+                      [("l_quantity", "sum", "qty")])
+    assert out.num_rows > 0
+    assert count_executions.n == 1
+
+
+def test_embedding_pca_executions(ray_session, count_executions):
+    # materialize the input, drain the reduced moments, project
+    from ocr_proofreader_ray.pipelines.similarity import q_embedding_pca
+
+    assert len(q_embedding_pca(SF).take_all()) > 0
+    assert count_executions.n == 3

@@ -180,3 +180,53 @@ def test_exact_increment_appends_index(ray_session, tmp_path):
     assert sorted(r2["keep"].column("doc_id").to_pylist()) == [21]
     assert r2["n_dropped_vs_corpus"] == 1
     assert r2["n_dropped_within"] == 0
+
+
+def test_exact_index_refuses_other_hash_stamp(ray_session, tmp_path):
+    """The persisted exact index records the hash implementation behind its
+    keys; an increment refuses an index whose stamp is missing or names
+    another one, and a matching stamp changes no result."""
+    import json
+    import os
+    from importlib.metadata import version
+
+    import duckdb
+    import pytest
+
+    from ocr_proofreader_ray.pipelines.incremental import (
+        _EXACT_INDEX_STAMP,
+        bootstrap_exact_index,
+        dedup_exact_increment,
+        q_dedup_exact_incremental,
+    )
+    from ocr_proofreader_ray.pipelines.registry import all_oracles
+
+    work = str(tmp_path / "w")
+    bootstrap_exact_index(_docs([(1, "a"), (2, "b")]), work)
+    stamp_path = os.path.join(work, _EXACT_INDEX_STAMP)
+    with open(stamp_path) as f:
+        stamp = json.load(f)
+    assert stamp == {"hash": "polars.Series.hash",
+                     "polars": version("polars")}
+    r = dedup_exact_increment(_docs([(10, "c"), (11, "a")]), work, "inc-1")
+    assert r["keep"].column("doc_id").to_pylist() == [10]
+
+    with open(stamp_path, "w") as f:
+        json.dump({**stamp, "polars": "0.0.0"}, f)
+    with pytest.raises(RuntimeError, match="re-bootstrap"):
+        dedup_exact_increment(_docs([(20, "d")]), work, "inc-2")
+    os.remove(stamp_path)
+    with pytest.raises(RuntimeError, match="re-bootstrap"):
+        dedup_exact_increment(_docs([(20, "d")]), work, "inc-2")
+
+    # the registered query (bootstrap writes the stamp, the increment checks
+    # it) still equals its DuckDB oracle
+    from fixtures.gen_golden_queries import SF_DIR as sf
+
+    got = {(r["doc_id"], r["phase"])
+           for r in q_dedup_exact_incremental(sf).take_all()}
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    want = set(con.sql(all_oracles()["q_dedup_exact_incremental"]).fetchall())
+    assert got == want

@@ -65,6 +65,20 @@ def test_grouped_kth_negative_and_single(ray_session, monkeypatch):
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
 
 
+def test_grouped_kth_nan_group_key_is_null_group(ray_session, monkeypatch):
+    # a float NaN group key joins the null group (dropna=False), in both plans
+    t = pa.table({
+        "g": pa.array([1.5, float("nan"), None, 1.5, float("nan")],
+                      pa.float64()),
+        "v": pa.array([4, 8, 6, 2, 7], pa.int64()),
+    })
+    ranks = {1.5: [1, 2], None: [1, 2, 3]}
+    want = {1.5: [2, 4], None: [6, 7, 8]}
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+
+
 def _window_oracle(left_days, right_days, right_vals, window):
     counts, sums = [], []
     for d in left_days:
