@@ -35,17 +35,20 @@ OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden_queries")
 
 # sf0.001 tables the no-oracle queries read; their fingerprint gates
-# golden validity (same convention as __ray_entry__._ensure_pages)
+# golden validity
 _TABLES = ["documents", "embeddings", "events", "customer", "orders",
            "lineitem", "nation", "region", "part", "supplier"]
 
 
 def testdata_fingerprint(sf_dir: str = SF_DIR) -> str:
+    """Hash of the input tables' bytes: a re-copy of the same data keeps
+    the fingerprint, a change to any table's contents does not."""
     h = hashlib.sha256()
     for t in _TABLES:
-        p = f"{sf_dir}/{t}.parquet"
-        st = os.stat(p)
-        h.update(f"{t}:{st.st_size}:{int(st.st_mtime)};".encode())
+        h.update(f"{t}:".encode())
+        with open(f"{sf_dir}/{t}.parquet", "rb") as f:
+            for block in iter(lambda: f.read(1 << 20), b""):
+                h.update(block)
     return h.hexdigest()[:16]
 
 

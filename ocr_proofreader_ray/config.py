@@ -22,7 +22,7 @@ class ExtractionConfig:
 
     # Pass-1 dictionary policy (deterministic → byte-identical output)
     dict_min_count: int = 8
-    dict_top_k: int | None = 50_000
+    dict_top_k: int = 50_000
 
     # persistent fix-log (state/fixlog.py): accepted corrections applied as
     # an override layer in pass 2; None → no overrides

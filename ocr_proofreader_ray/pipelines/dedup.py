@@ -274,10 +274,18 @@ def _candidate_pairs(bands: "ray.data.Dataset",
             return ray.data.from_arrow(pa.table({
                 "doc_a": pa.array([], pa.int64()),
                 "doc_b": pa.array([], pa.int64())}))
-        out = part_pairs(
-            pa.concat_tables(blocks, promote_options="default").to_pandas())
-        return ray.data.from_arrow(pa.Table.from_pandas(
-            out.drop_duplicates(), preserve_index=False)).materialize()
+        rows = pa.concat_tables(blocks, promote_options="default")
+        # few band rows can still expand to ~u^2/2 pairs per bucket on a
+        # dup-dense input, so the pair count part_pairs would emit is
+        # bounded first and an over-budget expansion takes the exchange
+        u = (rows.group_by(bucket_cols)
+             .aggregate([("doc_id", "count_distinct")])
+             .column("doc_id_count_distinct").to_numpy())
+        bound = np.where(u <= star_cap, u * (u - 1) // 2, u - 1).sum()
+        if bound <= _PAIRS_DRIVER_MAX:
+            out = part_pairs(rows.to_pandas())
+            return ray.data.from_arrow(pa.Table.from_pandas(
+                out.drop_duplicates(), preserve_index=False)).materialize()
 
     pairs = bands.groupby("part").map_groups(
         part_pairs, batch_format="pandas").materialize()
@@ -1180,7 +1188,7 @@ def q_dedup_keep(sf_dir: str):
 _SEGMENT_TOKENS = 10
 # per-doc output rows at or under this merge on the driver (the oracle-gate
 # path); above it the final doc_id merge stays a Ray hash shuffle and the
-# query returns a Dataset — same switch as q_heavy_hitters/build_dictionary
+# query returns a Dataset
 _SEG_DRIVER_MAX_DOCS = 20_000_000
 
 

@@ -4,8 +4,8 @@
              fused task per byte-bounded Arrow block: extract_main_text
              (rows tagged with their source chunk) → raw_extracted/ write
              → token partial counts → token_counts/ write
-    DICT   : groupby(lang, token).sum over the compact partials (the only
-             all-to-all shuffle; document text never shuffles) →
+    DICT   : per-language summed top-k over the compact (lang, token,
+             count) partials (document text never shuffles) →
              deterministic min_count/top_k policy → lang_dict.parquet
     PASS 2 : read raw_extracted (flat) → size-bucket sort (skew: biggest
              docs first, homogeneous batches) → Corrector actor pool (dict
@@ -50,15 +50,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from ocr_proofreader_ray.config import ExtractionConfig
-from ocr_proofreader_ray.ops.agg import grouped_agg
-
-# dictionary partial-count rows at or below this merge on the driver (one
-# combiner aggregate); above it, a Ray hash shuffle does the global merge
-_DRIVER_MERGE_MAX_ROWS = 20_000_000
 from ocr_proofreader_ray.functions.dictionary import apply_dict_policy, save_dicts
+from ocr_proofreader_ray.ops.agg import grouped_sum_top_k
 from ocr_proofreader_ray.stages.corrector import Corrector
 from ocr_proofreader_ray.stages.extract import (
     extract_batch,
@@ -340,63 +335,24 @@ def run_pass1_group(cfg: ExtractionConfig, chunks: list[list[str]]) -> dict:
     return {"chunks": len(pending), "commit_sec": round(spent, 3)}
 
 
-def _topk_per_lang(group: pa.Table, top_k: int) -> pa.Table:
-    idx = pc.sort_indices(
-        group, sort_keys=[("freq", "descending"), ("token", "ascending")]
-    )
-    return group.take(idx[:top_k])
-
-
 def build_dictionary(cfg: ExtractionConfig) -> str:
     """Global (lang, token) frequency aggregate → deterministic dictionary.
 
     The counts files are already per-batch partial aggregates (A4), so the
-    remaining merge is over (lang, token) partials.  Small vocabularies
-    (total partial rows under ``_DRIVER_MERGE_MAX_ROWS``) merge directly via
-    the combiner aggregate; larger ones go through a Ray hash shuffle first
-    so the driver only ever sees post-policy rows (≤ top_k per language)."""
+    remaining merge is one ``grouped_sum_top_k`` over (lang, token)
+    partials, which also applies the per-language top_k.  Null-lang rows
+    never enter the dictionary."""
     files = sorted(globmod.glob(f"{cfg.counts_dir}/chunk-*/*.parquet"))
-    total_rows = sum(pq.read_metadata(f).num_rows for f in files)
-    counts = ray.data.read_parquet(files)
-    min_count = cfg.dict_min_count
-    if total_rows <= _DRIVER_MERGE_MAX_ROWS:
-        agg = grouped_agg(counts, ["lang", "token"],
-                          [("count", "sum", "freq")])
-        agg = agg.filter(pc.greater_equal(agg.column("freq"), min_count))
-        if cfg.dict_top_k is not None:
-            # apply the top-k policy ON ARROW, per language, BEFORE any
-            # Python-object materialization (ADVICE r01: to_pylist of up to
-            # 20M rows cost GBs of driver RSS with top_k applied only after)
-            parts = [
-                _topk_per_lang(
-                    agg.filter(pc.equal(agg.column("lang"), lang)),
-                    cfg.dict_top_k)
-                for lang in pc.unique(agg.column("lang")).to_pylist()
-            ]
-            agg = (pa.concat_tables(parts) if parts
-                   else agg)  # empty input: keep the (empty) schema
-        lang_dicts: dict[str, dict[str, int]] = {}
-        for lang, token, freq in zip(agg.column("lang").to_pylist(),
-                                     agg.column("token").to_pylist(),
-                                     agg.column("freq").to_pylist()):
-            lang_dicts.setdefault(lang, {})[token] = int(freq)
-    else:
-        ds = counts.groupby(["lang", "token"]).aggregate(
-            Sum("count", alias_name="freq"))
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.greater_equal(t.column("freq"), min_count)),
-            batch_format="pyarrow",
-        )
-        if cfg.dict_top_k is not None:
-            top_k = cfg.dict_top_k
-            ds = ds.groupby("lang").map_groups(
-                lambda g: _topk_per_lang(g, top_k), batch_format="pyarrow"
-            )
-        # post-policy result is small (≤ top_k rows per language)
-        lang_dicts = {}
-        for row in ds.take_all():
-            lang_dicts.setdefault(row["lang"], {})[row["token"]] = int(row["freq"])
-    # re-apply the policy centrally for a canonical, sorted, deterministic file
+    top = grouped_sum_top_k(ray.data.read_parquet(files), "lang", "token",
+                            "count", cfg.dict_top_k)
+    top = top.filter(pc.is_valid(top.column("lang")))
+    lang_dicts: dict[str, dict[str, int]] = {}
+    for lang, token, freq in zip(top.column("lang").to_pylist(),
+                                 top.column("token").to_pylist(),
+                                 top.column("count").to_pylist()):
+        lang_dicts.setdefault(lang, {})[token] = int(freq)
+    # min_count after top-k keeps the same set as before it: both cut on
+    # freq.  The policy also gives a canonical, sorted, deterministic file
     lang_dicts = {
         lang: apply_dict_policy(d, min_count=cfg.dict_min_count, top_k=cfg.dict_top_k)
         for lang, d in lang_dicts.items()

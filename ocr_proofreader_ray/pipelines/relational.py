@@ -1500,17 +1500,15 @@ def q_ntile_customers(sf_dir: str, tiles: int = 4):
     ds = ds.map_batches(composite, batch_format="pyarrow",
                         zero_copy_batch=True).materialize()
 
-    sizes = grouped_agg(ds, ["c_mktsegment"], [(None, "count", "n")])
-    ranks: dict = {}
-    for g, n in zip(sizes.column("c_mktsegment").to_pylist(),
-                    sizes.column("n").to_pylist()):
-        q, r = divmod(int(n), tiles)
+    def ranks_for(n: int) -> list[int]:
+        q, r = divmod(n, tiles)
         # NTILE: first r tiles take q+1 rows; boundary = last rank of tile i
-        ranks[g] = [i * q + min(i, r) for i in range(1, tiles)
-                    if i * q + min(i, r) >= 1]
-    bounds = grouped_kth_smallest(ds, "c_mktsegment", "__comp", ranks)
+        return [i * q + min(i, r) for i in range(1, tiles)
+                if i * q + min(i, r) >= 1]
+
+    bounds = grouped_kth_smallest(ds, "c_mktsegment", "__comp", ranks_for)
     ref = ray.put({g: np.asarray([v for v in vs if v is not None], np.int64)
-                   for g, vs in bounds.items()})
+                   for g, (_n, vs) in bounds.items()})
 
     def assign(b: pa.Table) -> pa.Table:
         bmap = _fetch(ref)
@@ -1731,19 +1729,15 @@ def q_price_quartiles(sf_dir: str):
 
     ds = li.map_batches(cents, batch_format="pyarrow",
                         zero_copy_batch=True).materialize()
-    sizes = grouped_agg(ds, ["l_returnflag"], [(None, "count", "n")])
-    ranks = {
-        g: [-(-int(n) * q // 100) for q in (25, 50, 75)]
-        for g, n in zip(sizes.column("l_returnflag").to_pylist(),
-                        sizes.column("n").to_pylist())
-    }
-    vals = grouped_kth_smallest(ds, "l_returnflag", "cents", ranks)
+    vals = grouped_kth_smallest(
+        ds, "l_returnflag", "cents",
+        lambda n: [-(-n * q // 100) for q in (25, 50, 75)])
     flags = sorted(vals)
     return pa.table({
         "l_returnflag": pa.array(flags, pa.string()),
-        "p25_cents": pa.array([vals[f][0] for f in flags], pa.int64()),
-        "p50_cents": pa.array([vals[f][1] for f in flags], pa.int64()),
-        "p75_cents": pa.array([vals[f][2] for f in flags], pa.int64()),
+        "p25_cents": pa.array([vals[f][1][0] for f in flags], pa.int64()),
+        "p50_cents": pa.array([vals[f][1][1] for f in flags], pa.int64()),
+        "p75_cents": pa.array([vals[f][1][2] for f in flags], pa.int64()),
     })
 
 
@@ -2113,23 +2107,23 @@ def q_price_percentiles_cont(sf_dir: str):
 
     ds = li.map_batches(cents, batch_format="pyarrow",
                         zero_copy_batch=True).materialize()
-    sizes = grouped_agg(ds, ["l_returnflag"], [(None, "count", "n")])
     qs = (0.25, 0.50, 0.75)
-    hs = {g: [(int(n) - 1) * q for q in qs]
-          for g, n in zip(sizes.column("l_returnflag").to_pylist(),
-                          sizes.column("n").to_pylist())}
-    # 1-based floor/ceil ranks per (group, q), deduplicated
-    ranks = {g: sorted({r for h in hh
-                        for r in (math.floor(h) + 1, math.ceil(h) + 1)})
-             for g, hh in hs.items()}
-    vals = grouped_kth_smallest(ds, "l_returnflag", "cents", ranks)
-    flags = sorted(hs)
+
+    def ranks_for(n: int) -> list[int]:
+        # 1-based floor/ceil ranks per q, deduplicated
+        return sorted({r for q in qs
+                       for r in (math.floor((n - 1) * q) + 1,
+                                 math.ceil((n - 1) * q) + 1)})
+
+    vals = grouped_kth_smallest(ds, "l_returnflag", "cents", ranks_for)
+    flags = sorted(vals)
     cols: dict = {"l_returnflag": pa.array(flags, pa.string())}
-    for qi, (q, name) in enumerate(zip(qs, ("p25", "p50", "p75"))):
+    for q, name in zip(qs, ("p25", "p50", "p75")):
         out = []
         for g in flags:
-            h = hs[g][qi]
-            by_rank = dict(zip(ranks[g], vals[g]))
+            n, vs = vals[g]
+            h = (n - 1) * q
+            by_rank = dict(zip(ranks_for(n), vs))
             lo = by_rank[math.floor(h) + 1]
             hi = by_rank[math.ceil(h) + 1]
             out.append(lo + (h - math.floor(h)) * (hi - lo))
@@ -2180,12 +2174,10 @@ def q_winsorized_prices(sf_dir: str):
 
     ds = li.map_batches(prep, batch_format="pyarrow",
                         zero_copy_batch=True).materialize()
-    sizes = grouped_agg(ds, ["l_returnflag"], [(None, "count", "n")])
-    ranks = {g: [-(-int(n) * q // 100) for q in (1, 99)]
-             for g, n in zip(sizes.column("l_returnflag").to_pylist(),
-                             sizes.column("n").to_pylist())}
-    bounds = grouped_kth_smallest(ds, "l_returnflag", "c", ranks)
-    ref = ray.put({g: (int(v[0]), int(v[1])) for g, v in bounds.items()})
+    bounds = grouped_kth_smallest(
+        ds, "l_returnflag", "c", lambda n: [-(-n * q // 100) for q in (1, 99)])
+    ref = ray.put({g: (int(v[0]), int(v[1]))
+                   for g, (_n, v) in bounds.items()})
 
     def clamp(b: pa.Table) -> pa.Table:
         m = _fetch(ref)
@@ -2567,13 +2559,12 @@ def q_price_mad(sf_dir: str):
 
     ds = li.map_batches(prep, batch_format="pyarrow",
                         zero_copy_batch=True).materialize()
-    sizes = grouped_agg(ds, ["l_returnflag"], [(None, "count", "n")])
-    ranks = {g: [-(-int(n) * 50 // 100)]
-             for g, n in zip(sizes.column("l_returnflag").to_pylist(),
-                             sizes.column("n").to_pylist())}
+    def median_rank(n: int) -> list[int]:
+        return [-(-n * 50 // 100)]
+
     med = {g: int(v[0])
-           for g, v in grouped_kth_smallest(ds, "l_returnflag", "c",
-                                            ranks).items()}
+           for g, (_n, v) in grouped_kth_smallest(ds, "l_returnflag", "c",
+                                                  median_rank).items()}
     mref = ray.put(med)
 
     def abs_dev(b: pa.Table) -> pa.Table:
@@ -2588,12 +2579,12 @@ def q_price_mad(sf_dir: str):
 
     dev = ds.map_batches(abs_dev, batch_format="pyarrow",
                          zero_copy_batch=True).materialize()
-    mad = grouped_kth_smallest(dev, "l_returnflag", "d", ranks)
+    mad = grouped_kth_smallest(dev, "l_returnflag", "d", median_rank)
     flags = sorted(med)
     return pa.table({
         "l_returnflag": pa.array(flags, pa.string()),
         "median_cents": pa.array([med[f] for f in flags], pa.int64()),
-        "mad_cents": pa.array([int(mad[f][0]) for f in flags], pa.int64()),
+        "mad_cents": pa.array([int(mad[f][1][0]) for f in flags], pa.int64()),
     })
 
 

@@ -439,7 +439,8 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     call) so the driver sees O(blocks/1024) rows of d(d+1) ints at any
     corpus size.  The driver forms cov = S2/n − μμᵀ in float64
     (single-threaded, deterministic), takes eigh's top components with a
-    fixed sign convention (largest-|x| coordinate positive), and pass 2
+    fixed sign convention (largest-|x| coordinate positive) snapped to a
+    fixed binary grid, and pass 2
     projects every vector against the broadcast W — one numpy matmul per
     batch.  d is the embedding dim (64): driver state is d², never corpus.
     """
@@ -495,6 +496,10 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
         j = int(np.argmax(np.abs(w[i])))
         if w[i, j] < 0:
             w[i] = -w[i]
+    # snap W to a 2^-32 grid: eigh's last bits differ between LAPACK builds
+    # (~1e-15), and on the grid the explicit accumulation in ``project`` is
+    # host-independent; the snap moves a projection by < 1e-9
+    w = np.round(w * 2.0 ** 32) / 2.0 ** 32
     w_ref = ray.put((w, mu))
 
     def project(b: pa.Table) -> pa.Table:

@@ -16,7 +16,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ocr_proofreader_ray.functions.sketches import stable_hash64
-from ocr_proofreader_ray.ops.agg import grouped_agg
+from ocr_proofreader_ray.ops.agg import grouped_agg, grouped_sum_top_k
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -373,12 +373,6 @@ def _explode_token_counts(b: pa.Table) -> pa.Table:
             .rename_columns(["lang", "tok", "cnt"]))
 
 
-# vocabulary partial-row budget for the driver merge — above it the final
-# aggregate + per-lang top-k run as a Ray shuffle (same switch pattern as
-# extraction.build_dictionary, VERDICT r02 #4)
-_HH_DRIVER_MAX_ROWS = 20_000_000
-
-
 @register(
     "q_heavy_hitters",
     sql="""
@@ -398,83 +392,14 @@ _HH_DRIVER_MAX_ROWS = 20_000_000
 )
 def q_heavy_hitters(sf_dir: str, k: int = 20):
     """Exact per-language top-K tokens — the dictionary-build machinery as a
-    first-class query.  Per-batch pyarrow group_by partials mean the shuffle
-    moves (lang, tok, partial_count) rows, never text.  Small vocabularies
-    (partial rows at or under ``_HH_DRIVER_MAX_ROWS``) merge on the driver
-    with the same (cnt DESC, tok ASC) total order as the SQL window; larger
-    ones go through a Ray hash shuffle + per-lang distributed top-k, so the
-    driver never sees more than k rows per language."""
+    first-class query.  Per-batch pyarrow group_by partials mean the merge
+    moves (lang, tok, partial_count) rows, never text;
+    ``ops.agg.grouped_sum_top_k`` sums them and ranks each language with
+    the same (cnt DESC, tok ASC) total order as the SQL window."""
     ds = t(sf_dir, "documents", ["lang", "text"])
     partials = ds.map_batches(_explode_token_counts, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    return _per_lang_topk(partials, "tok", k)
-
-
-def _per_lang_topk(partials: "ray.data.Dataset", key_col: str, k: int):
-    """Size-switched per-language top-k over (lang, key, cnt) partials —
-    the shared final stage of the exact heavy-hitter queries (VERDICT r02
-    #4 pattern): driver combiner merge below ``_HH_DRIVER_MAX_ROWS``
-    partial rows, Ray hash shuffle + distributed per-lang top-k above."""
-
-    def topk_table(sub: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(sub, sort_keys=[("cnt", "descending"),
-                                              (key_col, "ascending")])
-        return sub.take(idx[:k])
-
-    if partials.count() <= _HH_DRIVER_MAX_ROWS:
-        total = grouped_agg(partials, ["lang", key_col],
-                            [("cnt", "sum", "cnt")])
-        # pc.equal(col, None) is an all-null mask that filter drops — the
-        # NULL language stratum needs is_null, like the Ray path's hash
-        # aggregation which keeps null keys (code-review r03)
-        parts = [
-            topk_table(total.filter(
-                pc.is_null(total.column("lang")) if lang is None
-                else pc.equal(total.column("lang"), lang)))
-            for lang in pc.unique(total.column("lang")).to_pylist()
-        ]
-        return (pa.concat_tables(parts) if parts
-                else total.schema.empty_table())
-
-    # Big-vocabulary path: ONE integer-keyed hash exchange.  Ray's native
-    # sort-based groupby is avoided on purpose — its sampled string sort
-    # boundaries flakily split multi-byte UTF-8 (observed: "'utf-8' codec
-    # can't decode byte 0xc4" / "Wrapping � failed" on non-ASCII tokens)
-    # and cannot order null keys at all.  Hash-partitioning on
-    # hash(lang) co-locates every language's rows (the standard coarse
-    # co-group pattern here), then each partition aggregates and ranks its
-    # languages with Arrow group_by — null langs hash via a fill applied
-    # ONLY to the partition id, never the data.
-    import numpy as np
-    import ray
-
-    n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def add_part(b: pa.Table) -> pa.Table:
-        import polars as pl
-
-        langs = pc.fill_null(b.column("lang"), "\x00<null>").combine_chunks()
-        h = pl.Series(langs).hash(seed=0).to_numpy()
-        return b.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int64)))
-
-    def part_topk(g: pa.Table) -> pa.Table:
-        agg = (g.drop_columns(["part"])
-               .group_by(["lang", key_col]).aggregate([("cnt", "sum")]))
-        agg = pa.table({"lang": agg.column("lang"),
-                        key_col: agg.column(key_col),
-                        "cnt": agg.column("cnt_sum")})
-        idx = pc.sort_indices(agg, sort_keys=[("lang", "ascending"),
-                                              ("cnt", "descending"),
-                                              (key_col, "ascending")])
-        df = agg.take(idx).to_pandas()
-        return pa.Table.from_pandas(
-            df.groupby("lang", sort=False, dropna=False).head(k),
-            preserve_index=False, schema=agg.schema)
-
-    return (partials.map_batches(add_part, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .groupby("part").map_groups(part_topk, batch_format="pyarrow"))
+    return grouped_sum_top_k(partials, "lang", "tok", "cnt", k)
 
 
 @register(
@@ -497,8 +422,8 @@ def _per_lang_topk(partials: "ray.data.Dataset", key_col: str, k: int):
 def q_bigram_heavy_hitters(sf_dir: str, k: int = 10):
     """Exact per-language top-k word BIGRAMS — the n-gram counting surface
     beyond unigrams.  Per-batch Counter partials per (lang, bigram) keep
-    the shuffle at compact (lang, bg, cnt) rows; the final merge reuses the
-    size-switched `_per_lang_topk` plan."""
+    the merge at compact (lang, bg, cnt) rows; ``grouped_sum_top_k`` does
+    the final sum and per-language ranking."""
     from collections import Counter
 
     ds = t(sf_dir, "documents", ["lang", "text"])
@@ -525,7 +450,7 @@ def q_bigram_heavy_hitters(sf_dir: str, k: int = 10):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    return _per_lang_topk(partials, "bg", k)
+    return grouped_sum_top_k(partials, "lang", "bg", "cnt", k)
 
 
 @register("q_heavy_hitters_approx")  # sketch-based: rows-only driver check
@@ -1206,118 +1131,6 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
 # instead (no corpus-proportional broadcast)
 _TYP_BROADCAST_MAX_VOCAB = 2_000_000
 
-# scored docs at or under this resolve tercile thresholds from a driver
-# (lang, score) histogram gather — its size is bounded by DISTINCT scores,
-# which the doc count bounds but the milli-quantization alone does NOT
-# (scores are milli-units of average corpus count, which grows with the
-# corpus); above it the thresholds come from distributed bisection
-# selection: O(log score_range) counting passes over the materialized
-# scores with driver state of 2 x langs rows at any corpus size
-_TYP_HIST_MAX_DOCS = 5_000_000
-
-
-def _tercile_thresholds_hist(scores) -> dict:
-    """{lang: (t1, t2)} exact order statistics (floor(n/3)-th and
-    floor(2n/3)-th smallest score; None when the rank is 0) from a
-    driver-gathered exact (lang, score) value histogram."""
-    import numpy as np
-
-    hist = grouped_agg(scores, ["lang", "score_milli"],
-                       [(None, "count", "n")])
-    thr: dict = {}
-    hdf = hist.to_pandas().sort_values(["lang", "score_milli"])
-    for lang, g in hdf.groupby("lang", dropna=False, sort=False):
-        cum = g["n"].cumsum().to_numpy()
-        vals = g["score_milli"].to_numpy()
-        n = int(cum[-1])
-        k1, k2 = n // 3, (2 * n) // 3
-
-        def order_stat(k: int):
-            if k < 1:
-                return None
-            return int(vals[np.searchsorted(cum, k)])
-
-        thr[lang] = (order_stat(k1), order_stat(k2))
-    return thr
-
-
-def _tercile_thresholds_bisect(scores) -> dict:
-    """Same exact thresholds as the histogram path, but with driver state
-    bounded by 2 x langs at ANY corpus size: per-lang k-th order
-    statistics via distributed bisection — each round broadcasts one
-    candidate value per active (lang, rank) target, one combiner pass
-    counts scores at or under it per target, and the bracket halves.
-    ``ceil(log2(score_range))`` passes over the materialized score rows
-    replace the unbounded histogram gather (selection-by-counting, the
-    classic exact distributed quantile plan).  Pinned equal to the
-    histogram path by pytest (``_TYP_HIST_MAX_DOCS`` patched to 0)."""
-    import numpy as np
-    import pandas as pd
-
-    stats = grouped_agg(scores, ["lang"], [
-        (None, "count", "n"),
-        ("score_milli", "min", "lo"),
-        ("score_milli", "max", "hi"),
-    ])
-    # target state: (lang, j) -> [lo, hi, k] with the invariants
-    # count(score <= lo) < k and count(score <= hi) >= k; the answer is
-    # the unique v in (lo, hi] where the count first reaches k
-    st: dict = {}
-    thr: dict = {}
-    for lang, n, lo, hi in zip(stats.column("lang").to_pylist(),
-                               stats.column("n").to_pylist(),
-                               stats.column("lo").to_pylist(),
-                               stats.column("hi").to_pylist()):
-        thr[lang] = [None, None]
-        for j, k in enumerate((n // 3, (2 * n) // 3)):
-            if k >= 1:
-                st[(lang, j)] = [int(lo) - 1, int(hi), int(k)]
-
-    while True:
-        active = {key: s for key, s in st.items() if s[0] + 1 < s[1]}
-        if not active:
-            break
-        mids = {key: (s[0] + s[1]) // 2 for key, s in active.items()}
-        mid_ref = ray.put(mids)
-
-        def count_le(b: pa.Table) -> pa.Table:
-            m = ray.get(mid_ref)
-            lg = pd.Series(b.column("lang").to_pylist())
-            sm = pd.Series(
-                b.column("score_milli").to_numpy(zero_copy_only=False))
-            out = {"lang": [], "j": [], "c": []}
-            for (lang, j), mid in m.items():
-                # a None lang is a real stratum: == None matches nothing
-                # in pandas, so null keys need isna()
-                lmask = lg.isna() if lang is None else (lg == lang)
-                out["lang"].append(lang)
-                out["j"].append(j)
-                out["c"].append(int((lmask & (sm <= mid)).sum()))
-            return pa.table({"lang": pa.array(out["lang"], pa.string()),
-                             "j": pa.array(out["j"], pa.int32()),
-                             "c": pa.array(out["c"], pa.int64())})
-
-        counts = grouped_agg(
-            scores.map_batches(count_le, batch_format="pyarrow",
-                               zero_copy_batch=True),
-            ["lang", "j"], [("c", "sum", "c")])
-        for lang, j, c in zip(counts.column("lang").to_pylist(),
-                              counts.column("j").to_pylist(),
-                              counts.column("c").to_pylist()):
-            s = st.get((lang, j))
-            if s is None or (lang, j) not in mids:
-                continue
-            mid = mids[(lang, j)]
-            if c >= s[2]:
-                s[1] = mid
-            else:
-                s[0] = mid
-
-    for (lang, j), s in st.items():
-        thr[lang][j] = s[1]
-    return {lang: tuple(v) for lang, v in thr.items()}
-
-
 @register(
     "q_typicality_buckets",
     sql="""
@@ -1373,10 +1186,8 @@ def q_typicality_buckets(sf_dir: str):
     occurrence rows and shuffle-joins the counts on (lang, tok) so nothing
     vocabulary-sized is ever broadcast (both paths exact, pinned
     equivalent by pytest).  Tercile thresholds are the floor(n/3)-th and
-    floor(2n/3)-th order statistics per language — size-switched: a driver
-    (lang, score) value-histogram gather at or under ``_TYP_HIST_MAX_DOCS``
-    scored docs, distributed bisection selection above it (O(log range)
-    counting passes, driver state 2 x langs at any corpus size; the
+    floor(2n/3)-th order statistics per language from
+    ``ops.selection.grouped_kth_smallest`` (exact at any corpus size; the
     milli-quantization alone does NOT bound distinct scores, since the
     score is an average corpus COUNT and grows with the corpus) — and
     assignment is one more vectorized comparison pass."""
@@ -1461,13 +1272,12 @@ def q_typicality_buckets(sf_dir: str):
         scores = sums.map_batches(finish, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
 
-    # exact per-lang tercile thresholds: histogram gather below the doc
-    # bound, distributed bisection selection above it (both exact)
-    if scores.count() <= _TYP_HIST_MAX_DOCS:
-        thr = _tercile_thresholds_hist(scores)
-    else:
-        thr = _tercile_thresholds_bisect(scores)
-    thr_ref = ray.put(thr)
+    from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
+
+    # a rank of 0 (fewer than 3 docs) yields a None threshold
+    thr = grouped_kth_smallest(scores, "lang", "score_milli",
+                               lambda n: [n // 3, 2 * n // 3])
+    thr_ref = ray.put({lang: v for lang, (_n, v) in thr.items()})
 
     def assign(b: pa.Table) -> pa.Table:
         th = ray.get(thr_ref)

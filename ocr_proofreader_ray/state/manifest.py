@@ -6,8 +6,8 @@ per-partition lineage + metrics"):
 * The pipeline executes in **chunks** of input files.  Each chunk's outputs
   are written under a pending dir and atomically renamed into place once
   all its rows are written; then a manifest JSON is recorded with the input
-  fingerprint (paths + sizes) and the chunk's per-stage counters, summed
-  from the write stage's results (pipelines/extraction.py).
+  fingerprint (paths, sizes, mtimes) and the chunk's per-stage counters,
+  summed from the write stage's results (pipelines/extraction.py).
 * On restart, a chunk whose manifest exists *and* whose input fingerprint
   still matches is skipped entirely — nothing is recomputed, outputs are
   reused.  A changed fingerprint invalidates the chunk (its outputs are
@@ -36,13 +36,16 @@ def fingerprint_content(path: str) -> str:
 
 
 def fingerprint_files(paths: list[str]) -> str:
+    """Hash of each input's path, size and mtime (ns): a rewrite that keeps
+    the size still changes the mtime, so it invalidates the chunk."""
     h = hashlib.sha1()
     for p in sorted(paths):
         try:
-            size = os.path.getsize(p)
+            st = os.stat(p)
+            stamp = f"{st.st_size}:{st.st_mtime_ns}"
         except OSError:
-            size = -1
-        h.update(f"{p}:{size};".encode())
+            stamp = "-1"
+        h.update(f"{p}:{stamp};".encode())
     return h.hexdigest()
 
 

@@ -498,6 +498,39 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
     assert (1, 2) in canon(small)
 
 
+def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
+        ray_session, monkeypatch):
+    """A dup-dense input has few band rows but many pairs: once the pair
+    bound of its buckets exceeds _PAIRS_DRIVER_MAX, the groupby("part")
+    exchange runs instead of the driver expansion, with the same pairs."""
+    import ray.data
+
+    import ocr_proofreader_ray.pipelines.dedup as dd
+
+    base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
+    rows = [{"doc_id": d, "text": base} for d in range(1, 31)]
+    rows += [{"doc_id": d, "text": " ".join(f"u{d}w{i}" for i in range(60))}
+             for d in range(31, 40)]
+    ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
+    want = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
+
+    keys = []
+    groupby = ray.data.Dataset.groupby
+
+    def spy(self, key, *args, **kwargs):
+        keys.append(key)
+        return groupby(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", spy)
+    monkeypatch.setattr(dd, "_PAIRS_DRIVER_MAX", 100)
+    got = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
+
+    assert "part" in keys
+    canon = lambda df: sorted(map(tuple, df[["doc_a", "doc_b"]].to_numpy()))
+    assert canon(got) == canon(want)
+    assert len(canon(want)) == 30 * 29 // 2
+
+
 def test_verify_pairs_streaming_shuffle_threshold_joins(ray_session,
                                                         monkeypatch):
     """Force the fully-streaming verify plan (Dataset pairs + Ray-side size

@@ -77,3 +77,12 @@ def test_embedding_pca_executions(ray_session, count_executions):
 
     assert len(q_embedding_pca(SF).take_all()) > 0
     assert count_executions.n == 3
+
+
+def test_price_quartiles_executions(ray_session, count_executions):
+    # materialize the cents projection, then one gather of the (flag,
+    # cents) pairs: the group sizes come from the gathered rows
+    from ocr_proofreader_ray.pipelines.relational import q_price_quartiles
+
+    assert q_price_quartiles(SF).num_rows > 0
+    assert count_executions.n == 2

@@ -284,16 +284,96 @@ def test_whale_cap_change_invalidates_resume(ray_session, pages_dir, tmp_path):
 
 def test_dictionary_exchange_branch_matches_driver(ray_session, pages_dir,
                                                    tmp_path, monkeypatch):
-    """VERDICT r04 #7: force the above-gate Ray hash-shuffle dictionary
-    merge (the >_DRIVER_MERGE_MAX_ROWS crawl path) and pin its dictionary
-    file byte-identical to the default driver-combiner branch."""
-    import ocr_proofreader_ray.pipelines.extraction as ex
+    """VERDICT r04 #7: force the above-gate hash-exchange dictionary merge
+    (the >_TOPK_DRIVER_MAX_ROWS crawl path) and pin its dictionary file
+    byte-identical to the default driver-combiner branch."""
+    import ocr_proofreader_ray.ops.agg as agg
 
     _run(pages_dir, str(tmp_path / "driver"))
-    monkeypatch.setattr(ex, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_TOPK_DRIVER_MAX_ROWS", 0)
     _run(pages_dir, str(tmp_path / "exchange"))
 
     key = [("lang", "ascending"), ("token", "ascending")]
     a = pq.read_table(f"{tmp_path}/driver/lang_dict.parquet").sort_by(key)
     b = pq.read_table(f"{tmp_path}/exchange/lang_dict.parquet").sort_by(key)
     assert a.equals(b)
+
+
+def test_same_size_input_rewrite_invalidates_chunk(ray_session, pages_dir,
+                                                   tmp_path):
+    """An input rewritten at the SAME size is seen by the fingerprint (it
+    carries the mtime): its chunk re-runs, and the resumed output equals a
+    clean run over the new input."""
+    import pyarrow as pa
+
+    # uncompressed, unencoded, no statistics: reordering bytes inside one
+    # value keeps the file size
+    opts = dict(compression="none", use_dictionary=False,
+                write_statistics=False)
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    for p in glob.glob(f"{pages_dir}/pages-*.parquet"):
+        pq.write_table(pq.read_table(p), str(pages / os.path.basename(p)),
+                       **opts)
+    work = str(tmp_path / "work")
+    first = _run(str(pages), work)
+
+    victim = sorted(glob.glob(f"{pages}/pages-*.parquet"))[0]
+    old = pq.read_table(victim)
+    html = old.column("html").to_pylist()
+    # reverse the words of the first article paragraph: same bytes, new text
+    head, rest = html[0].split(b"<article><p>", 1)
+    para, tail = rest.split(b"</p>", 1)
+    html[0] = (head + b"<article><p>" + b" ".join(reversed(para.split(b" ")))
+               + b"</p>" + tail)
+    size = os.path.getsize(victim)
+    pq.write_table(old.set_column(old.schema.get_field_index("html"), "html",
+                                  pa.array(html, pa.binary())),
+                   victim, **opts)
+    assert os.path.getsize(victim) == size
+
+    second = _run(str(pages), work)
+    url = old.column("url")[0].as_py()
+    assert second[url]["extracted_text"] != first[url]["extracted_text"]
+    fresh = _run(str(pages), str(tmp_path / "fresh"))
+    assert {u: r["extracted_text"] for u, r in second.items()} == \
+           {u: r["extracted_text"] for u, r in fresh.items()}
+
+
+def _write_token_counts(work_dir: str) -> None:
+    import pyarrow as pa
+
+    os.makedirs(f"{work_dir}/token_counts/chunk-00000")
+    pq.write_table(pa.table({
+        "lang": pa.array(["en", None, "en", None, "de"], pa.string()),
+        "token": pa.array(["the", "the", "cat", "zz", "der"], pa.string()),
+        "count": pa.array([20, 50, 9, 30, 12], pa.int64()),
+    }), f"{work_dir}/token_counts/chunk-00000/part-0.parquet")
+
+
+@pytest.mark.parametrize("plan", ["driver", "exchange"])
+def test_null_lang_never_enters_dictionary(ray_session, tmp_path,
+                                           monkeypatch, plan):
+    import ocr_proofreader_ray.ops.agg as agg
+    from ocr_proofreader_ray.pipelines.extraction import build_dictionary
+
+    if plan == "exchange":
+        monkeypatch.setattr(agg, "_TOPK_DRIVER_MAX_ROWS", 0)
+    _write_token_counts(str(tmp_path))
+    path = build_dictionary(ExtractionConfig(work_dir=str(tmp_path)))
+    assert pq.read_table(path).to_pylist() == [
+        {"lang": "de", "token": "der", "freq": 12},
+        {"lang": "en", "token": "cat", "freq": 9},
+        {"lang": "en", "token": "the", "freq": 20},
+    ]
+
+
+def test_build_dictionary_executions(ray_session, tmp_path,
+                                     count_executions):
+    # the plan gate counts the bare read from file metadata, then one
+    # execution drains the combiner partials
+    from ocr_proofreader_ray.pipelines.extraction import build_dictionary
+
+    _write_token_counts(str(tmp_path))
+    build_dictionary(ExtractionConfig(work_dir=str(tmp_path)))
+    assert count_executions.n == 1

@@ -9,9 +9,9 @@ outputs).  A mismatch is a real regression in the query's values — the
 canonical form is order-insensitive (columns sorted by name, rows by a
 total JSON key), the same shape the driver hashes.
 
-If the driver regenerates /root/testdata between rounds the goldens go
-stale; the fingerprint check below then SKIPS (loudly) instead of failing
-— rerun the generator to re-pin.
+The goldens are pinned to the input tables' contents (a sha256 of their
+bytes).  If the inputs change, ``test_goldens_match_testdata`` fails —
+rerun the generator to re-pin.
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ from fixtures.gen_golden_queries import (
 with open(os.path.join(OUT_DIR, "MANIFEST.json")) as _f:
     _MANIFEST = json.load(_f)
 
-_STALE = _MANIFEST["testdata_fingerprint"] != testdata_fingerprint()
+
+def test_goldens_match_testdata():
+    assert _MANIFEST["testdata_fingerprint"] == testdata_fingerprint(), (
+        "goldens are stale: the sf0.001 tables changed since generation — "
+        "rerun `python fixtures/gen_golden_queries.py` to re-pin")
 
 
 @pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
 def test_golden_query(ray_session, name):
-    if _STALE:
-        pytest.skip(
-            "goldens are stale: /root/testdata changed since generation — "
-            "rerun `python fixtures/gen_golden_queries.py` to re-pin")
     from ocr_proofreader_ray.pipelines.registry import all_queries
 
     got = canonicalize(all_queries()[name](SF_DIR))

@@ -15,12 +15,17 @@ def _ds(table: pa.Table, blocks: int = 4):
     return ray.data.from_arrow(table).repartition(blocks)
 
 
-def _ranks_oracle(df: pd.DataFrame, ranks: dict) -> dict:
+def _ranks_oracle(df: pd.DataFrame, ranks_for) -> dict:
     out = {}
-    for g, ks in ranks.items():
-        v = np.sort(df[df["g"] == g]["v"].to_numpy())
-        out[g] = [int(v[k - 1]) if 1 <= k <= len(v) else None for k in ks]
+    for g, sub in df.groupby("g"):
+        v = np.sort(sub["v"].to_numpy())
+        out[g] = (len(v), [int(v[k - 1]) if 1 <= k <= len(v) else None
+                           for k in ranks_for(len(v))])
     return out
+
+
+def _all_ranks(n):
+    return list(range(1, n + 1))
 
 
 def test_grouped_kth_driver_vs_bisect_equal(ray_session, monkeypatch):
@@ -30,13 +35,13 @@ def test_grouped_kth_driver_vs_bisect_equal(ray_session, monkeypatch):
         "v": rng.integers(-1000, 1000, size=500, dtype=np.int64),
     })
     t = pa.table({"g": pa.array(df["g"]), "v": pa.array(df["v"], pa.int64())})
-    sizes = df.groupby("g").size()
-    ranks = {g: [1, 2, int(n // 2), int(n), int(n) + 5] for g, n in sizes.items()}
+    def ranks_for(n):
+        return [1, 2, n // 2, n, n + 5]
 
-    want = _ranks_oracle(df, ranks)
-    got_driver = grouped_kth_smallest(_ds(t), "g", "v", ranks)
+    want = _ranks_oracle(df, ranks_for)
+    got_driver = grouped_kth_smallest(_ds(t), "g", "v", ranks_for)
     monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
-    got_bisect = grouped_kth_smallest(_ds(t), "g", "v", ranks)
+    got_bisect = grouped_kth_smallest(_ds(t), "g", "v", ranks_for)
     assert got_driver == want
     assert got_bisect == want
 
@@ -47,11 +52,13 @@ def test_grouped_kth_duplicate_values(ray_session, monkeypatch):
         "g": pa.array(["x"] * 10),
         "v": pa.array([5, 5, 5, 1, 1, 9, 9, 9, 9, 2], pa.int64()),
     })
-    ranks = {"x": [1, 2, 3, 4, 5, 6, 7, 10]}
-    want = {"x": [1, 1, 2, 5, 5, 5, 9, 9]}
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    def ranks_for(n):
+        return [1, 2, 3, 4, 5, 6, 7, 10]
+
+    want = {"x": (10, [1, 1, 2, 5, 5, 5, 9, 9])}
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks_for) == want
     monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks_for) == want
 
 
 def test_grouped_kth_negative_and_single(ray_session, monkeypatch):
@@ -59,10 +66,9 @@ def test_grouped_kth_negative_and_single(ray_session, monkeypatch):
         "g": pa.array(["a", "a", "b"]),
         "v": pa.array([-7, -3, 42], pa.int64()),
     })
-    ranks = {"a": [1, 2], "b": [1], "missing": [1]}
-    want = {"a": [-7, -3], "b": [42], "missing": [None]}
+    want = {"a": (2, [-7, -3]), "b": (1, [42])}
     monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
 
 
 def test_grouped_kth_nan_group_key_is_null_group(ray_session, monkeypatch):
@@ -72,11 +78,10 @@ def test_grouped_kth_nan_group_key_is_null_group(ray_session, monkeypatch):
                       pa.float64()),
         "v": pa.array([4, 8, 6, 2, 7], pa.int64()),
     })
-    ranks = {1.5: [1, 2], None: [1, 2, 3]}
-    want = {1.5: [2, 4], None: [6, 7, 8]}
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    want = {1.5: (2, [2, 4]), None: (3, [6, 7, 8])}
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
     monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
-    assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks) == want
+    assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
 
 
 def _window_oracle(left_days, right_days, right_vals, window):

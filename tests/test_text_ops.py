@@ -235,6 +235,7 @@ def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
     import pandas as pd
 
     import ocr_proofreader_ray.pipelines.text_analysis as ta
+    from ocr_proofreader_ray.ops import selection
     from ocr_proofreader_ray.pipelines.text_analysis import (
         q_typicality_buckets,
     )
@@ -251,9 +252,9 @@ def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
         b = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # distributed bisection selection must find the identical thresholds
-    # (and so identical terciles) as the histogram gather
+    # (and so identical terciles) as the driver gather
     with monkeypatch.context() as m:
-        m.setattr(ta, "_TYP_HIST_MAX_DOCS", 0)
+        m.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
         c = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, c, check_dtype=False)
     # terciles split each language into near-equal thirds (exact order
