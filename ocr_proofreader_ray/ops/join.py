@@ -28,6 +28,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ocr_proofreader_ray.ops.io import read_parquet
+
 # per-worker-process memo of fetched broadcast objects
 _FETCH_CACHE: dict[str, object] = {}
 
@@ -134,7 +136,7 @@ def join_table(
             return broadcast_join(ds, right, on=on, right_on=right_on)
         return broadcast_semi_anti(ds, right.column(right_on), on=on,
                                    anti=how == "anti")
-    right = ray.data.read_parquet(path, columns=columns)
+    right = read_parquet(path, columns=columns)
     if prep is not None:
         right = right.map_batches(prep, batch_format="pyarrow",
                                   zero_copy_batch=True)

@@ -46,6 +46,7 @@ import ray
 import ray.data
 
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti
 from ocr_proofreader_ray.pipelines.dedup import (
     _band_rows,
@@ -191,7 +192,7 @@ def dedup_increment(
             promote_options="default",
         ).column("band_key").combine_chunks().unique()
     _t_pairs0 = time.perf_counter()
-    index = ray.data.read_parquet(_index_dir(work_dir))
+    index = read_parquet(_index_dir(work_dir))
     if len(new_keys) > _KEYS_BLOOM_THRESHOLD:
         # huge increment: ship a fixed-size Bloom instead of the exact key
         # set; false positives only admit old rows whose old-old pairs are
@@ -277,6 +278,14 @@ from ocr_proofreader_ray.pipelines.registry import register  # noqa: E402
 from ocr_proofreader_ray.pipelines.relational import t  # noqa: E402
 
 
+def _midpoint_doc_id(sf_dir: str) -> int:
+    """(min + max) // 2 of the documents' doc_id: the snapshot split point."""
+    span = grouped_agg(t(sf_dir, "documents", ["doc_id"]), [],
+                       [("doc_id", "min", "lo"),
+                        ("doc_id", "max", "hi")]).to_pylist()[0]
+    return (int(span["lo"]) + int(span["hi"])) // 2
+
+
 @register("q_dedup_incremental")  # sketch-based incremental plan: rows-only
 def q_dedup_incremental(sf_dir: str):
     """Cross-snapshot dedup demonstration over the documents table: the
@@ -286,15 +295,11 @@ def q_dedup_incremental(sf_dir: str):
     phase each survivor was admitted in."""
     import shutil
 
-    from ray.data.aggregate import Max, Min
-
     tm: dict[str, float] = {}
     docs = t(sf_dir, "documents", ["doc_id", "text"])
     with _timed(tm, "minmax_scan_sec"):
         # id-only read: the min/max split point must not pay a text scan
-        stats = t(sf_dir, "documents", ["doc_id"]).aggregate(
-            Min("doc_id"), Max("doc_id"))
-    cut = (int(stats["min(doc_id)"]) + int(stats["max(doc_id)"])) // 2
+        cut = _midpoint_doc_id(sf_dir)
 
     def below(b: pa.Table) -> pa.Table:
         return b.filter(pc.less_equal(b.column("doc_id"), cut))
@@ -455,7 +460,7 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
                 "n_dropped_vs_corpus": 0, "n_dropped_within": 0}
 
     h1_set = new_keys.column("h1").combine_chunks()
-    index = ray.data.read_parquet(_exact_index_dir(work_dir))
+    index = read_parquet(_exact_index_dir(work_dir))
     hit_ref = ray.put(pc.unique(h1_set))
 
     def h1_hits(b: pa.Table) -> pa.Table:
@@ -516,12 +521,8 @@ def q_dedup_exact_incremental(sf_dir: str):
     ~n²/2^128-ish — see q_dedup_exact's strength note)."""
     import shutil
 
-    from ray.data.aggregate import Max, Min
-
     docs = t(sf_dir, "documents", ["doc_id", "text"])
-    stats = t(sf_dir, "documents", ["doc_id"]).aggregate(
-        Min("doc_id"), Max("doc_id"))
-    cut = (int(stats["min(doc_id)"]) + int(stats["max(doc_id)"])) // 2
+    cut = _midpoint_doc_id(sf_dir)
 
     def below(b: pa.Table) -> pa.Table:
         return b.filter(pc.less_equal(b.column("doc_id"), cut))

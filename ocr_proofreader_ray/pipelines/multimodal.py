@@ -19,6 +19,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ocr_proofreader_ray.ops.agg import grouped_agg
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.stages.media import (
     AudioFeatureStage,
@@ -41,8 +42,8 @@ def media_dataset(sf_dir: str,
     stages run their real codec paths; the default stays pure-FAKE because
     ``q_media_metadata``'s oracle derives payload size from text length.
     """
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     return ds.map_batches(
         lambda b: synthesize_media_batch(b, real_containers=real_containers),
         batch_format="pyarrow", zero_copy_batch=True)

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.stages.pdf_layout import PdfLayoutStage, synthesize_pdf_batch
 
@@ -47,8 +48,8 @@ PDF_BATCH_SIZE = 64  # payload-heavy rows: keep actor batches small
 )
 def q_pdf_layout(sf_dir: str):
     """Layout extraction counters per document, actor-pool parsed."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet",
+                      columns=["doc_id", "text"])
     ds = ds.map_batches(synthesize_pdf_batch, batch_format="pyarrow",
                         zero_copy_batch=True)
     ds = ds.map_batches(

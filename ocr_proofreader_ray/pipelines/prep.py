@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, shuffle_semi_anti
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
@@ -61,8 +62,7 @@ def _run_stage(work: str, stage: str, parent_fp: str, build_ds) -> tuple:
 
 
 def _stage_rows(stage_dir: str) -> int:
-    return ray.data.read_parquet(
-        os.path.join(stage_dir, "documents.parquet")).count()
+    return read_parquet(os.path.join(stage_dir, "documents.parquet")).count()
 
 
 @register("q_llm_prep_corpus")  # composed pipeline: rows-only driver check
@@ -123,8 +123,7 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
                     pc.match_substring(b.column("text"), probe), False))
             return b.filter(pc.invert(hit))
 
-        s1_docs = ray.data.read_parquet(
-            os.path.join(s1, "documents.parquet"))
+        s1_docs = read_parquet(os.path.join(s1, "documents.parquet"))
         return s1_docs.map_batches(decontam, batch_format="pyarrow",
                                    zero_copy_batch=True)
 
@@ -139,8 +138,7 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
     # below _KEEP_BROADCAST_MAX, else takes the exchange too
     def build_capped():
         keep = q_source_cap(s2)
-        s2_docs = ray.data.read_parquet(
-            os.path.join(s2, "documents.parquet"))
+        s2_docs = read_parquet(os.path.join(s2, "documents.parquet"))
         if not isinstance(keep, pa.Table):
             return shuffle_semi_anti(
                 s2_docs, keep.select_columns(["doc_id"]), on="doc_id")
@@ -158,8 +156,7 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
 
     # 4. mixture sample: the shared systematic rule, pure filter
     def build_sampled():
-        s3_docs = ray.data.read_parquet(
-            os.path.join(s3, "documents.parquet"))
+        s3_docs = read_parquet(os.path.join(s3, "documents.parquet"))
         return s3_docs.map_batches(mixture_pick, batch_format="pyarrow",
                                    zero_copy_batch=True)
 

@@ -24,16 +24,19 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import asof_join, join_table, shuffle_join
 from ocr_proofreader_ray.pipelines.registry import register
 
 
 def t(sf_dir: str, name: str, columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Pruned Parquet scan of one testdata table (B1)."""
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+    """Pruned Parquet scan of one testdata table (B1), through
+    ``ops.io.read_parquet``: a table no bigger than one Ray block is read
+    unsplit, so the read fuses with the query's first map instead of
+    launching 2 x CPUs tasks per operator for a few KB of rows."""
+    return read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
 
 
 def imod(col, m: int):
@@ -144,12 +147,8 @@ def q6_forecast_revenue(sf_dir: str):
         return pa.table({"rev_ucents": to_units(rev, 10000)})
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    agg = ds.aggregate(Sum("rev_ucents", alias_name="revenue_ucents"),
-                       Count(alias_name="n_rows"))
-    return pa.table({
-        "revenue_ucents": pa.array([agg["revenue_ucents"]], pa.int64()),
-        "n_rows": pa.array([agg["n_rows"]], pa.int64()),
-    })
+    return grouped_agg(ds, [], [("rev_ucents", "sum", "revenue_ucents"),
+                                (None, "count", "n_rows")])
 
 
 @register(
@@ -203,13 +202,11 @@ def q_global_stats(sf_dir: str):
             "cents": to_units(b.column("o_totalprice"), 100),
         })
 
-    agg = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True).aggregate(
-        Min("o_totalprice", alias_name="min_price"),
-        Max("o_totalprice", alias_name="max_price"),
-        Sum("cents", alias_name="sum_cents"),
-        Count(alias_name="n"),
-    )
-    # ds.aggregate returns a plain dict row
+    ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    agg = grouped_agg(ds, [], [("o_totalprice", "min", "min_price"),
+                               ("o_totalprice", "max", "max_price"),
+                               ("cents", "sum", "sum_cents"),
+                               (None, "count", "n")]).to_pylist()[0]
     avg = (float(agg["sum_cents"]) / 100) / agg["n"]
     return pa.table({
         "min_price": pa.array([agg["min_price"]], pa.float64()),
@@ -1785,9 +1782,10 @@ def q_events_resampled(sf_dir: str):
                           zero_copy_batch=True)
     counts = grouped_agg(days, ["user_id", "event_type", "day"],
                          [(None, "count", "n")], final="ray").materialize()
-    span = counts.aggregate(Min("day"), Max("day"))
-    lo = pd.Timestamp(span["min(day)"]).to_datetime64()
-    hi = pd.Timestamp(span["max(day)"]).to_datetime64()
+    span = grouped_agg(counts, [], [("day", "min", "lo"),
+                                    ("day", "max", "hi")]).to_pylist()[0]
+    lo = pd.Timestamp(span["lo"]).to_datetime64()
+    hi = pd.Timestamp(span["hi"]).to_datetime64()
 
     grid = pd.date_range(lo, hi, freq="D").values.astype("datetime64[us]")
     n_days = len(grid)
@@ -2230,8 +2228,9 @@ def q_price_histogram(sf_dir: str, bins: int = 20):
 
     cents = li.map_batches(prep, batch_format="pyarrow",
                            zero_copy_batch=True).materialize()
-    span = cents.aggregate(Min("c"), Max("c"))
-    lo, hi = int(span["min(c)"]), int(span["max(c)"])
+    span = grouped_agg(cents, [], [("c", "min", "lo"),
+                                   ("c", "max", "hi")]).to_pylist()[0]
+    lo, hi = int(span["lo"]), int(span["hi"])
     width_den = hi - lo + 1
 
     def to_bin(b: pa.Table) -> pa.Table:
@@ -2443,7 +2442,7 @@ def q_partition_pruned_read(sf_dir: str):
         with open(marker, "w") as f:
             f.write(fp)
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         os.path.join(root, "events", "event_type=click"),
         columns=["user_id", "value"])
 

@@ -22,6 +22,7 @@ import ray
 import ray.data
 
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
+from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -329,10 +330,7 @@ def q_embedding_norm_stats(sf_dir: str):
     expression and the squared-norm sums are exact integers.  One
     vectorized numpy pass per batch; the grouped merge is the usual
     combiner over |labels| rows."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["label", "embedding"])
+    ds = t(sf_dir, "embeddings", ["label", "embedding"])
 
     def prep(b: pa.Table) -> pa.Table:
         mat = _batch_matrix(b).astype(np.float64)
@@ -382,10 +380,7 @@ def q_label_centroids(sf_dir: str):
     (one vectorized reshape + per-label row-sum), so the exchange is
     bounded by labels x dim regardless of corpus size; the centroid table
     itself is labels x dim rows."""
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["label", "embedding"])
+    ds = t(sf_dir, "embeddings", ["label", "embedding"])
 
     def partial(b: pa.Table) -> pa.Table:
         mat = _batch_matrix(b).astype(np.float64)
@@ -444,8 +439,7 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     projects every vector against the broadcast W — one numpy matmul per
     batch.  d is the embedding dim (64): driver state is d², never corpus.
     """
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
+    ds = t(sf_dir, "embeddings", ["vec_id", "embedding"])
     ds = ds.materialize()  # two passes: moments + projection
     # dim from the first non-empty cached block: ``take(1)`` would be one
     # more execution
@@ -578,7 +572,7 @@ def q_ann_join(sf_dir: str):
          for i in range(len(b_mat))], np.float64))
     bref = ray.put((b_ids, b_mat, b_norm))
 
-    a_ds = ray.data.read_parquet(
+    a_ds = read_parquet(
         f"{sf_dir}/embeddings.parquet",
         columns=["vec_id", "embedding", "label"],
         filter=pads.field("label") == 0,

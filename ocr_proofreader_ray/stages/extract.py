@@ -74,7 +74,7 @@ def tokenize_count_batch(batch: pa.Table) -> pa.Table:
     """Per-batch partial token counts: (lang, raw_text) -> (lang, token, count).
 
     This is the combiner half of the dictionary build: the subsequent
-    ``groupby(["lang","token"])`` shuffles only these compact partials, never
+    ``ops.agg.grouped_sum_top_k`` merges only these compact partials, never
     document text (SURVEY.md §4 "shuffle" row / FP-Hadoop-style partials).
     """
     per_lang: dict[str, Counter] = {}

@@ -23,6 +23,18 @@ def ray_session():
 
 
 @pytest.fixture
+def ray_default_split(monkeypatch):
+    """Every ``ops.io.read_parquet`` keeps Ray's default read split (2 x
+    CPUs blocks) instead of reading a small input unsplit: a query's result
+    must not depend on how its input is partitioned."""
+    import math
+
+    from ocr_proofreader_ray.ops import io
+
+    monkeypatch.setattr(io, "_estimated_bytes", lambda *a: math.inf)
+
+
+@pytest.fixture
 def count_executions(monkeypatch):
     """Counter of Ray Data executions started in this process: every plan
     run (materialize, iteration, a ``limit=1`` schema probe) goes through

@@ -39,8 +39,7 @@ def test_goldens_match_testdata():
         "rerun `python fixtures/gen_golden_queries.py` to re-pin")
 
 
-@pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
-def test_golden_query(ray_session, name):
+def _assert_matches_golden(name):
     from ocr_proofreader_ray.pipelines.registry import all_queries
 
     got = canonicalize(all_queries()[name](SF_DIR))
@@ -50,6 +49,16 @@ def test_golden_query(ray_session, name):
     assert got.equals(want), (
         f"{name}: values differ from committed golden "
         f"({got.num_rows} vs {want.num_rows} rows)")
+
+
+@pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
+def test_golden_query(ray_session, name):
+    _assert_matches_golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
+def test_golden_query_ray_split(ray_session, ray_default_split, name):
+    _assert_matches_golden(name)
 
 
 def test_every_oracle_less_query_has_a_golden():

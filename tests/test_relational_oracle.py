@@ -42,8 +42,7 @@ ORACLES = all_oracles()
 QUERIES = all_queries()
 
 
-@pytest.mark.parametrize("name", sorted(ORACLES))
-def test_query_matches_oracle(ray_session, con, name):
+def _assert_matches_oracle(con, name):
     got = canon(to_pandas(QUERIES[name](SF_DIR)))
     want = canon(con.sql(ORACLES[name]).df())
     assert list(got.columns) == list(want.columns), (
@@ -62,6 +61,17 @@ def test_query_matches_oracle(ray_session, con, name):
         f"{name}: value-hash mismatch (dtypes {dict(got.dtypes.astype(str))} "
         f"vs {dict(want.dtypes.astype(str))})"
     )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_query_matches_oracle(ray_session, con, name):
+    _assert_matches_oracle(con, name)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_query_matches_oracle_ray_split(ray_session, ray_default_split, con,
+                                        name):
+    _assert_matches_oracle(con, name)
 
 
 def test_every_oracle_has_query():
