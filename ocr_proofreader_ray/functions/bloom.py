@@ -38,7 +38,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def _key_hash64(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """Deterministic uint64 hash of a key column (int fast path; polars
     seeded xxhash for strings — stable within one job, same contract as
-    ops/join.py::_partition_hash)."""
+    ops/exchange.py::partition_ids)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if pa.types.is_integer(col.type):

@@ -9,9 +9,11 @@ Two physical strategies:
   hash join).  No shuffle; the big side streams.  Semi/anti joins broadcast
   the key set and filter with ``pyarrow.compute.is_in``.
 * **Hash-exchange join** — both sides large → ``shuffle_join`` /
-  ``shuffle_semi_anti``: both sides tag a hash partition on the key and
-  meet in ONE ``groupby(partition).map_groups`` exchange, where each
-  partition joins (or ``is_in``-filters) its own rows with Arrow.
+  ``shuffle_semi_anti`` / ``asof_join``: both sides meet in ONE
+  ``ops.exchange.co_exchange`` on the key, and each is only the function
+  one partition runs on its two sides — an Arrow join, an ``is_in``
+  filter or a ``merge_asof``.  The partition hash, the partition count and
+  how the two sides travel together belong to ``ops/exchange.py``.
 
 ``join_table`` picks between them for a right side stored as one Parquet
 file: it broadcasts while the file's bytes fit ``_BROADCAST_MAX_BYTES`` and
@@ -28,6 +30,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ocr_proofreader_ray.ops.exchange import co_exchange
 from ocr_proofreader_ray.ops.io import read_parquet
 
 # per-worker-process memo of fetched broadcast objects
@@ -152,142 +155,34 @@ def shuffle_semi_anti(
     on: str,
     keys_on: str | None = None,
     anti: bool = False,
-    num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Exact semi/anti join for a FACT-SIZED key side (VERDICT r02 #7
     class: ``broadcast_semi_anti`` gathers the key column to the driver
     and broadcasts the exact set — corpus-proportional on both counts).
 
-    Both sides hash-partition on the key in one exchange — the same
-    tag + union + groupby(part) plan as ``shuffle_join`` — and each
-    partition filters its data rows with an Arrow ``is_in`` against its
-    own key rows, so no worker holds more than its hash partition of keys
-    and nothing key-side ever touches the driver.  Key rows dedup per
-    batch before shuffling (is_in only needs membership), bounding the
-    exchange at distinct-keys x blocks.  Null-key semantics match
-    ``broadcast_semi_anti`` exactly (is_in: a null probe never matches;
-    anti inverts), pinned by the plan-switch equivalence test."""
+    Both sides meet in one ``co_exchange`` on the key, and each partition
+    filters its data rows with an Arrow ``is_in`` against its own key
+    rows, so no worker holds more than its hash partition of keys and
+    nothing key-side ever touches the driver.  Key rows dedup per batch
+    before shuffling (is_in only needs membership), bounding the exchange
+    at distinct-keys x blocks.  Null-key semantics match
+    ``broadcast_semi_anti`` exactly (is_in: a null probe matches only a
+    null key; anti inverts), pinned by the plan-switch equivalence test."""
     keys_on = keys_on or on
-    if num_partitions is None:
-        num_partitions = _derive_num_partitions(ds, keys_ds)
-    reserved = ({"__part", "__side", "__key"}
-                & (set(ds.schema().names) | set(keys_ds.schema().names)))
-    if reserved:
-        raise ValueError(
-            f"shuffle_semi_anti: input carries reserved column(s) "
-            f"{reserved} — rename upstream")
-    data_schema = dict(zip(ds.schema().names, ds.schema().types))
-    key_type = dict(zip(keys_ds.schema().names,
-                        keys_ds.schema().types))[keys_on]
-    all_cols = list(data_schema) + ["__key", "__part", "__side"]
 
-    def tag_data(b: pa.Table) -> pa.Table:
-        b = b.append_column("__key", pa.nulls(b.num_rows, key_type))
-        b = b.append_column("__part",
-                            _partition_hash(b.column(on), num_partitions))
-        b = b.append_column("__side",
-                            pa.array([0] * b.num_rows, pa.int8()))
-        return b.select(all_cols)
+    def distinct_keys(b: pa.Table) -> pa.Table:
+        return pa.table({keys_on: pc.unique(b.column(keys_on).combine_chunks())})
 
-    def tag_keys(b: pa.Table) -> pa.Table:
-        col = b.column(keys_on)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        col = pc.unique(col)
-        out = pa.table({"__key": col})
-        for name, typ in data_schema.items():
-            out = out.append_column(name, pa.nulls(len(col), typ))
-        out = out.append_column("__part",
-                                _partition_hash(col, num_partitions))
-        out = out.append_column("__side",
-                                pa.array([1] * len(col), pa.int8()))
-        return out.select(all_cols)
-
-    dt = ds.map_batches(tag_data, batch_format="pyarrow",
-                        zero_copy_batch=True)
-    kt = keys_ds.map_batches(tag_keys, batch_format="pyarrow",
-                             zero_copy_batch=True)
-
-    def filter_partition(group: pa.Table) -> pa.Table:
-        dmask = pc.equal(group.column("__side"), pa.scalar(0, pa.int8()))
-        data = group.filter(dmask).select(list(data_schema))
-        keys = group.filter(pc.invert(dmask)).column("__key")
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        mask = pc.is_in(data.column(on), value_set=pc.unique(keys))
+    def filter_partition(data: pa.Table, keys: pa.Table) -> pa.Table:
+        key_set = pc.unique(keys.column(keys_on).combine_chunks())
+        mask = pc.is_in(data.column(on), value_set=key_set)
         if anti:
             mask = pc.invert(mask)
         return data.filter(mask).combine_chunks()
 
-    return dt.union(kt).groupby("__part").map_groups(
-        filter_partition, batch_format="pyarrow")
-
-
-def _partition_hash(col: pa.ChunkedArray | pa.Array, num_partitions: int) -> pa.Array:
-    """Deterministic vectorized partition id for a key column.
-
-    Integer keys: Knuth multiplicative hash in numpy (process-independent).
-    Other types: polars' seeded xxhash (stable across processes for a fixed
-    polars version — both join sides hash inside the same job, so only
-    within-job consistency is required).
-    """
-    import numpy as np
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        # fill nulls before the numpy cast: NaN -> uint64 is platform-UB and
-        # would make null-key partition placement nondeterministic
-        filled = pc.fill_null(col.cast(pa.int64()), pa.scalar(0, pa.int64()))
-        vals = filled.to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (vals * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        return pa.array((h % num_partitions).astype(np.int64))
-    import polars as pl
-
-    h = pl.Series(col).hash(seed=0).to_numpy()
-    return pa.array((h % np.uint64(num_partitions)).astype(np.int64))
-
-
-# per-partition-group memory budget for shuffle_join: each partition's two
-# sides land in ONE map_groups worker, so with the default 256 MiB of input
-# parquet per partition (~3x in-memory expansion) a partition group stays
-# well under 1 GiB of worker heap
-_JOIN_PARTITION_INPUT_BYTES = 256 << 20
-
-
-def _derive_num_partitions(*datasets: "ray.data.Dataset") -> int:
-    """Partition count from input size (VERDICT r01 #7: no hard-coded 16),
-    floored at the cluster's CPU count.
-
-    Size comes from the datasets' source files (free: Parquet footer paths
-    tracked through the plan, no execution) — it bounds per-partition-group
-    memory; the CPU floor keeps the per-partition join stage from
-    under-parallelizing small-but-not-tiny inputs (measured: an 8-partition
-    join of sf0.1 lineitem⋈orders ran 5.9 s on 32 CPUs vs 3.6 s with ≥16).
-    Falls back to 32 when a side has no file-backed input (e.g. from_arrow
-    of a driver table)."""
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    total = 0
-    for ds in datasets:
-        try:
-            files = ds.input_files()
-        except Exception:
-            return max(32, ncpu)
-        for f in files:
-            p = f.split("://", 1)[-1]
-            try:
-                total += os.path.getsize(p)
-            except OSError:
-                pass
-    if total <= 0:
-        return max(32, ncpu)
-    by_bytes = -(-total // _JOIN_PARTITION_INPUT_BYTES)
-    # no upper cap (VERDICT r02 #6): the 256 MiB/partition budget must hold
-    # at any input size, so partitions grow linearly with bytes — beyond
-    # ~128 GB of input a cap would let partition groups grow unboundedly;
-    # many partitions only cost per-group dispatch, which map_groups
-    # amortizes across the partition's rows
-    return max(8, ncpu, by_bytes)
+    keys_ds = keys_ds.map_batches(distinct_keys, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+    return co_exchange(ds, keys_ds, [on], [keys_on], filter_partition)
 
 
 def shuffle_join(
@@ -296,41 +191,34 @@ def shuffle_join(
     on: tuple[str, ...],
     right_on: tuple[str, ...] | None = None,
     join_type: str = "inner",
-    num_partitions: int | None = None,
     bloom_prefilter: bool = False,
     bloom_n_keys: int | None = None,
     salt: int | None = None,
 ) -> "ray.data.Dataset":
     """Fact-fact hash-partitioned join.
 
-    Both sides are tagged and hash-partitioned on the (first) key column in a
-    single ``groupby(partition).map_groups`` exchange; each partition then
-    joins its two sides with ``pyarrow.Table.join`` (Arrow C++ hash join).
-    This is one all-to-all shuffle of exactly the projected join columns —
-    much cheaper than Ray 2.49's experimental ``Dataset.join`` actor pool
-    (measured ~6x faster warm at sf0.01, far less startup).
-
-    Requirements: non-key column names disjoint across sides; single-column
-    hash distribution (multi-key joins partition on the first key, which is
-    correct as long as it is part of every key tuple).
+    Both sides meet in one ``co_exchange`` on the join keys; each
+    partition then joins its two sides with ``pyarrow.Table.join`` (Arrow
+    C++ hash join).  This is one all-to-all shuffle of exactly the
+    projected join columns — much cheaper than Ray 2.49's experimental
+    ``Dataset.join`` actor pool (measured ~6x faster warm at sf0.01, far
+    less startup).  Non-key column names must be disjoint across sides.
 
     **Skew salting** (``salt=R``, inner joins only): when one left-side key
-    value dominates, its whole partition group lands on one worker.  With
+    value dominates, its whole partition lands on one worker.  With
     salting, every left row gets a ``__salt`` in [0, R) (spreading a hot
     key over R partitions) and every right row is replicated R times, once
-    per salt; ``__salt`` joins as an extra key column, so results are
+    per salt; ``__salt`` is an extra exchange and join key, so results are
     exactly the unsalted join (pinned by tests) while the hot partition
     shrinks Rx.  Cost: right-side shuffle volume xR — salt when the left
     is skewed and the right is the smaller side.
     """
-    on = tuple(on)
-    right_on = tuple(right_on) if right_on else on
+    on = list(on)
+    right_on = list(right_on) if right_on else on
     if salt is not None and salt > 1 and join_type != "inner":
         raise ValueError("salt requires join_type='inner' (replicated right "
                          "rows would duplicate outer non-matches)")
     n_salt = salt if salt is not None and salt > 1 else 0
-    if num_partitions is None:
-        num_partitions = _derive_num_partitions(left, right)
 
     if bloom_prefilter:
         # Bloom-prefiltered exchange (VERDICT r01 missing #5): when the
@@ -362,83 +250,48 @@ def shuffle_join(
         left = left.map_batches(prefilter, batch_format="pyarrow",
                                 zero_copy_batch=True)
 
-    def tag(side: int, key_col: str):
-        def fn(b: pa.Table) -> pa.Table:
-            import numpy as np
+    salt_keys = []
+    if n_salt:
+        import numpy as np
 
-            if n_salt:
-                h = (_partition_hash(b.column(key_col), num_partitions)
-                     .to_numpy(zero_copy_only=False))
+        def salt_rows(side: int):
+            def fn(b: pa.Table) -> pa.Table:
+                if "__salt" in b.column_names:
+                    raise ValueError("shuffle_join: input carries reserved "
+                                     "column '__salt' — rename upstream")
                 if side == 0:
-                    salts = (np.arange(b.num_rows) % n_salt).astype(np.int32)
+                    salts = np.arange(b.num_rows) % n_salt
                 else:
                     # replicate the right batch once per salt value
+                    salts = np.repeat(np.arange(n_salt), b.num_rows)
                     b = pa.concat_tables([b] * n_salt)
-                    salts = np.repeat(np.arange(n_salt, dtype=np.int32),
-                                      len(h))
-                    h = np.tile(h, n_salt)
-                part = (h + salts.astype(np.int64) * 7919) % num_partitions
-                b = b.append_column("__salt", pa.array(salts))
-                b = b.append_column("__part", pa.array(part))
-            else:
-                part = _partition_hash(b.column(key_col), num_partitions)
-                b = b.append_column("__part", part)
-            return b.append_column(
-                "__side", pa.array([side] * b.num_rows, pa.int8())
-            )
-        return fn
+                return b.append_column("__salt",
+                                       pa.array(salts.astype(np.int32)))
+            return fn
 
-    lt = left.map_batches(tag(0, on[0]), batch_format="pyarrow",
-                          zero_copy_batch=True)
-    rt = right.map_batches(tag(1, right_on[0]), batch_format="pyarrow",
-                           zero_copy_batch=True)
+        left = left.map_batches(salt_rows(0), batch_format="pyarrow",
+                                zero_copy_batch=True)
+        right = right.map_batches(salt_rows(1), batch_format="pyarrow",
+                                  zero_copy_batch=True)
+        salt_keys = ["__salt"]
 
-    # align schemas for union: each side gains the other's columns as nulls
-    lschema = dict(zip(left.schema().names, left.schema().types))
-    rschema = dict(zip(right.schema().names, right.schema().types))
-    overlap = (set(lschema) - set(on)) & (set(rschema) - set(right_on))
+    overlap = ((set(left.schema().names) - set(on) - set(salt_keys))
+               & (set(right.schema().names) - set(right_on)))
     if overlap:
         raise ValueError(f"shuffle_join: non-key column collision {overlap}")
-    reserved = {"__part", "__side", "__salt"} & (set(lschema) | set(rschema))
-    if reserved:
-        raise ValueError(
-            f"shuffle_join: input carries reserved column(s) {reserved} "
-            "(used internally for the partition exchange) — rename upstream")
 
-    def pad(missing: dict[str, pa.DataType], order: list[str]):
-        def fn(b: pa.Table) -> pa.Table:
-            for name, typ in missing.items():
-                b = b.append_column(name, pa.nulls(b.num_rows, typ))
-            return b.select(order)
-        return fn
-
-    all_cols = (list(lschema) + [c for c in rschema if c not in lschema]
-                + (["__salt"] if n_salt else []) + ["__part", "__side"])
-    lt = lt.map_batches(
-        pad({k: v for k, v in rschema.items() if k not in lschema}, all_cols),
-        batch_format="pyarrow", zero_copy_batch=True)
-    rt = rt.map_batches(
-        pad({k: v for k, v in lschema.items() if k not in rschema}, all_cols),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-    salt_keys = ["__salt"] if n_salt else []
-
-    def join_partition(group: pa.Table) -> pa.Table:
-        lmask = pc.equal(group.column("__side"), pa.scalar(0, pa.int8()))
-        lpart = group.filter(lmask).select(list(lschema) + salt_keys)
-        rpart = group.filter(pc.invert(lmask)).select(list(rschema) + salt_keys)
+    def join_partition(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
         # __salt joins as an extra key, so a replicated right row matches
         # exactly one left salt — results identical to the unsalted join
-        out = lpart.join(rpart, keys=list(on) + salt_keys,
-                         right_keys=list(right_on) + salt_keys,
+        out = lrows.join(rrows, keys=on + salt_keys,
+                         right_keys=right_on + salt_keys,
                          join_type=join_type, coalesce_keys=True)
         if n_salt:
-            out = out.drop_columns(["__salt"])
+            out = out.drop_columns(salt_keys)
         return out.combine_chunks()
 
-    return lt.union(rt).groupby("__part").map_groups(
-        join_partition, batch_format="pyarrow"
-    )
+    return co_exchange(left, right, on + salt_keys, right_on + salt_keys,
+                       join_partition)
 
 
 def asof_join(
@@ -448,7 +301,6 @@ def asof_join(
     right_on: str,
     left_ts: str,
     right_ts: str,
-    num_partitions: int | None = None,
     right_tiebreak: str | None = None,
 ) -> "ray.data.Dataset":
     """As-of join: for each left row, the single right row with the same key
@@ -456,11 +308,10 @@ def asof_join(
     direction, inner semantics — unmatched left rows drop, like SQL
     ``ASOF JOIN``).
 
-    Composition, not a new primitive: both sides hash-partition on the key
-    in ONE exchange (the same tag + union + groupby(part) plan as
-    ``shuffle_join``), and each partition resolves its matches with
-    pandas ``merge_asof`` (vectorized C, both sides sorted by timestamp).
-    Partitioning assumption: all rows of one key land in one partition.
+    Composition, not a new primitive: both sides meet in one
+    ``co_exchange`` on the key, and each partition resolves its matches
+    with pandas ``merge_asof`` (vectorized C, both sides sorted by
+    timestamp).
     Determinism with duplicate right (key, ts) rows: pass
     ``right_tiebreak=<col>`` — the MAX tiebreak value wins (the right side
     sorts by (ts, tiebreak) and ``merge_asof`` selects the last row among
@@ -468,48 +319,15 @@ def asof_join(
     aggregate pass.  Without a tiebreak the right side must be unique per
     (key, ts); pre-reduce upstream.
     """
-    import numpy as np
-
-    if num_partitions is None:
-        num_partitions = _derive_num_partitions(left, right)
-
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
-    overlap = set(lcols) & set(rcols)
+    lschema, rschema = left.schema(), right.schema()
+    overlap = set(lschema.names) & set(rschema.names)
     if overlap:
         raise ValueError(f"asof_join: column collision {overlap}")
-
-    def tag(side: int, key_col: str):
-        def fn(b: pa.Table) -> pa.Table:
-            part = _partition_hash(b.column(key_col), num_partitions)
-            b = b.append_column("__part", part)
-            return b.append_column(
-                "__side", pa.array([side] * b.num_rows, pa.int8()))
-        return fn
-
-    def pad(missing: list[tuple[str, pa.DataType]], order: list[str]):
-        def fn(b: pa.Table) -> pa.Table:
-            for name, typ in missing:
-                b = b.append_column(name, pa.nulls(b.num_rows, typ))
-            return b.select(order)
-        return fn
-
-    lschema = dict(zip(left.schema().names, left.schema().types))
-    rschema = dict(zip(right.schema().names, right.schema().types))
-    all_cols = lcols + rcols + ["__part", "__side"]
-    lt = left.map_batches(tag(0, on), batch_format="pyarrow",
-                          zero_copy_batch=True)
-    rt = right.map_batches(tag(1, right_on), batch_format="pyarrow",
-                           zero_copy_batch=True)
-    lt = lt.map_batches(pad(list(rschema.items()), all_cols),
-                        batch_format="pyarrow", zero_copy_batch=True)
-    rt = rt.map_batches(pad(list(lschema.items()), all_cols),
-                        batch_format="pyarrow", zero_copy_batch=True)
-
-    out_schema = pa.schema(list(lschema.items()) + list(rschema.items()))
+    out_schema = pa.schema(list(zip(lschema.names, lschema.types))
+                           + list(zip(rschema.names, rschema.types)))
 
     # integer columns must cross into pandas as NULLABLE extension dtypes:
-    # the plain path upcasts the null-padded union to float64, which
+    # the plain path upcasts an int column holding a null to float64, which
     # silently corrupts ids above 2^53 (snowflake/hash ids at corpus
     # scale) before merge_asof even compares keys
     _INT_NULLABLE = {
@@ -536,19 +354,16 @@ def asof_join(
             m = pc.and_(m, pc.invert(pc.is_nan(col)))
         return m
 
-    def asof_partition(g: pa.Table) -> pa.Table:
+    def asof_partition(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
         import pandas as pd
 
-        side = g.column("__side")
         l = _to_pd(
-            g.filter(pc.and_(pc.equal(side, 0),
-                             _ts_usable(g.column(left_ts)))).select(lcols)
+            lrows.filter(_ts_usable(lrows.column(left_ts)))
         ).sort_values(left_ts, kind="stable")
         r_sort = ([right_ts, right_tiebreak] if right_tiebreak
                   else [right_ts])
         r = _to_pd(
-            g.filter(pc.and_(pc.equal(side, 1),
-                             _ts_usable(g.column(right_ts)))).select(rcols)
+            rrows.filter(_ts_usable(rrows.column(right_ts)))
         ).sort_values(r_sort, kind="stable")
         if not len(l) or not len(r):
             return out_schema.empty_table()
@@ -568,8 +383,7 @@ def asof_join(
              for name, typ in zip(out_schema.names, out_schema.types)},
             schema=out_schema)
 
-    return lt.union(rt).groupby("__part").map_groups(
-        asof_partition, batch_format="pyarrow")
+    return co_exchange(left, right, [on], [right_on], asof_partition)
 
 
 _USEC_PER_DAY = 86_400_000_000

@@ -40,7 +40,8 @@ import ray
 
 from ocr_proofreader_ray.functions.bloom import _key_hash64
 from ocr_proofreader_ray.ops.agg import grouped_agg
-from ocr_proofreader_ray.ops.join import _derive_num_partitions, _fetch
+from ocr_proofreader_ray.ops.exchange import num_partitions as _num_partitions
+from ocr_proofreader_ray.ops.join import _fetch
 
 _SAMPLE_MAX = 100_000
 
@@ -102,7 +103,7 @@ def global_sort_position(
     ds = ds.materialize()
     total = ds.count()
     if num_partitions is None:
-        num_partitions = _derive_num_partitions(ds)
+        num_partitions = _num_partitions(ds)
 
     bounds = _sample_boundaries(ds, key_col, total, num_partitions, sample_max)
     bref = ray.put(bounds)

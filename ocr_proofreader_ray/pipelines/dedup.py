@@ -42,6 +42,7 @@ from ocr_proofreader_ray.functions.sketches import (
     stable_hash64,
 )
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, shuffle_join
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
@@ -114,7 +115,6 @@ def q_dedup_exact(sf_dir: str):
 
 _MINHASHER = MinHasher(num_perm=128)
 _BANDS = 32  # 32 bands x 4 rows → catches Jaccard ≳ 0.5 with high recall
-_N_PARTS = 128  # coarse bucket-preserving partition count for pair generation
 
 _PAIRS_SCHEMA = pa.schema([
     ("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -124,16 +124,14 @@ _PAIRS_SCHEMA = pa.schema([
 
 def _band_rows(docs: "ray.data.Dataset", shingle_n: int,
                group_cols: tuple[str, ...] = ()) -> "ray.data.Dataset":
-    """One (doc_id, band_id, band_key, part[, group_cols...]) row per band
-    per non-empty doc.
+    """One (doc_id, band_id, band_key[, group_cols...]) row per band per
+    non-empty doc.
 
     Band keys are a vectorized FNV-1a fold of the band's signature rows
-    (no per-band string hashing); ``part`` is a coarse bucket-preserving
-    partition (same band_key -> same part) so the pair-generation stage
-    runs over ~_N_PARTS groups instead of one Python call per bucket.
-    Docs with an empty shingle set emit no rows: they can never satisfy a
-    positive Jaccard threshold (uni = 0) and, left in, they would all share
-    the sentinel signature and quadratically flood one bucket.
+    (no per-band string hashing).  Docs with an empty shingle set emit no
+    rows: they can never satisfy a positive Jaccard threshold (uni = 0)
+    and, left in, they would all share the sentinel signature and
+    quadratically flood one bucket.
     """
     rows_per_band = _MINHASHER.num_perm // _BANDS
 
@@ -153,7 +151,6 @@ def _band_rows(docs: "ray.data.Dataset", shingle_n: int,
                 "doc_id": pa.array([], pa.int64()),
                 "band_id": pa.array([], pa.int32()),
                 "band_key": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int32()),
             }
             for g in group_cols:
                 cols[g] = b.column(g).take(pa.array([], pa.int32()))
@@ -170,7 +167,6 @@ def _band_rows(docs: "ray.data.Dataset", shingle_n: int,
             "doc_id": pa.array(np.repeat(kept_ids, _BANDS)),
             "band_id": pa.array(np.tile(np.arange(_BANDS, dtype=np.int32), n)),
             "band_key": pa.array((flat_key - (1 << 63)).view(np.int64)),
-            "part": pa.array((flat_key % np.uint64(_N_PARTS)).astype(np.int32)),
         }
         row_idx = pa.array(np.repeat(np.asarray(keep, np.int64), _BANDS))
         for g in group_cols:
@@ -216,8 +212,8 @@ _PAIRS_DRIVER_MAX = 5_000_000
 
 # at or below this many BAND ROWS the candidate-pair pass gathers the
 # (bucket-key, doc_id) columns and runs one vectorized driver pass
-# (~28 B/row -> ~110 MB at the gate) instead of the groupby("part")
-# exchange; above it the exchange is the only shape that scales
+# (~28 B/row -> ~110 MB at the gate) instead of the hash exchange on the
+# bucket key; above it the exchange is the only shape that scales
 _BANDS_DRIVER_MAX = 4_000_000
 
 
@@ -239,6 +235,7 @@ def _candidate_pairs(bands: "ray.data.Dataset",
     bucket_cols = list(group_cols) + ["band_id", "band_key"]
 
     def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        # every bucket of g is complete: the exchange routes by bucket key
         dup = g[g.duplicated(bucket_cols, keep=False)]
         out_a, out_b = [], []
         for _, ids in dup.groupby(bucket_cols, sort=False)["doc_id"]:
@@ -263,11 +260,11 @@ def _candidate_pairs(bands: "ray.data.Dataset",
     if bands.count() <= _BANDS_DRIVER_MAX:
         # small-side fast path (same size-switch convention as
         # _PAIRS_DRIVER_MAX below): one vectorized pass over the gathered
-        # band rows replaces the groupby("part") exchange, whose fixed
+        # band rows replaces the bucket-key exchange, whose fixed
         # sort-shuffle cost dominated the incremental-dedup bench slice
         # (VERDICT r04 next-steps #3).  Identical output set: part_pairs
-        # groups on the full bucket key, so partitioning was only ever a
-        # scale device; pinned equivalent by tests/test_dedup.py.
+        # groups on the full bucket key, so partitioning is only a scale
+        # device; pinned equivalent by tests/test_dedup.py.
         blocks = [blk.select(bucket_cols + ["doc_id"])
                   for blk in _arrow_blocks(bands)]
         if not blocks:
@@ -287,8 +284,8 @@ def _candidate_pairs(bands: "ray.data.Dataset",
             return ray.data.from_arrow(pa.Table.from_pandas(
                 out.drop_duplicates(), preserve_index=False)).materialize()
 
-    pairs = bands.groupby("part").map_groups(
-        part_pairs, batch_format="pandas").materialize()
+    pairs = exchange(bands, bucket_cols, lambda rows: pa.Table.from_pandas(
+        part_pairs(rows.to_pandas()), preserve_index=False)).materialize()
     if pairs.count() <= _PAIRS_DRIVER_MAX:
         tbl = grouped_agg(pairs, ["doc_a", "doc_b"], [(None, "count", "n")])
         return ray.data.from_arrow(
@@ -718,26 +715,20 @@ def simhash_hamming_pairs(docs: "ray.data.Dataset | None" = None,
                 k = (k << np.uint64(widths[blk])) | blocks[:, blk]
             keys[:, tix] = k.astype(np.int64)  # <= ~35 bits, int64-safe
         flat_keys = keys.reshape(-1)
-        band_ids = np.tile(np.arange(n_tables, dtype=np.int64), n)
-        # coarse bucket-preserving partition, same trick as MinHash banding:
-        # one map_groups call per part, pandas groupby inside for buckets
-        with np.errstate(over="ignore"):
-            mixed = ((flat_keys.view(np.uint64)
-                      ^ (band_ids.view(np.uint64) << np.uint64(56)))
-                     * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        part = (mixed % np.uint64(_N_PARTS)).astype(np.int32)
+        band_ids = np.tile(np.arange(n_tables, dtype=np.int32), n)
         return pa.table({
             "doc_id": pa.array(np.repeat(
                 b.column("doc_id").to_numpy(zero_copy_only=False), n_tables)),
-            "band_id": pa.array(band_ids.astype(np.int32)),
+            "band_id": pa.array(band_ids),
             "band_bits": pa.array(flat_keys),
-            "part": pa.array(part),
             "simhash": pa.array(np.repeat(sims, n_tables)),
         })
 
     bands = fps.map_batches(to_bands, batch_format="pyarrow", zero_copy_batch=True)
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def part_pairs(rows: pa.Table) -> pa.Table:
+        # one call per partition, pandas groupby inside for its buckets
+        g = rows.to_pandas()
         dup = g[g.duplicated(["band_id", "band_bits"], keep=False)]
         out = {"doc_a": [], "doc_b": [], "hamming": []}
         for _, grp in dup.groupby(["band_id", "band_bits"], sort=False):
@@ -785,9 +776,10 @@ def simhash_hamming_pairs(docs: "ray.data.Dataset | None" = None,
                 out["doc_a"].extend(lo.tolist())
                 out["doc_b"].extend(hi.tolist())
                 out["hamming"].extend([int(h[i, j])] * len(lo))
-        return pd.DataFrame(out, dtype="int64")
+        return pa.Table.from_pandas(pd.DataFrame(out, dtype="int64"),
+                                    preserve_index=False)
 
-    pairs = bands.groupby("part").map_groups(part_pairs, batch_format="pandas")
+    pairs = exchange(bands, ["band_id", "band_bits"], part_pairs)
     # a pair can match in several bands → dedup, keeping min observed hamming
     # (identical in every band, but Min keeps the schema honest)
     deduped = grouped_agg(pairs, ["doc_a", "doc_b"], [("hamming", "min", "hamming")])
@@ -1249,12 +1241,8 @@ def q_segment_dedup(sf_dir: str):
     """
     import pyarrow.parquet as _pq
 
-    from ocr_proofreader_ray.ops.join import _derive_num_partitions
-    from ocr_proofreader_ray.pipelines.relational import imod
-
     n_docs = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     ds = t(sf_dir, "documents", ["doc_id", "text"])
-    n_parts = _derive_num_partitions(ds)
 
     def explode(b: pa.Table) -> pa.Table:
         ids = b.column("doc_id").to_pylist()
@@ -1276,16 +1264,15 @@ def q_segment_dedup(sf_dir: str):
             "h2": pa.array(h2s, pa.int64()),
             "doc_id": pa.array(dids, pa.int64()),
         }).group_by(["h1", "h2", "doc_id"]).aggregate([([], "count_all")])
-        part = imod(pc.bit_wise_and(out.column("h1"), (1 << 62) - 1), n_parts)
         return pa.table({
             "h1": out.column("h1"),
             "h2": out.column("h2"),
             "doc_id": out.column("doc_id"),
             "cnt": pc.cast(out.column("count_all"), pa.int64()),
-            "part": pc.cast(part, pa.int32()),
         })
 
-    def keep_in_part(g: pd.DataFrame) -> pd.DataFrame:
+    def keep_in_part(rows: pa.Table) -> pa.Table:
+        g = rows.to_pandas()
         keep_doc = g.groupby(["h1", "h2"])["doc_id"].transform("min")
         kept = g["cnt"].where(g["doc_id"].eq(keep_doc), 0)
         out = pd.DataFrame({
@@ -1293,12 +1280,12 @@ def q_segment_dedup(sf_dir: str):
             "n_segments": g["cnt"],
             "n_kept": kept,
         })
-        return out.groupby("doc_id", as_index=False).sum()
+        return pa.Table.from_pandas(
+            out.groupby("doc_id", as_index=False).sum(), preserve_index=False)
 
     exploded = ds.map_batches(explode, batch_format="pyarrow",
                               zero_copy_batch=True)
-    partials = exploded.groupby("part").map_groups(
-        keep_in_part, batch_format="pandas")
+    partials = exchange(exploded, ["h1"], keep_in_part)
     return grouped_agg(partials, ["doc_id"], [
         ("n_segments", "sum", "n_segments"),
         ("n_kept", "sum", "n_kept"),

@@ -94,6 +94,9 @@ def _index_dir(work_dir: str) -> str:
     return d
 
 
+_INDEX_COLUMNS = ["doc_id", "band_id", "band_key"]
+
+
 def _write_index_batch(work_dir: str, bands: "ray.data.Dataset",
                        batch_tag: str) -> None:
     """Write one batch of band rows as new parquet files (append-only: a
@@ -106,7 +109,7 @@ def _write_index_batch(work_dir: str, bands: "ray.data.Dataset",
     # consolidate files: the default one-file-per-block write fragments a
     # batch into ~30 KB files whose open/footer overhead dominates the
     # increment's index re-read (the r04 bench's slowest-slice stage)
-    bands.select_columns(["doc_id", "band_id", "band_key", "part"]) \
+    bands.select_columns(_INDEX_COLUMNS) \
         .write_parquet(out, min_rows_per_file=500_000)
 
 
@@ -192,7 +195,10 @@ def dedup_increment(
             promote_options="default",
         ).column("band_key").combine_chunks().unique()
     _t_pairs0 = time.perf_counter()
-    index = read_parquet(_index_dir(work_dir))
+    # an index batch written before the band rows lost their partition
+    # column carries a fourth ``part`` column: select the three index
+    # columns so old and new batches union with the new band rows
+    index = read_parquet(_index_dir(work_dir), columns=_INDEX_COLUMNS)
     if len(new_keys) > _KEYS_BLOOM_THRESHOLD:
         # huge increment: ship a fixed-size Bloom instead of the exact key
         # set; false positives only admit old rows whose old-old pairs are

@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
+from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import asof_join, join_table, shuffle_join
 from ocr_proofreader_ray.pipelines.registry import register
@@ -759,25 +760,15 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30):
     """Gap-based sessionization (the batch analogue of a session window):
     a user's events split into sessions at >30-minute gaps.
 
-    Users are co-grouped by a coarse hash partition (one map_groups call
-    per partition, not per user — see the MinHash lesson) and sessionized
-    with vectorized pandas inside the partition.  Partitioning assumption:
-    all events of one user land in one partition (hash of user_id).  The
-    partition count derives from input bytes (VERDICT r02 #5: a literal 64
-    would hold 1/64 of the events table per group at any scale)."""
-    from ocr_proofreader_ray.ops.join import _derive_num_partitions
-
+    Users are co-grouped by one hash exchange on user_id (one call per
+    partition, not per user — see the MinHash lesson) and sessionized
+    with vectorized pandas inside the partition: all events of one user
+    land in one partition."""
     ds = t(sf_dir, "events", ["user_id", "ts"])
-    n_parts = _derive_num_partitions(ds)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        part = pc.cast(imod(b.column("user_id"), n_parts), pa.int32())
-        return b.append_column("part", part)
-
     gap = np.timedelta64(gap_minutes * 60, "s")
 
-    def sessionize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"])
+    def sessionize(rows: pa.Table) -> pa.Table:
+        g = rows.to_pandas().sort_values(["user_id", "ts"])
         same_user = g["user_id"].eq(g["user_id"].shift())
         small_gap = g["ts"].diff() <= gap
         new_session = ~(same_user & small_gap)
@@ -788,10 +779,9 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30):
                     n_events=("new_session", "size"))
                .reset_index())
         out["n_events"] = out["n_events"].astype("int64")
-        return out
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    ds = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.groupby("part").map_groups(sessionize, batch_format="pandas")
+    return exchange(ds, ["user_id"], sessionize)
 
 
 # ---------------------------------------------------------------------------
@@ -1145,15 +1135,12 @@ def q_lead_lag_orders(sf_dir: str):
     same customer's previous order.
 
     Same co-group plan as ``q_user_sessions``: ONE hash exchange on
-    hash(custkey) into byte-derived partitions, then a vectorized
-    sort + shift inside each partition — all rows of one customer land in
-    one partition, so the lag boundary mask is local.  The first order per
-    customer gets a null delta, matching SQL ``lag``."""
-    from ocr_proofreader_ray.ops.join import _derive_num_partitions
-
+    custkey, then a vectorized sort + shift inside each partition — all
+    rows of one customer land in one partition, so the lag boundary mask
+    is local.  The first order per customer gets a null delta, matching
+    SQL ``lag``."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    n_parts = _derive_num_partitions(ds)
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1161,7 +1148,6 @@ def q_lead_lag_orders(sf_dir: str):
             "o_custkey": b.column("o_custkey"),
             "o_orderdate": b.column("o_orderdate"),
             "cents": to_units(b.column("o_totalprice"), 100),
-            "part": pc.cast(imod(b.column("o_custkey"), n_parts), pa.int32()),
         })
 
     def lag_in_part(g: pa.Table) -> pa.Table:
@@ -1186,7 +1172,7 @@ def q_lead_lag_orders(sf_dir: str):
         })
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.groupby("part").map_groups(lag_in_part, batch_format="pyarrow")
+    return exchange(ds, ["o_custkey"], lag_in_part)
 
 
 @register(
@@ -1343,15 +1329,11 @@ def q_running_revenue(sf_dir: str):
     revenue total in (date, key) order — SQL ``sum() OVER (... ROWS
     UNBOUNDED PRECEDING)``.
 
-    Same single-exchange co-group plan as ``q_lead_lag_orders``: hash on
-    custkey into byte-derived partitions, then a vectorized sort +
-    groupby-cumsum inside each partition.  Integer cents keep every
-    running total hash-exact."""
-    from ocr_proofreader_ray.ops.join import _derive_num_partitions
-
+    Same single-exchange co-group plan as ``q_lead_lag_orders``: one hash
+    exchange on custkey, then a vectorized sort + groupby-cumsum inside
+    each partition.  Integer cents keep every running total hash-exact."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-    n_parts = _derive_num_partitions(ds)
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -1359,20 +1341,20 @@ def q_running_revenue(sf_dir: str):
             "o_custkey": b.column("o_custkey"),
             "o_orderdate": b.column("o_orderdate"),
             "cents": to_units(b.column("o_totalprice"), 100),
-            "part": pc.cast(imod(b.column("o_custkey"), n_parts), pa.int32()),
         })
 
-    def cumsum_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
-        return pd.DataFrame({
+    def cumsum_in_part(rows: pa.Table) -> pa.Table:
+        g = rows.to_pandas().sort_values(
+            ["o_custkey", "o_orderdate", "o_orderkey"])
+        return pa.Table.from_pandas(pd.DataFrame({
             "o_orderkey": g["o_orderkey"],
             "o_custkey": g["o_custkey"],
             "cents": g["cents"],
             "running_cents": g.groupby("o_custkey")["cents"].cumsum(),
-        })
+        }), preserve_index=False)
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.groupby("part").map_groups(cumsum_in_part, batch_format="pandas")
+    return exchange(ds, ["o_custkey"], cumsum_in_part)
 
 
 _MELT_MEASURES = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
@@ -1763,10 +1745,11 @@ def q_events_resampled(sf_dir: str):
 
     Scale plan: ONE combiner ``grouped_agg`` reduces events to observed
     (series, day) counts — state bounded by series x days, never raw
-    events — kept distributed (``final=\"ray\"``); the global [min, max]
-    day pair broadcasts as two scalars; then ``groupby(series)
-    .map_groups`` emits each series' grid independently (a group is at
-    most `days` rows), so the corpus-sized series dimension stays
+    events — kept distributed (``final="ray"``: a hash exchange of the
+    partials); the global [min, max] day pair broadcasts as two scalars;
+    then one hash exchange on user_id (a series is (user, type), so all of
+    a user's series co-locate) fills every series of a partition in one
+    vectorized call, so the corpus-sized series dimension stays
     block-parallel end to end and nothing grid-sized touches the driver."""
     ev = t(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -1791,18 +1774,10 @@ def q_events_resampled(sf_dir: str):
     n_days = len(grid)
     day0 = grid[0]
 
-    # coarse series-preserving partition (the part_pairs pattern): one
-    # Python call fills MANY series vectorized instead of one call per
+    # one Python call fills MANY series vectorized instead of one call per
     # series — per-series Python overhead was the wall-time at sf0.1
-    def part(b: pa.Table) -> pa.Table:
-        # keying on user_id alone is series-preserving (a series is
-        # (user, type); all of a user's rows co-locate)
-        h = np.asarray(b.column("user_id"), np.int64)
-        with np.errstate(over="ignore"):
-            p = (h * np.int64(2654435761)) & np.int64(127)
-        return b.append_column("__part", pa.array(np.abs(p), pa.int64()))
-
-    def fill_many(g: pd.DataFrame) -> pd.DataFrame:
+    def fill_many(rows: pa.Table) -> pa.Table:
+        g = rows.to_pandas()
         codes, uniques = pd.factorize(
             list(zip(g["user_id"], g["event_type"])), sort=True)
         k = len(uniques)
@@ -1810,18 +1785,14 @@ def q_events_resampled(sf_dir: str):
         day_idx = ((g["day"].to_numpy().astype("datetime64[us]") - day0)
                    // np.timedelta64(1, "D")).astype(np.int64)
         arr[codes * n_days + day_idx] = g["n"].to_numpy()
-        return pd.DataFrame({
+        return pa.Table.from_pandas(pd.DataFrame({
             "user_id": np.repeat([u for u, _ in uniques], n_days),
             "event_type": np.repeat([e for _, e in uniques], n_days),
             "day": np.tile(grid, k),
             "n": arr,
-        })
+        }), preserve_index=False)
 
-    parted = counts.map_batches(part, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    return parted.groupby("__part").map_groups(
-        lambda g: fill_many(g.drop(columns="__part")),
-        batch_format="pandas")
+    return exchange(counts, ["user_id"], fill_many)
 
 
 @register(
@@ -2355,16 +2326,13 @@ def q_fuzzy_name_pairs(sf_dir: str):
     single-deletion variants as blocking keys; any two strings within
     edit distance 1 share at least one key, so candidate pairs live
     inside tiny key buckets (names identical except one position).  One
-    coarse-partitioned groupby generates and VERIFIES pairs in place —
+    hash exchange on the key generates and VERIFIES pairs in place —
     names ride with the band rows, so no join, no broadcast; exactness
     comes from the in-bucket Levenshtein==1 check.  Pairs found via
     several keys dedup through the usual combiner."""
     cust = t(sf_dir, "customer", ["c_custkey", "c_name"])
-    n_parts = 64
 
     def block(b: pa.Table) -> pa.Table:
-        import polars as pl
-
         ids_in = b.column("c_custkey").to_pylist()
         names_in = b.column("c_name").to_pylist()
         ids, names, keys = [], [], []
@@ -2375,18 +2343,17 @@ def q_fuzzy_name_pairs(sf_dir: str):
             ids.extend([cid] * len(variants))
             names.extend([name] * len(variants))
             keys.extend(variants)
-        h = pl.Series(keys).hash(seed=7).to_numpy()
         return pa.table({
             "c_custkey": pa.array(ids, pa.int64()),
             "c_name": pa.array(names, pa.string()),
             "key": pa.array(keys, pa.string()),
-            "part": pa.array((h % n_parts).astype(np.int32)),
         })
 
     blocked = cust.map_batches(block, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def part_pairs(rows: pa.Table) -> pa.Table:
+        g = rows.to_pandas()
         out_a, out_b = [], []
         dup = g[g.duplicated("key", keep=False)]
         for _, grp in dup.groupby("key", sort=False):
@@ -2399,11 +2366,12 @@ def q_fuzzy_name_pairs(sf_dir: str):
                         lo, hi = sorted((int(ids[i]), int(ids[j])))
                         out_a.append(lo)
                         out_b.append(hi)
-        return pd.DataFrame({"custkey_a": out_a, "custkey_b": out_b},
-                            dtype="int64").drop_duplicates()
+        return pa.Table.from_pandas(
+            pd.DataFrame({"custkey_a": out_a, "custkey_b": out_b},
+                         dtype="int64").drop_duplicates(),
+            preserve_index=False)
 
-    pairs = blocked.groupby("part").map_groups(part_pairs,
-                                               batch_format="pandas")
+    pairs = exchange(blocked, ["key"], part_pairs)
     deduped = grouped_agg(pairs, ["custkey_a", "custkey_b"],
                           [(None, "count", "c")])
     return deduped.select(["custkey_a", "custkey_b"])
@@ -2652,8 +2620,8 @@ def q_retention_cohorts(sf_dir: str):
     counted on every day they were active — the standard growth-analytics
     artifact, composed from three primitives:
 
-    1. cohort assignment: per-user min activity day (combiner + Ray-final
-       groupby — user cardinality is corpus-sized, so the merge stays
+    1. cohort assignment: per-user min activity day (combiner + exchange
+       final — user cardinality is corpus-sized, so the merge stays
        distributed);
     2. distinct (user, day) activity via the same machinery;
     3. both corpus-sized sides meet in ONE hash-partition exchange
@@ -2680,15 +2648,8 @@ def q_retention_cohorts(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True)
     joined = shuffle_join(activity, first_day,
                           on=("uid",), right_on=("user_id",))
-    out = grouped_agg(joined, ["cohort", "day"], [(None, "count", "n_active")])
-    # the exchange collapses day-truncated timestamps to timestamp[s];
-    # DuckDB date_trunc stays timestamp[us] — equal values, different raw
-    # representation, so re-widen for the driver's value hash
-    return pa.table({
-        "cohort": pc.cast(out.column("cohort"), pa.timestamp("us")),
-        "day": pc.cast(out.column("day"), pa.timestamp("us")),
-        "n_active": out.column("n_active"),
-    })
+    return grouped_agg(joined, ["cohort", "day"],
+                       [(None, "count", "n_active")])
 
 
 @register(

@@ -17,6 +17,7 @@ import ray.data
 
 from ocr_proofreader_ray.functions.sketches import stable_hash64
 from ocr_proofreader_ray.ops.agg import grouped_agg, grouped_sum_top_k
+from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -1071,9 +1072,7 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
     (``grouped_top_k``); above it they take ONE hash exchange on source
     and each partition finishes its own sources exactly.  Both paths are
     exact and pinned equivalent by pytest."""
-    import numpy as np
     import pyarrow.parquet as _pq
-    import ray
 
     from ocr_proofreader_ray.ops.agg import grouped_top_k
 
@@ -1091,25 +1090,14 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
         out = grouped_top_k(ds, ["source"], [("doc_id", "ascending")], cap)
         return out.select(["doc_id", "source", "lang"])
 
-    n_parts = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
     def local_head(b: pa.Table) -> pa.Table:
-        import polars as pl
-
         idx = pc.sort_indices(b, sort_keys=[("doc_id", "ascending")])
         df = b.take(idx).to_pandas()
-        out = pa.Table.from_pandas(
+        return pa.Table.from_pandas(
             df.groupby("source", sort=False, dropna=False).head(cap),
             preserve_index=False, schema=b.schema)
-        # hash-partition on source (polars hash: stable across processes,
-        # handles any string); null sources fill ONLY the partition key
-        src = pc.fill_null(out.column("source"), "\x00<null>").combine_chunks()
-        h = pl.Series(src).hash(seed=0).to_numpy()
-        return out.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int64)))
 
     def part_head(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["part"])
         idx = pc.sort_indices(g, sort_keys=[("source", "ascending"),
                                             ("doc_id", "ascending")])
         df = g.take(idx).to_pandas()
@@ -1117,9 +1105,9 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
             df.groupby("source", sort=False, dropna=False).head(cap),
             preserve_index=False, schema=g.schema)
 
-    return (ds.map_batches(local_head, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("part").map_groups(part_head, batch_format="pyarrow"))
+    return exchange(ds.map_batches(local_head, batch_format="pyarrow",
+                                   zero_copy_batch=True),
+                    ["source"], part_head)
 
 
 # ---------------------------------------------------------------------------

@@ -501,10 +501,11 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
 def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
         ray_session, monkeypatch):
     """A dup-dense input has few band rows but many pairs: once the pair
-    bound of its buckets exceeds _PAIRS_DRIVER_MAX, the groupby("part")
+    bound of its buckets exceeds _PAIRS_DRIVER_MAX, the bucket-key
     exchange runs instead of the driver expansion, with the same pairs."""
     import ray.data
 
+    import ocr_proofreader_ray.ops.exchange as ex
     import ocr_proofreader_ray.pipelines.dedup as dd
 
     base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
@@ -515,17 +516,16 @@ def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
     want = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
 
     keys = []
-    groupby = ray.data.Dataset.groupby
 
-    def spy(self, key, *args, **kwargs):
-        keys.append(key)
-        return groupby(self, key, *args, **kwargs)
+    def spy(ds, key_cols, fn):
+        keys.append(list(key_cols))
+        return ex.exchange(ds, key_cols, fn)
 
-    monkeypatch.setattr(ray.data.Dataset, "groupby", spy)
+    monkeypatch.setattr(dd, "exchange", spy)
     monkeypatch.setattr(dd, "_PAIRS_DRIVER_MAX", 100)
     got = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
 
-    assert "part" in keys
+    assert ["band_id", "band_key"] in keys
     canon = lambda df: sorted(map(tuple, df[["doc_a", "doc_b"]].to_numpy()))
     assert canon(got) == canon(want)
     assert len(canon(want)) == 30 * 29 // 2

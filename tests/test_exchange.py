@@ -1,0 +1,240 @@
+"""The one hash exchange (``ops/exchange.py``): every key's rows meet in
+one call, on awkward keys too; the distributed ``grouped_agg`` final built
+on it equals the driver final; and no other module partitions rows."""
+
+import ast
+import datetime
+import json
+import os
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = os.path.join(REPO, "ocr_proofreader_ray")
+
+# key columns + payload; several rows per key, nulls and non-ASCII keys
+_KEY_CASES = {
+    "int_with_nulls": (["k"], pa.table({
+        "k": pa.array([1, None, 3, 1, None, 7, 3, 2**40, -5, -5], pa.int64()),
+        "v": pa.array(range(10), pa.int64()),
+    })),
+    "string_multibyte_and_null": (["k"], pa.table({
+        "k": pa.array(["é", None, "日本", "é", "ß", None, "😀", "e", "日本",
+                       "ß"]),
+        "v": pa.array(range(10), pa.int64()),
+    })),
+    "two_columns": (["a", "b"], pa.table({
+        "a": pa.array(["x", "x", None, "y", None, "x", "y", "y", None, "x"]),
+        "b": pa.array([1, 2, 1, None, 1, 1, None, 2, None, 2], pa.int32()),
+        "v": pa.array(range(10), pa.int64()),
+    })),
+}
+
+
+def _blocks(tab: pa.Table, n: int = 3):
+    import ray.data
+
+    step = -(-tab.num_rows // n)
+    return ray.data.from_arrow(
+        [tab.slice(i, step) for i in range(0, tab.num_rows, step)])
+
+
+def _key_tuples(tab: pa.Table, keys: list[str]) -> list[tuple]:
+    return list(zip(*(tab.column(k).to_pylist() for k in keys)))
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_exchange_routes_each_key_to_one_call(ray_session, case):
+    import uuid
+
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.exchange import exchange
+
+    keys, tab = _KEY_CASES[case]
+
+    def fn(rows: pa.Table) -> pa.Table:
+        n = rows.num_rows
+        return rows.append_column(
+            "call", pa.array([uuid.uuid4().hex] * n)).append_column(
+            "seen", pa.array([",".join(rows.column_names)] * n))
+
+    out = pa.concat_tables(_arrow_blocks(exchange(_blocks(tab), keys, fn)))
+    # fn saw ds's own columns, never the partition column
+    assert set(out.column("seen").to_pylist()) == {",".join(tab.column_names)}
+    calls: dict = {}
+    for key, call in zip(_key_tuples(out, keys), out.column("call").to_pylist()):
+        calls.setdefault(key, set()).add(call)
+    assert all(len(c) == 1 for c in calls.values()), calls
+    assert len(set.union(*calls.values())) > 1  # rows spread over partitions
+    # together the calls saw exactly the input rows
+    got = out.select(tab.column_names).sort_by("v")
+    assert got.to_pylist() == tab.sort_by("v").to_pylist()
+
+
+def test_exchange_rejects_reserved_partition_column(ray_session):
+    import ray.data
+
+    from ocr_proofreader_ray.ops.exchange import exchange
+
+    ds = ray.data.from_arrow(pa.table({"k": [1], "__part": [0]}))
+    with pytest.raises(Exception, match="__part"):
+        exchange(ds, ["k"], lambda rows: rows).materialize()
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_CASES))
+def test_co_exchange_meets_both_sides_with_typed_empty_sides(ray_session,
+                                                             case):
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.exchange import co_exchange
+
+    keys, tab = _KEY_CASES[case]
+    # the right side holds only some keys, under other column names and
+    # one shared non-key name with another type
+    rkeys = [f"r_{k}" for k in keys]
+    right = tab.slice(0, 4).rename_columns(rkeys + ["v"])
+    right = right.set_column(right.num_columns - 1, "v",
+                             pc.cast(right.column("v"), pa.float64()))
+
+    def fn(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
+        # runs in a worker: module-level helpers of this file don't resolve
+        assert lrows.schema == tab.schema
+        assert rrows.schema == right.schema
+        lk = set(zip(*(lrows.column(k).to_pylist() for k in keys)))
+        rk = set(zip(*(rrows.column(k).to_pylist() for k in rkeys)))
+        return pa.table({
+            "n_left": [lrows.num_rows], "n_right": [rrows.num_rows],
+            "left_keys": [json.dumps(sorted(lk, key=repr))],
+            "right_keys": [json.dumps(sorted(rk, key=repr))],
+        })
+
+    out = pa.concat_tables(_arrow_blocks(
+        co_exchange(_blocks(tab), _blocks(right, 2), keys, rkeys, fn)))
+    assert sum(out.column("n_left").to_pylist()) == tab.num_rows
+    assert sum(out.column("n_right").to_pylist()) == right.num_rows
+    # a right key's partition holds that key's left rows too
+    for lk, rk in zip(out.column("left_keys").to_pylist(),
+                      out.column("right_keys").to_pylist()):
+        assert ({tuple(k) for k in json.loads(rk)}
+                <= {tuple(k) for k in json.loads(lk)})
+    # some partition got left rows only: its right side arrived empty,
+    # typed (fn checked the schema)
+    assert 0 in out.column("n_right").to_pylist()
+
+
+# ---------------------------------------------------------------------------
+# grouped_agg: the distributed final equals the driver final
+# ---------------------------------------------------------------------------
+
+_DAY = datetime.datetime(2024, 3, 1)
+_AGG_CASES = {
+    "null_string_key": (["k"], [("v", "sum", "s"), (None, "count", "n")],
+                        pa.table({
+                            "k": pa.array(["a", None, "b", None, "a", "c"]),
+                            "v": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+                        })),
+    "multibyte_utf8_keys": (["k"], [("v", "max", "mx"), ("v", "min", "mn")],
+                            pa.table({
+                                "k": pa.array(["é", "日本", "ß", "é", "😀",
+                                               "日本", "e", "ß"]),
+                                "v": pa.array([5, 1, 2, 7, 3, 8, 0, 4],
+                                              pa.int64()),
+                            })),
+    "two_column_key_with_nulls": (
+        ["a", "b"], [("v", "sum", "s")],
+        pa.table({
+            "a": pa.array(["x", None, "x", None, "y", "x"]),
+            "b": pa.array([1, 1, None, None, 2, 1], pa.int64()),
+            "v": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
+        })),
+    "whole_second_timestamp_us": (
+        ["day"], [("ts", "min", "first"), (None, "count", "n")],
+        pa.table({
+            "day": pa.array([_DAY, _DAY, _DAY + datetime.timedelta(days=1)],
+                            pa.timestamp("us")),
+            "ts": pa.array([_DAY + datetime.timedelta(hours=5),
+                            _DAY + datetime.timedelta(seconds=9),
+                            _DAY + datetime.timedelta(days=1, minutes=3)],
+                           pa.timestamp("us")),
+        })),
+    "empty_input": (["k"], [("v", "sum", "s"), (None, "count", "n")],
+                    pa.table({"k": pa.array([], pa.string()),
+                              "v": pa.array([], pa.int64())})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AGG_CASES))
+def test_grouped_agg_distributed_final_equals_driver(ray_session, case):
+    import ray.data
+
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+
+    keys, aggs, tab = _AGG_CASES[case]
+    ds = _blocks(tab) if tab.num_rows else ray.data.from_arrow(tab)
+    want = grouped_agg(ds, keys, aggs)
+    got = _arrow_blocks(grouped_agg(ds, keys, aggs, final="ray"))
+    if not want.num_rows:
+        assert got == []
+        return
+    got = pa.concat_tables(got)
+    assert got.schema == want.schema
+    order = [(c, "ascending") for c in keys]
+    assert got.sort_by(order).to_pylist() == want.sort_by(order).to_pylist()
+
+
+# ---------------------------------------------------------------------------
+# guard: rows are hash-partitioned only in ops/exchange.py
+# ---------------------------------------------------------------------------
+
+# groupings on a real, low-cardinality key, plus the range exchange of the
+# global sort; everything else partitions through ops.exchange
+_MAP_GROUPS_ALLOWED = {
+    ("ops/exchange.py", None),
+    ("ops/sort.py", None),
+    ("pipelines/relational.py", "q_rank_in_segment"),
+    ("pipelines/text_analysis.py", "q_pack_sequences"),
+    ("pipelines/dedup.py", "q_dedup_embedding"),
+}
+
+
+def _map_groups_calls():
+    """(module path, top-level function) of every ``.map_groups(`` call
+    under the package."""
+    for root, _dirs, files in os.walk(PKG):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, PKG).replace(os.sep, "/")
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "map_groups"):
+                        yield rel, getattr(top, "name", None)
+
+
+def test_rows_are_partitioned_only_through_ops_exchange():
+    calls = list(_map_groups_calls())
+    assert calls  # the walk found the package's own exchanges
+    stray = [(rel, fn) for rel, fn in calls
+             if (rel, None) not in _MAP_GROUPS_ALLOWED
+             and (rel, fn) not in _MAP_GROUPS_ALLOWED]
+    assert not stray, (
+        f"map_groups outside ops/exchange.py: {stray} — partition rows "
+        "with ops.exchange.exchange / co_exchange")
+
+
+def test_agg_does_not_import_ray_aggregates():
+    with open(os.path.join(PKG, "ops", "agg.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    assert not {m for m in modules if m and m.startswith("ray.data.aggregate")}

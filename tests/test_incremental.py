@@ -83,6 +83,49 @@ def test_second_increment_of_copies_all_dropped(ray_session, tmp_path):
     assert res2["n_dropped_vs_corpus"] == 2
 
 
+
+def _as_four_column_index(batch_dir: str) -> None:
+    """Rewrite an index batch in the layout band rows had while they
+    carried a ``part`` int32 partition column as a fourth column."""
+    import glob
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    files = glob.glob(f"{batch_dir}/*.parquet")
+    assert files
+    for f in files:
+        tab = pq.read_table(f)
+        assert tab.column_names == ["doc_id", "band_id", "band_key"]
+        part = pc.cast(pc.bit_wise_and(tab.column("band_key"), 127),
+                       pa.int32())
+        pq.write_table(tab.append_column("part", part), f)
+
+
+def test_increment_over_index_batch_with_part_column(ray_session, tmp_path):
+    """An index written with the four-column band layout still unions
+    with new three-column band rows: two increments over it (the second
+    reads a mixed-layout index) give the same keep ids and drop counts as
+    over an all-new index."""
+    old, new = _fixture()
+    by_id = dict(new)
+    copies = [(30, by_id[21]), (31, by_id[23])]
+    kept_old = [r for r in old if r[0] != 11]
+    corpus2 = kept_old + [r for r in new if r[0] in (21, 23)]
+    runs = []
+    for legacy in (False, True):
+        work = str(tmp_path / f"w{int(legacy)}")
+        bootstrap_index(_docs(old), work)
+        if legacy:
+            _as_four_column_index(f"{work}/band_index/bootstrap")
+        res1 = dedup_increment(_docs(new), _docs(kept_old), work, "inc-1")
+        res2 = dedup_increment(_docs(copies), _docs(corpus2), work, "inc-2")
+        runs.append([
+            (r["keep_ids"].to_pylist(), r["n_new"], r["n_dropped_vs_corpus"],
+             r["n_dropped_within_increment"]) for r in (res1, res2)])
+    assert runs[0] == runs[1]
+    assert runs[0] == [([21, 23], 5, 2, 1), ([], 2, 2, 0)]
+
 def test_disjoint_increment_all_kept(ray_session, tmp_path):
     rng = np.random.default_rng(7)
     old = [(i, _text(rng)) for i in range(1, 6)]

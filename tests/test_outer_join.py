@@ -29,7 +29,7 @@ def test_full_outer_emits_both_null_directions(ray_session):
     })).repartition(2)
 
     out = shuffle_join(left, right, on=("k",), right_on=("rk",),
-                       join_type="full outer", num_partitions=4)
+                       join_type="full outer")
     rows = set(_sorted_rows(out, ["k", "rv"]))
     # matches, left-only nulls (1,3,7), and the right-only row (9)
     assert rows == {
@@ -49,6 +49,6 @@ def test_left_outer_keeps_unmatched_left_only(ray_session):
         "rv": pa.array([20, 90], pa.int64()),
     }))
     out = shuffle_join(left, right, on=("k",), right_on=("rk",),
-                       join_type="left outer", num_partitions=2)
+                       join_type="left outer")
     rows = set(_sorted_rows(out, ["k"]))
     assert rows == {(1, "a", None), (2, "b", 20)}

@@ -94,27 +94,27 @@ def test_salted_shuffle_join_matches_unsalted(ray_session):
 def test_derived_partitions_respond_to_input_bytes(ray_session, monkeypatch):
     import ray.data
 
-    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.ops.exchange as ex
 
     ds = ray.data.read_parquet(f"{SF}/events.parquet")
-    small = j._derive_num_partitions(ds)
+    small = ex.num_partitions(ds)
     # shrink the per-partition budget: the count must scale with bytes —
     # and with the r02 cap removed it must be free to exceed 512
-    monkeypatch.setattr(j, "_JOIN_PARTITION_INPUT_BYTES", 16)
-    big = j._derive_num_partitions(ds)
+    monkeypatch.setattr(ex, "_JOIN_PARTITION_INPUT_BYTES", 16)
+    big = ex.num_partitions(ds)
     assert big > small
     assert big > 512
 
 
 def test_user_sessions_partitions_derived_not_hardcoded(ray_session,
                                                         monkeypatch):
-    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.ops.exchange as ex
     import ocr_proofreader_ray.pipelines.relational as rel
 
     base = _canon(rel.q_user_sessions(SF))
     # forcing a different derived count must not change results (pure
     # partitioning knob), proving the literal-64 assumption is gone
-    monkeypatch.setattr(j, "_JOIN_PARTITION_INPUT_BYTES", 1 << 10)
+    monkeypatch.setattr(ex, "_JOIN_PARTITION_INPUT_BYTES", 1 << 10)
     repartitioned = _canon(rel.q_user_sessions(SF))
     pd.testing.assert_frame_equal(base, repartitioned, check_dtype=False,
                                   check_exact=True)
@@ -197,25 +197,40 @@ def test_shuffle_semi_anti_null_and_string_keys(ray_session):
             ray.data.from_arrow(data), keys.column("kk").combine_chunks(),
             on="k", anti=anti))
         got = _canon(shuffle_semi_anti(ds, kds, on="k", keys_on="kk",
-                                       anti=anti, num_partitions=4))
+                                       anti=anti))
         pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                       check_exact=True)
 
 
-def test_shuffle_semi_anti_rejects_reserved_key_column(ray_session):
-    """__key is appended internally (ADVICE r03): an input already carrying
-    it must fail upfront with the intended ValueError, on either side."""
-    import pytest
+def test_shuffle_semi_anti_accepts_any_column_name(ray_session):
+    """The exchange carries each side under side-scoped layout columns, so
+    no input column name is reserved: inputs named like the exchange's
+    own internals (``__key``, ``__part``, ``__side``, ``__l0``) on either
+    side must select exactly the rows the broadcast plan selects."""
     import ray.data
 
-    from ocr_proofreader_ray.ops.join import shuffle_semi_anti
+    from ocr_proofreader_ray.ops.join import (
+        broadcast_semi_anti,
+        shuffle_semi_anti,
+    )
 
-    clean = ray.data.from_arrow(pa.table({"k": pa.array([1], pa.int64())}))
-    tainted = ray.data.from_arrow(pa.table({
-        "k": pa.array([1], pa.int64()),
-        "__key": pa.array([0], pa.int64()),
-    }))
-    with pytest.raises(ValueError, match="__key"):
-        shuffle_semi_anti(tainted, clean, on="k", keys_on="k")
-    with pytest.raises(ValueError, match="__key"):
-        shuffle_semi_anti(clean, tainted, on="k", keys_on="k")
+    data = pa.table({
+        "k": pa.array([1, 2, 3, 4], pa.int64()),
+        "__key": pa.array([0, 0, 1, 1], pa.int64()),
+        "__part": pa.array(["a", "b", "c", "d"]),
+        "__side": pa.array([9, 9, 9, 9], pa.int8()),
+    })
+    keys = pa.table({
+        "__key": pa.array([2, 4, 4, 7], pa.int64()),
+        "__l0": pa.array([5, 6, 7, 8], pa.int64()),
+    })
+    for anti in (False, True):
+        want = _canon(broadcast_semi_anti(
+            ray.data.from_arrow(data), keys.column("__key").combine_chunks(),
+            on="k", anti=anti))
+        got = _canon(shuffle_semi_anti(
+            ray.data.from_arrow(data), ray.data.from_arrow(keys),
+            on="k", keys_on="__key", anti=anti))
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_exact=True)
+        assert len(got) == 2
