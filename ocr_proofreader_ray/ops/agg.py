@@ -1,4 +1,4 @@
-"""Partial-aggregation ("combiner") grouped aggregates.
+"""Partial-aggregation ("combiner") grouped aggregates and per-group top-k.
 
 Ray Data's ``groupby().aggregate()`` is a sort-based all-to-all over every
 input row — measured ~15 s for a 6-group aggregate of 600 k rows, because
@@ -7,19 +7,32 @@ combiner pattern: each ``map_batches`` task reduces its batch with pyarrow's
 C++ ``Table.group_by`` (vectorized, zero Python per row), so only
 ``n_blocks x n_groups`` partial rows ever leave the map stage.
 
-Two final-merge strategies, one merge function:
+One merge, one bound, two result contracts.  ``grouped_agg``,
+``grouped_top_k`` and ``grouped_sum_top_k`` each hand their partial rows
+and ONE merge function to ``_merge``, which materializes the partials and
+counts them (free metadata once materialized):
 
-* ``final="driver"`` — partials are gathered and merged on the driver with
-  one more pyarrow group_by.  Right when group cardinality is small
-  (dimension keys, day buckets: ≤ ~10^5 groups) — the gathered data is tiny
-  at ANY input scale, so this stays cheap on a 256-node cluster.
-* ``final="ray"`` — partials hash-partition on the group keys through
-  ``ops.exchange.exchange`` and each partition runs the SAME Arrow merge.
-  Right for high-cardinality keys (per-customer, per-token) where the
-  partials themselves are big; the shuffle moves only partials, never
-  input rows.
+* at or under ``_DRIVER_MERGE_MAX_ROWS`` the partials gather and the merge
+  runs once on the driver — no shuffle at all;
+* above it the partials hash-partition on the group keys through
+  ``ops.exchange.exchange`` and each partition runs the SAME merge; the
+  shuffle moves only partials, never input rows.
 
-The distributed final used to be Ray's sort-based
+The plan follows the measured partial size, so callers never name one.
+They say only where the result lives: a pyarrow Table (default) or a
+Dataset (``as_dataset=True``, for a downstream join, exchange or write).
+The Table form gathers the exchange's merged rows above the bound; the
+Dataset form wraps the driver merge in ``ray.data.from_arrow`` under it.
+Both plans return the same rows and Arrow types, an empty input included.
+Tests force the exchange by patching the bound to 0
+(``tests/conftest.py::all_exchange``).
+
+Why 20M: it is the largest driver merge the tree already ran — the
+extraction dictionary and ``q_segment_dedup`` merged up to 20M rows on the
+driver — and partials never outnumber input rows, so every caller that
+merged on the driver before still does.
+
+The distributed merge used to be Ray's sort-based
 ``groupby(keys).aggregate(Sum/Min/Max)`` over the partials.  That raised
 ``TypeError`` on a null string key, narrowed whole-second
 ``timestamp[us]`` values to ``timestamp[s]``, and cost far more CPU than
@@ -103,19 +116,51 @@ def _partial_specs(aggs: list[tuple[str | None, str, str]]):
     return specs, names
 
 
+# partial (or survivor) rows at or under this merge on the driver; above
+# it they merge inside a hash exchange (see the module docstring)
+_DRIVER_MERGE_MAX_ROWS = 20_000_000
+
+
+def _merge(parts: "ray.data.Dataset", keys: list[str], fn, empty,
+           as_dataset: bool) -> pa.Table | "ray.data.Dataset":
+    """Run ``fn`` (Arrow rows -> merged Arrow rows, correct on any subset
+    that holds every row of its keys) over the partial rows ``parts``.
+
+    The partials are materialized once, so their row count is free
+    metadata: at or under ``_DRIVER_MERGE_MAX_ROWS`` they gather and ``fn``
+    runs once on the driver; above it they hash-exchange on ``keys`` and
+    ``fn`` runs once per partition.  ``as_dataset`` picks the result
+    contract only: a Table (the exchange's merged rows gathered) or a
+    Dataset (the driver merge wrapped by ``ray.data.from_arrow``).
+    ``empty()`` gives the typed result when there are no partial rows."""
+    parts = parts.materialize()
+    if parts.count() <= _DRIVER_MERGE_MAX_ROWS:
+        tables = _arrow_blocks(parts)
+        out = (fn(pa.concat_tables(tables, promote_options="default"))
+               if tables else empty())
+        return ray.data.from_arrow(out) if as_dataset else out
+    merged = exchange(parts, keys, fn)
+    if as_dataset:
+        return merged
+    tables = _arrow_blocks(merged)
+    return (pa.concat_tables(tables, promote_options="default")
+            if tables else empty())
+
+
 def grouped_agg(
     ds: "ray.data.Dataset",
     keys: list[str],
     aggs: list[tuple[str | None, str, str]],
-    final: str = "driver",
+    as_dataset: bool = False,
 ) -> pa.Table | "ray.data.Dataset":
     """Grouped aggregate via per-batch pyarrow partials.
 
     ``aggs``: list of ``(column, fn, alias)``; ``fn`` in sum|min|max|count
-    (column is ignored for count).  Returns a pyarrow Table
-    (``final="driver"``) or a Dataset (``final="ray"``), with columns
-    ``keys + [alias...]`` in declaration order.  Both finals run the same
-    merge, so they return the same rows and types.
+    (column is ignored for count); an empty list gives the distinct keys.
+    Returns a pyarrow Table, or a Dataset with ``as_dataset=True``, with
+    columns ``keys + [alias...]`` in declaration order.  The driver merge
+    and the exchange run the same merge, so every plan and contract holds
+    the same rows and types.
     """
     specs, pnames = _partial_specs(aggs)
     # one merge spec per unique partial column (count may repeat)
@@ -134,14 +179,22 @@ def grouped_agg(
         return pa.table(cols)
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    if final == "ray":
-        return exchange(parts, keys, merge)
+    # empty input: merge an empty partial so the output schema is stable
+    return _merge(parts, keys, merge, lambda: merge(partial(_empty_like(ds))),
+                  as_dataset)
 
-    tables = _arrow_blocks(parts)
-    if not tables:
-        # empty input: derive an empty partial so output schema is stable
-        tables = [partial(_empty_like(ds))]
-    return merge(pa.concat_tables(tables, promote_options="default"))
+
+def _head(rows: pa.Table, group_cols: list[str],
+          sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
+    """The first ``k`` rows of each group in ``sort_keys`` order.  A null
+    group key is a group (SQL window PARTITION BY semantics — the oracles
+    keep a NULL stratum, so must we)."""
+    import pyarrow.compute as pc
+
+    df = rows.take(pc.sort_indices(rows, sort_keys=sort_keys)).to_pandas()
+    return pa.Table.from_pandas(
+        df.groupby(group_cols, sort=False, dropna=False).head(k),
+        preserve_index=False, schema=rows.schema).combine_chunks()
 
 
 def grouped_top_k(
@@ -149,45 +202,25 @@ def grouped_top_k(
     group_cols: list[str],
     sort_keys: list[tuple[str, str]],
     k: int,
-) -> pa.Table:
+    as_dataset: bool = False,
+) -> pa.Table | "ray.data.Dataset":
     """Per-group top-k (stratified selection) without a global sort.
 
     Every block keeps its local top-k PER GROUP (one vectorized sort +
     grouped head), so at most ``n_blocks x n_groups x k`` survivor rows
-    reach the driver merge — right when group cardinality is bounded
-    (languages, segments, day buckets).  For per-document groups prefer a
-    batch-local argmax (docs never span blocks after an explode).
-    ``sort_keys`` must totally order rows within a group for deterministic
-    output.
+    exist after the map stage; the same head then merges the survivors
+    (``_merge``: on the driver, or per partition of an exchange on
+    ``group_cols``).  Returns a Table, or a Dataset with
+    ``as_dataset=True``.  ``sort_keys`` must totally order rows within a
+    group for deterministic output.
     """
-    import pyarrow.compute as pc
+    def head(rows: pa.Table) -> pa.Table:
+        return _head(rows, group_cols, sort_keys, k)
 
-    def local(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=sort_keys)
-        df = b.take(idx).to_pandas()
-        # dropna=False: a null group key is a group (SQL window PARTITION BY
-        # semantics — the oracle keeps a NULL stratum, so must we)
-        return pa.Table.from_pandas(
-            df.groupby(group_cols, sort=False, dropna=False).head(k),
-            preserve_index=False, schema=b.schema)
-
-    parts = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    tables = _arrow_blocks(parts)
-    if not tables:
-        return _empty_like(ds)
-    merged = pa.concat_tables(tables, promote_options="default")
-    idx = pc.sort_indices(merged, sort_keys=sort_keys)
-    df = merged.take(idx).to_pandas()
-    return pa.Table.from_pandas(
-        df.groupby(group_cols, sort=False, dropna=False).head(k),
-        preserve_index=False, schema=merged.schema).combine_chunks()
-
-
-# (group, key, value) input rows at or under this merge on the driver with
-# one combiner aggregate; above it a hash exchange on the group column ranks
-# each group's keys inside a worker, so the driver only ever sees k rows
-# per group
-_TOPK_DRIVER_MAX_ROWS = 20_000_000
+    survivors = ds.map_batches(head, batch_format="pyarrow",
+                               zero_copy_batch=True)
+    return _merge(survivors, group_cols, head, lambda: _empty_like(ds),
+                  as_dataset)
 
 
 def grouped_sum_top_k(
@@ -202,43 +235,26 @@ def grouped_sum_top_k(
     ``(group_col, key_col, value_col)``.  A null group is a group (SQL
     ``PARTITION BY`` semantics).
 
-    At or under ``_TOPK_DRIVER_MAX_ROWS`` input rows the sums merge on the
-    driver (``grouped_agg``) and each group is sorted there.  Above it the
-    rows hash-partition on the group column and each partition aggregates
-    and ranks its groups in a worker.  ``ds.count()`` picks the plan, so
-    pass a materialized dataset or a bare read."""
-    import pyarrow.compute as pc
+    Each block sums its (group, key) rows; the partial sums then merge
+    through ``_merge`` on the group column, and one function sums and
+    ranks them, on the driver or inside each exchange partition, so the
+    driver never holds more partial rows than the merge bound."""
+    cols = [group_col, key_col, value_col]
+    order = [(group_col, "ascending"), (value_col, "descending"),
+             (key_col, "ascending")]
 
-    order = [(value_col, "descending"), (key_col, "ascending")]
-    if ds.count() <= _TOPK_DRIVER_MAX_ROWS:
-        total = grouped_agg(ds, [group_col, key_col],
-                            [(value_col, "sum", value_col)])
-        groups = total.column(group_col)
-        parts = []
-        for g in pc.unique(groups).to_pylist():
-            # pc.equal(col, None) is an all-null mask that filter drops —
-            # the null group needs is_null
-            sub = total.filter(pc.is_null(groups) if g is None
-                               else pc.equal(groups, g))
-            parts.append(sub.take(pc.sort_indices(sub, sort_keys=order)[:k]))
-        return pa.concat_tables(parts) if parts else total
+    def partial(b: pa.Table) -> pa.Table:
+        out = b.group_by([group_col, key_col]).aggregate([(value_col, "sum")])
+        return out.select([group_col, key_col, f"{value_col}_sum"]
+                          ).rename_columns(cols)
 
-    def part_topk(g: pa.Table) -> pa.Table:
-        agg = g.group_by([group_col, key_col]).aggregate([(value_col, "sum")])
-        agg = pa.table({group_col: agg.column(group_col),
-                        key_col: agg.column(key_col),
-                        value_col: agg.column(f"{value_col}_sum")})
-        idx = pc.sort_indices(agg, sort_keys=[(group_col, "ascending")]
-                              + order)
-        df = agg.take(idx).to_pandas()
-        return pa.Table.from_pandas(
-            df.groupby(group_col, sort=False, dropna=False).head(k),
-            preserve_index=False, schema=agg.schema)
+    def rank(partials: pa.Table) -> pa.Table:
+        return _head(partial(partials), [group_col], order, k)
 
-    tables = _arrow_blocks(exchange(ds, [group_col], part_topk))
-    if not tables:
-        return _empty_like(ds).select([group_col, key_col, value_col])
-    return pa.concat_tables(tables, promote_options="default")
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return _merge(parts, [group_col], rank,
+                  lambda: rank(_empty_like(ds).select(cols)), False)
 
 
 def top_k(

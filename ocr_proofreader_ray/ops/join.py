@@ -18,7 +18,9 @@ Two physical strategies:
 ``join_table`` picks between them for a right side stored as one Parquet
 file: it broadcasts while the file's bytes fit ``_BROADCAST_MAX_BYTES`` and
 hash-exchanges above it, so query code describes its right side once.
-Tests force the exchange by patching that constant to 0.
+``semi_anti`` picks the same way for a key side that is a Dataset, by the
+bytes of its materialized distinct keys.  Tests force the exchange by
+patching that constant to 0.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, _empty_like
 from ocr_proofreader_ray.ops.exchange import co_exchange
 from ocr_proofreader_ray.ops.io import read_parquet
 
@@ -149,6 +152,38 @@ def join_table(
                              anti=how == "anti")
 
 
+def _distinct_keys(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
+    """Per-block distinct values of ``col``: membership needs nothing more,
+    so a key side shrinks to distinct keys x blocks before it moves."""
+    return ds.map_batches(
+        lambda b: pa.table({col: pc.unique(b.column(col).combine_chunks())}),
+        batch_format="pyarrow", zero_copy_batch=True)
+
+
+def semi_anti(
+    ds: "ray.data.Dataset",
+    keys_ds: "ray.data.Dataset",
+    on: str,
+    keys_on: str | None = None,
+    anti: bool = False,
+) -> "ray.data.Dataset":
+    """Semi (keep rows of ``ds`` whose ``on`` value is among ``keys_ds``'s
+    ``keys_on`` values) or anti join against a key side of any size.
+
+    The key side's per-block distinct keys are materialized once; while
+    their bytes fit ``_BROADCAST_MAX_BYTES`` they gather and broadcast as
+    one exact key set (``broadcast_semi_anti``), above it both sides meet
+    in ``shuffle_semi_anti``.  Both plans select the same rows."""
+    keys_on = keys_on or on
+    keys = _distinct_keys(keys_ds, keys_on).materialize()
+    if keys.size_bytes() <= _BROADCAST_MAX_BYTES:
+        blocks = _arrow_blocks(keys) or [_empty_like(keys_ds)]
+        key_set = pa.concat_tables(
+            [b.select([keys_on]) for b in blocks]).column(keys_on)
+        return broadcast_semi_anti(ds, key_set, on=on, anti=anti)
+    return shuffle_semi_anti(ds, keys, on=on, keys_on=keys_on, anti=anti)
+
+
 def shuffle_semi_anti(
     ds: "ray.data.Dataset",
     keys_ds: "ray.data.Dataset",
@@ -164,14 +199,10 @@ def shuffle_semi_anti(
     filters its data rows with an Arrow ``is_in`` against its own key
     rows, so no worker holds more than its hash partition of keys and
     nothing key-side ever touches the driver.  Key rows dedup per batch
-    before shuffling (is_in only needs membership), bounding the exchange
-    at distinct-keys x blocks.  Null-key semantics match
+    before shuffling (``_distinct_keys``).  Null-key semantics match
     ``broadcast_semi_anti`` exactly (is_in: a null probe matches only a
     null key; anti inverts), pinned by the plan-switch equivalence test."""
     keys_on = keys_on or on
-
-    def distinct_keys(b: pa.Table) -> pa.Table:
-        return pa.table({keys_on: pc.unique(b.column(keys_on).combine_chunks())})
 
     def filter_partition(data: pa.Table, keys: pa.Table) -> pa.Table:
         key_set = pc.unique(keys.column(keys_on).combine_chunks())
@@ -180,9 +211,8 @@ def shuffle_semi_anti(
             mask = pc.invert(mask)
         return data.filter(mask).combine_chunks()
 
-    keys_ds = keys_ds.map_batches(distinct_keys, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    return co_exchange(ds, keys_ds, [on], [keys_on], filter_partition)
+    return co_exchange(ds, _distinct_keys(keys_ds, keys_on), [on], [keys_on],
+                       filter_partition)
 
 
 def shuffle_join(

@@ -96,7 +96,7 @@ def global_sort_position(
     append 1-based global rank as ``position_name``.  Output blocks are the
     sorted ranges in partition order (range i holds ranks
     offsets[i]+1 .. offsets[i+1])."""
-    if {"__part", position_name} & set(ds.schema().names):
+    if {"__range", position_name} & set(ds.schema().names):
         raise ValueError("global_sort_position: reserved column collision")
     # three consumers (sample, histogram, exchange) — materialize once so
     # the upstream plan is not re-executed per consumer
@@ -113,17 +113,17 @@ def global_sort_position(
         col = b.column(key_col)
         _assert_clean_key(col, key_col)
         part = _searchsorted_right(bv, col)
-        return b.append_column("__part", pa.array(part, pa.int64()))
+        return b.append_column("__range", pa.array(part, pa.int64()))
 
     parted = ds.map_batches(assign, batch_format="pyarrow",
                             zero_copy_batch=True).materialize()
 
     # bounded histogram: rows per key range -> global offsets, known BEFORE
     # the exchange so the sort pass emits final ranks directly
-    hist = grouped_agg(parted.select_columns(["__part"]),
-                       ["__part"], [(None, "count", "n")])
+    hist = grouped_agg(parted.select_columns(["__range"]),
+                       ["__range"], [(None, "count", "n")])
     counts = np.zeros(len(bounds) + 1, np.int64)
-    for p, n in zip(hist.column("__part").to_pylist(),
+    for p, n in zip(hist.column("__range").to_pylist(),
                     hist.column("n").to_pylist()):
         counts[p] = n
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -131,9 +131,9 @@ def global_sort_position(
 
     def sort_range(g: pa.Table) -> pa.Table:
         offs = _fetch(oref)
-        part = g.column("__part")[0].as_py()
+        part = g.column("__range")[0].as_py()
         order = pc.sort_indices(g, sort_keys=[(key_col, "ascending")])
-        g = g.take(order).drop_columns(["__part"])
+        g = g.take(order).drop_columns(["__range"])
         # range partitioning co-locates equal keys, so an adjacent-equal
         # scan here is a COMPLETE duplicate check — enforce the documented
         # uniqueness precondition instead of emitting nondeterministic ranks
@@ -147,7 +147,7 @@ def global_sort_position(
         pos = offs[part] + np.arange(1, g.num_rows + 1, dtype=np.int64)
         return g.append_column(position_name, pa.array(pos, pa.int64()))
 
-    return parted.groupby("__part").map_groups(sort_range,
+    return parted.groupby("__range").map_groups(sort_range,
                                                batch_format="pyarrow")
 
 

@@ -33,7 +33,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Min
 
 from ocr_proofreader_ray.functions.sketches import (
     MinHasher,
@@ -90,23 +89,16 @@ def q_dedup_exact(sf_dir: str):
     a pipeline needing a cryptographic-strength guarantee should use the
     blake2b-128 key scheme ``q_segment_dedup`` uses (slower: per-row
     digest).  The old per-row ``hashlib.sha1`` loop was the one
-    row-at-a-time pass on a full-corpus hot path (VERDICT r03 #3)."""
+    row-at-a-time pass on a full-corpus hot path (VERDICT r03 #3).
+
+    Returns a Dataset of the kept ``doc_id`` at every size."""
     ds = t(sf_dir, "documents", ["doc_id", "text"])
     hashed = ds.map_batches(content_keys_batch, batch_format="pyarrow",
                             zero_copy_batch=True)
-    # distinct texts are corpus-sized: size-switch the final merge on the
-    # parquet row count (same convention as q_segment_dedup) — driver
-    # combiner under the gate, Ray hash exchange above it
-    import pyarrow.parquet as _pq
-
-    n_docs = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    if n_docs <= _PAIRS_DRIVER_MAX:
-        tbl = grouped_agg(hashed, ["h1", "h2"],
-                          [("doc_id", "min", "doc_id")])
-        return tbl.select(["doc_id"])
-    agg = grouped_agg(hashed, ["h1", "h2"],
-                      [("doc_id", "min", "doc_id")], final="ray")
-    return agg.select_columns(["doc_id"])
+    # distinct texts are corpus-sized: a Dataset, merged on the driver or
+    # in an exchange by the partial row count (ops.agg._merge)
+    return grouped_agg(hashed, ["h1", "h2"], [("doc_id", "min", "doc_id")],
+                       as_dataset=True).select_columns(["doc_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +195,9 @@ def _band_rows(docs: "ray.data.Dataset", shingle_n: int,
 _STAR_BUCKET_CAP = 64
 
 
-# pair count at or below which the global pair dedup merges on the driver
-# (tiny table, avoids a Ray sort-shuffle); above it the dedup stays a
-# distributed exchange and the pair set NEVER touches the driver
-# (VERDICT r03 #5: dup-flooded crawls make the post-LSH set
-# corpus-proportional even under star caps)
+# pair count at or below which the band-row fast path below expands the
+# pairs on the driver (a Python expansion: dup-flooded crawls make the
+# post-LSH set corpus-proportional even under star caps, VERDICT r03 #5)
 _PAIRS_DRIVER_MAX = 5_000_000
 
 # at or below this many BAND ROWS the candidate-pair pass gathers the
@@ -228,9 +218,9 @@ def _candidate_pairs(bands: "ray.data.Dataset",
     member survive the duplicated() prefilter, so the Python loop touches
     collision buckets only (rare).  Buckets above ``star_cap`` members emit
     star edges (member, bucket-min) instead of all pairs — see
-    ``_STAR_BUCKET_CAP``.  Cross-partition dedup is size-switched on the
-    measured pair count: a driver combiner under ``_PAIRS_DRIVER_MAX``
-    (same result, no shuffle), a Ray hash exchange above it.
+    ``_STAR_BUCKET_CAP``.  The cross-partition pair dedup is one
+    distinct-keys ``grouped_agg``, which merges on the driver or in an
+    exchange by the measured partial count.
     """
     bucket_cols = list(group_cols) + ["band_id", "band_key"]
 
@@ -258,8 +248,7 @@ def _candidate_pairs(bands: "ray.data.Dataset",
 
     bands = bands.materialize()
     if bands.count() <= _BANDS_DRIVER_MAX:
-        # small-side fast path (same size-switch convention as
-        # _PAIRS_DRIVER_MAX below): one vectorized pass over the gathered
+        # small-side fast path: one vectorized pass over the gathered
         # band rows replaces the bucket-key exchange, whose fixed
         # sort-shuffle cost dominated the incremental-dedup bench slice
         # (VERDICT r04 next-steps #3).  Identical output set: part_pairs
@@ -285,14 +274,9 @@ def _candidate_pairs(bands: "ray.data.Dataset",
                 out.drop_duplicates(), preserve_index=False)).materialize()
 
     pairs = exchange(bands, bucket_cols, lambda rows: pa.Table.from_pandas(
-        part_pairs(rows.to_pandas()), preserve_index=False)).materialize()
-    if pairs.count() <= _PAIRS_DRIVER_MAX:
-        tbl = grouped_agg(pairs, ["doc_a", "doc_b"], [(None, "count", "n")])
-        return ray.data.from_arrow(
-            tbl.select(["doc_a", "doc_b"]).combine_chunks()).materialize()
-    distinct = grouped_agg(pairs, ["doc_a", "doc_b"],
-                           [(None, "count", "n")], final="ray")
-    return distinct.select_columns(["doc_a", "doc_b"]).materialize()
+        part_pairs(rows.to_pandas()), preserve_index=False))
+    return grouped_agg(pairs, ["doc_a", "doc_b"], [],
+                       as_dataset=True).materialize()
 
 
 # adaptive verification cutover: at or below this many candidate ELEMENT
@@ -321,14 +305,12 @@ def _pairs_ds(pairs) -> "ray.data.Dataset":
 
 
 def _cand_elements(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
-                   element_rows,
-                   bloom_threshold: int = _BLOOM_SEMI_THRESHOLD,
-                   ) -> "ray.data.Dataset":
+                   element_rows) -> "ray.data.Dataset":
     """Exploded (doc_id, el) element rows of the candidate docs.
 
     The candidate-id semi-filter never concentrates the pair set on the
-    driver: under ``bloom_threshold`` ids the (bounded) distinct id array
-    is gathered and broadcast exactly; above it a fixed-size Bloom filter
+    driver: under ``_BLOOM_SEMI_THRESHOLD`` ids the (bounded) distinct id
+    array is gathered and broadcast exactly; above it a fixed-size Bloom filter
     is built DISTRIBUTED over the pair id columns (per-batch partial bit
     arrays OR-reduced — driver sees blocks x m/8 bytes, never ids) and
     false positives only explode a few extra docs' elements, which appear
@@ -339,7 +321,7 @@ def _cand_elements(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
     # overshoot by up to 2x), deliberately erring toward the Bloom (scale)
     # path rather than paying a distinct-count pass on the pair Dataset
     # just to pick a plan (ADVICE r04)
-    if 2 * n_pairs > bloom_threshold:
+    if 2 * n_pairs > _BLOOM_SEMI_THRESHOLD:
         from ocr_proofreader_ray.functions.bloom import build_bloom
 
         ids_ds = pairs.map_batches(
@@ -464,14 +446,14 @@ def _verify_pairs_shuffle(
     # candidate-set elements (object-store blocks, spillable), never the
     # corpus
     sizes = grouped_agg(elements, ["doc_id"], [(None, "count", "sz")],
-                        final="ray").materialize()
+                        as_dataset=True).materialize()
 
     a_side = shuffle_join(pairs, elements,
                           on=("doc_a",), right_on=("doc_id",)).materialize()
     inter_rows = shuffle_join(a_side, elements,
                               on=("doc_b", "el"), right_on=("doc_id", "el"))
     inter = grouped_agg(inter_rows, ["doc_a", "doc_b"],
-                        [(None, "count", "inter")], final="ray")
+                        [(None, "count", "inter")], as_dataset=True)
 
     sz_a = sizes.map_batches(lambda t: t.rename_columns(["__ka", "sz_a"]),
                              batch_format="pyarrow", zero_copy_batch=True)
@@ -588,7 +570,8 @@ def q_dedup_simhash(sf_dir: str):
     docs = t(sf_dir, "documents", ["doc_id", "text"])
     fps = _simhash_fingerprints(docs)
     # group identical fingerprints → canonical representative per group
-    return fps.groupby("simhash").aggregate(Min("doc_id", alias_name="rep_doc_id"))
+    return grouped_agg(fps, ["simhash"], [("doc_id", "min", "rep_doc_id")],
+                       as_dataset=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1013,7 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
     edges_ds = pairs.map_batches(both_dirs, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
     labels_ds = grouped_agg(
-        edges_ds, ["node"], [(None, "count", "c")], final="ray",
+        edges_ds, ["node"], [], as_dataset=True,
     ).map_batches(
         lambda t: pa.table({"node": t.column("node"),
                             "label": t.column("node")}),
@@ -1050,7 +1033,7 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         # propagate-and-aggregate sub-plan
         merged = grouped_agg(cand.union(labels_ds), ["node"],
                              [("label", "min", "label")],
-                             final="ray").materialize()
+                             as_dataset=True).materialize()
         # pointer jump: every label is itself a node (min over node ids
         # preserves nodehood), so label(label(v)) exists and is <= label(v)
         jump_side = merged.map_batches(
@@ -1067,7 +1050,8 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
                                 "label": t.column("jlabel")}),
             batch_format="pyarrow", zero_copy_batch=True,
         ).repartition(n_blocks).materialize()
-        new_sum = labels_ds.sum("label")
+        new_sum = grouped_agg(labels_ds, [], [("label", "sum", "s")]
+                              ).column("s")[0].as_py()
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
@@ -1080,13 +1064,12 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
                      "rep_id": out.column("label")})
 
 
-def dedup_clusters(pairs,
-                   max_driver_pairs: int = _UNION_FIND_MAX_PAIRS) -> pa.Table:
+def dedup_clusters(pairs) -> pa.Table:
     """(doc_a, doc_b) pairs (Table or Dataset) -> (doc_id, rep_id):
     connected components with the component's min doc_id as canonical
     representative.
 
-    At or below ``max_driver_pairs`` this is driver-side union-find (path
+    At or below ``_UNION_FIND_MAX_PAIRS`` this is driver-side union-find (path
     compression + union by min): the pair set is post-LSH-verified and
     star-capped, so it is corpus-bounded, and one machine handles millions
     of pairs in seconds.  Above the threshold the distributed iterative
@@ -1097,14 +1080,14 @@ def dedup_clusters(pairs,
     """
     if not isinstance(pairs, pa.Table):
         pairs = pairs.materialize()
-        if pairs.count() > max_driver_pairs:
+        if pairs.count() > _UNION_FIND_MAX_PAIRS:
             return _clusters_label_propagation(pairs)
         blocks = [blk.select(["doc_a", "doc_b"])
                   for blk in _arrow_blocks(pairs)]
         pairs = (pa.concat_tables(blocks, promote_options="default")
                  if blocks else _PAIRS_SCHEMA.empty_table()
                  .select(["doc_a", "doc_b"]))
-    elif pairs.num_rows > max_driver_pairs:
+    elif pairs.num_rows > _UNION_FIND_MAX_PAIRS:
         return _clusters_label_propagation(
             ray.data.from_arrow(pairs).materialize())
     parent: dict[int, int] = {}
@@ -1178,10 +1161,6 @@ def q_dedup_keep(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 _SEGMENT_TOKENS = 10
-# per-doc output rows at or under this merge on the driver (the oracle-gate
-# path); above it the final doc_id merge stays a Ray hash shuffle and the
-# query returns a Dataset
-_SEG_DRIVER_MAX_DOCS = 20_000_000
 
 
 @register(
@@ -1233,15 +1212,10 @@ def q_segment_dedup(sf_dir: str):
     through the combiner engine, so worker state is bounded by its hash
     partition and the driver only sees per-doc aggregates.
 
-    The per-doc result is itself corpus-sized, so the final doc_id merge
-    is size-switched on the parquet row count (no extra execution):
-    at or under ``_SEG_DRIVER_MAX_DOCS`` it merges on the driver and
-    returns a Table (the oracle-gate path); above, it stays a Ray hash
-    shuffle and returns a Dataset for a streaming downstream write.
+    The per-doc result is itself corpus-sized, so it is returned as a
+    Dataset at every size; the final doc_id merge runs on the driver or in
+    an exchange by its measured partial count (``ops.agg._merge``).
     """
-    import pyarrow.parquet as _pq
-
-    n_docs = _pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     ds = t(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
@@ -1289,4 +1263,4 @@ def q_segment_dedup(sf_dir: str):
     return grouped_agg(partials, ["doc_id"], [
         ("n_segments", "sum", "n_segments"),
         ("n_kept", "sum", "n_kept"),
-    ], final="driver" if n_docs <= _SEG_DRIVER_MAX_DOCS else "ray")
+    ], as_dataset=True)

@@ -47,7 +47,12 @@ import ray.data
 
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 from ocr_proofreader_ray.ops.io import read_parquet
-from ocr_proofreader_ray.ops.join import broadcast_semi_anti
+from ocr_proofreader_ray.ops.join import (
+    broadcast_join,
+    broadcast_semi_anti,
+    semi_anti,
+    shuffle_join,
+)
 from ocr_proofreader_ray.pipelines.dedup import (
     _band_rows,
     _candidate_pairs,
@@ -425,11 +430,9 @@ def bootstrap_exact_index(docs: "ray.data.Dataset", work_dir: str) -> dict:
 
     keyed = docs.map_batches(content_keys_batch, batch_format="pyarrow",
                              zero_copy_batch=True)
-    # corpus-sized distinct: Ray hash exchange (the bench-scale driver
-    # combiner would be fine too, but bootstrap is a one-off whose output
-    # is immediately persisted — no reason to route it through the driver)
+    # corpus-sized distinct: a Dataset, persisted straight from the merge
     keep = grouped_agg(keyed, ["h1", "h2"],
-                       [("doc_id", "min", "doc_id")], final="ray",
+                       [("doc_id", "min", "doc_id")], as_dataset=True,
                        ).materialize()
     _write_exact_index_batch(work_dir, keep, "bootstrap")
     _write_exact_hash_stamp(work_dir)
@@ -441,57 +444,54 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     """Drop increment docs whose content key is already in the persisted
     exact index (or duplicates a smaller doc_id within the increment).
 
-    Scale shape: the corpus-sized index STREAMS through one h1-lane
-    ``is_in`` filter against the broadcast increment key set; only the
-    matched key rows (duplicate-bounded + ~|index|·|new|/2^64 expected
-    h1-lane false positives) gather, and the exact (h1, h2) anti join of
-    the increment against them is one Arrow join on the driver.
-    Nothing corpus-sized ever concentrates.  Returns the kept
-    (doc_id) rows and drop counts; appends kept keys under ``batch_tag``.
-    Raises ``RuntimeError`` when the index's hash stamp is missing or names
-    another hash implementation.
+    Scale shape: the increment collapses to one (h1, h2, doc_id) row per
+    content key through ``grouped_agg``; the corpus-sized index STREAMS
+    through ``semi_anti`` on the h1 lane (a broadcast of the increment's
+    h1 set while it fits, else an exchange), so only the matched key rows
+    (duplicate-bounded + ~|index|·|new|/2^64 expected h1-lane false
+    positives) survive.  The exact (h1, h2) anti join of the increment
+    against them broadcasts the matched rows while they fit the driver
+    merge bound and hash-exchanges both sides above it.  Nothing
+    corpus-sized ever concentrates.  Returns the kept (h1, h2, doc_id)
+    rows as a Dataset and the drop counts; appends the kept keys under
+    ``batch_tag``.  Raises ``RuntimeError`` when the index's hash stamp is
+    missing or names another hash implementation.
     """
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines.dedup import content_keys_batch
 
     _check_exact_hash_stamp(work_dir)
 
     keyed = new_docs.map_batches(content_keys_batch, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    # within-increment collapse (increment-sized: driver combiner)
-    new_keys = grouped_agg(keyed, ["h1", "h2"],
-                           [("doc_id", "min", "doc_id")])
-    n_new_distinct = new_keys.num_rows
+    # within-increment collapse
+    new_keys = grouped_agg(keyed, ["h1", "h2"], [("doc_id", "min", "doc_id")],
+                           as_dataset=True).materialize()
+    n_new_distinct = new_keys.count()
     if n_new_distinct == 0:
-        return {"keep": new_keys.select(["doc_id", "h1", "h2"]),
-                "n_dropped_vs_corpus": 0, "n_dropped_within": 0}
+        return {"keep": new_keys, "n_dropped_vs_corpus": 0,
+                "n_dropped_within": 0}
 
-    h1_set = new_keys.column("h1").combine_chunks()
-    index = read_parquet(_exact_index_dir(work_dir))
-    hit_ref = ray.put(pc.unique(h1_set))
-
-    def h1_hits(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b.column("h1"), value_set=ray.get(hit_ref)))
-
-    matched = index.map_batches(h1_hits, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    matched_tbl = pa.concat_tables(
-        _arrow_blocks(matched) or
-        [pa.table({"h1": pa.array([], pa.int64()),
-                   "h2": pa.array([], pa.int64())})],
-        promote_options="default")
-
-    # h1/h2 are never null, so no null-key semantics apply; sorted because
-    # Arrow's join output order is unspecified
-    kept = new_keys.join(matched_tbl.select(["h1", "h2"]), keys=["h1", "h2"],
-                         join_type="left anti").sort_by("doc_id")
-    n_dropped_vs_corpus = n_new_distinct - kept.num_rows
+    matched = semi_anti(read_parquet(_exact_index_dir(work_dir)), new_keys,
+                        on="h1").materialize()
+    # h1/h2 are never null, so no null-key semantics apply
+    if matched.count() <= agg._DRIVER_MERGE_MAX_ROWS:
+        blocks = _arrow_blocks(matched) or [
+            pa.table({"h1": pa.array([], pa.int64()),
+                      "h2": pa.array([], pa.int64())})]
+        kept = broadcast_join(new_keys, pa.concat_tables(blocks),
+                              on=["h1", "h2"], join_type="left anti")
+    else:
+        kept = shuffle_join(new_keys, matched, on=("h1", "h2"),
+                            join_type="left anti")
+    kept = kept.materialize()
+    n_dropped_vs_corpus = n_new_distinct - kept.count()
     n_dropped_within = (
         # rows that collapsed into another increment row's key
         # (input rows minus distinct keys)
         int(new_docs.count()) - n_new_distinct)
 
-    _write_exact_index_batch(
-        work_dir, ray.data.from_arrow(kept.select(["h1", "h2"])), batch_tag)
+    _write_exact_index_batch(work_dir, kept, batch_tag)
     return {"keep": kept, "n_dropped_vs_corpus": n_dropped_vs_corpus,
             "n_dropped_within": n_dropped_within}
 
@@ -561,5 +561,6 @@ def q_dedup_exact_incremental(sf_dir: str):
 
     old_part = boot["keep"].select_columns(["doc_id"]).map_batches(
         tag("bootstrap"), batch_format="pyarrow", zero_copy_batch=True)
-    new_part = ray.data.from_arrow(tag("inc-1")(res["keep"]))
+    new_part = res["keep"].map_batches(tag("inc-1"), batch_format="pyarrow",
+                                       zero_copy_batch=True)
     return old_part.union(new_part)

@@ -23,17 +23,11 @@ import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from ocr_proofreader_ray.ops.io import read_parquet
-from ocr_proofreader_ray.ops.join import broadcast_semi_anti, shuffle_semi_anti
+from ocr_proofreader_ray.ops.join import broadcast_semi_anti, semi_anti
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
-
-# above this many capped keep ids the semi filter takes the exact
-# hash-partition exchange instead of a driver broadcast (same gate family
-# as the set-op / semi-anti queries)
-_KEEP_BROADCAST_MAX = 5_000_000
 
 
 def _run_stage(work: str, stage: str, parent_fp: str, build_ds) -> tuple:
@@ -132,23 +126,10 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
     lineage.append(("decontaminate", n1, n2))
 
     # 3. per-source quota cap: the registered operator computes the exact
-    # survivor ids over the stage-2 corpus; semi-filter the full rows.  A
-    # Dataset of ids (q_source_cap's large-corpus plan) goes straight into
-    # the exchange, never through the driver; a driver Table broadcasts
-    # below _KEEP_BROADCAST_MAX, else takes the exchange too
+    # survivor ids over the stage-2 corpus; semi-filter the full rows
     def build_capped():
-        keep = q_source_cap(s2)
         s2_docs = read_parquet(os.path.join(s2, "documents.parquet"))
-        if not isinstance(keep, pa.Table):
-            return shuffle_semi_anti(
-                s2_docs, keep.select_columns(["doc_id"]), on="doc_id")
-        if keep.num_rows <= _KEEP_BROADCAST_MAX:
-            return broadcast_semi_anti(
-                s2_docs, keep.column("doc_id").combine_chunks(),
-                on="doc_id")
-        return shuffle_semi_anti(
-            s2_docs, ray.data.from_arrow(keep.select(["doc_id"])),
-            on="doc_id")
+        return semi_anti(s2_docs, q_source_cap(s2), on="doc_id")
 
     s3, fp3, _ = _run_stage(work, "s3_source_cap", fp2, build_capped)
     n3 = _stage_rows(s3)

@@ -280,10 +280,9 @@ def q_approx_distinct_users(sf_dir: str):
 )
 def q_count_distinct_users(sf_dir: str):
     ds = t(sf_dir, "events", ["event_type", "user_id"])
-    # exact distinct: dedupe on (event_type, user_id) first (shuffles only
-    # the distinct pairs), then a combiner count per event_type — the second
-    # all-to-all is replaced by tiny partials merged on the driver
-    pairs = ds.groupby(["event_type", "user_id"]).count()
+    # exact distinct: dedupe on (event_type, user_id) first (a null
+    # event_type is a group), then a combiner count per event_type
+    pairs = grouped_agg(ds, ["event_type", "user_id"], [], as_dataset=True)
     return grouped_agg(pairs, ["event_type"], [(None, "count", "n_users")])
 
 
@@ -529,12 +528,13 @@ def q_top_customers(sf_dir: str):
             "cents": to_units(b.column("o_totalprice"), 100),
         })
 
-    # high-cardinality key: partials shuffle through Ray, never input rows
+    # high-cardinality key: kept a Dataset; only partials merge, never
+    # input rows
     agg = grouped_agg(
         ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
         ["o_custkey"],
         [("cents", "sum", "revenue_cents"), (None, "count", "n_orders")],
-        final="ray",
+        as_dataset=True,
     )
     # deterministic total order: integer revenue desc, key asc; local top-k
     # per block + driver merge instead of a global range sort
@@ -586,7 +586,7 @@ def q_intersect_custkeys(sf_dir: str):
     BUILDING key set while the customer parquet fits the join budget and
     hash-exchanges both sides above it."""
     ds = t(sf_dir, "orders", ["o_custkey"])
-    distinct = ds.groupby("o_custkey").count().select_columns(["o_custkey"])
+    distinct = grouped_agg(ds, ["o_custkey"], [], as_dataset=True)
     out = join_table(distinct, f"{sf_dir}/customer.parquet",
                      ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
                      prep=_building, how="semi")
@@ -606,7 +606,7 @@ def q_intersect_custkeys(sf_dir: str):
 )
 def q_except_custkeys(sf_dir: str):
     ds = t(sf_dir, "orders", ["o_custkey"])
-    distinct = ds.groupby("o_custkey").count().select_columns(["o_custkey"])
+    distinct = grouped_agg(ds, ["o_custkey"], [], as_dataset=True)
     out = join_table(distinct, f"{sf_dir}/customer.parquet",
                      ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
                      prep=_building, how="anti")
@@ -706,8 +706,8 @@ def q_events_daily(sf_dir: str):
 )
 def q_rank_in_segment(sf_dir: str):
     """Window row_number per group: top-3 customers by revenue in each
-    market segment.  Revenue per customer via combiner partials shuffled
-    through Ray (high-cardinality key); the per-segment ranking is a
+    market segment.  Revenue per customer via combiner partials
+    (high-cardinality key, kept a Dataset); the per-segment ranking is a
     5-group map_groups with a deterministic total order."""
     orders = t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -719,7 +719,7 @@ def q_rank_in_segment(sf_dir: str):
 
     rev = grouped_agg(
         orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        ["o_custkey"], [("cents", "sum", "revenue_cents")], final="ray",
+        ["o_custkey"], [("cents", "sum", "revenue_cents")], as_dataset=True,
     )
     rev = join_table(rev, f"{sf_dir}/customer.parquet",
                      ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
@@ -1745,11 +1745,11 @@ def q_events_resampled(sf_dir: str):
 
     Scale plan: ONE combiner ``grouped_agg`` reduces events to observed
     (series, day) counts — state bounded by series x days, never raw
-    events — kept distributed (``final="ray"``: a hash exchange of the
-    partials); the global [min, max] day pair broadcasts as two scalars;
-    then one hash exchange on user_id (a series is (user, type), so all of
-    a user's series co-locate) fills every series of a partition in one
-    vectorized call, so the corpus-sized series dimension stays
+    events — returned as a Dataset (merged on the driver or in a hash
+    exchange of the partials, by their count); the global [min, max] day
+    pair broadcasts as two scalars; then one hash exchange on user_id (a
+    series is (user, type), so all of a user's series co-locate) fills
+    every series of a partition in one vectorized call, so the corpus-sized series dimension stays
     block-parallel end to end and nothing grid-sized touches the driver."""
     ev = t(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -1764,7 +1764,7 @@ def q_events_resampled(sf_dir: str):
     days = ev.map_batches(day_col, batch_format="pyarrow",
                           zero_copy_batch=True)
     counts = grouped_agg(days, ["user_id", "event_type", "day"],
-                         [(None, "count", "n")], final="ray").materialize()
+                         [(None, "count", "n")], as_dataset=True).materialize()
     span = grouped_agg(counts, [], [("day", "min", "lo"),
                                     ("day", "max", "hi")]).to_pylist()[0]
     lo = pd.Timestamp(span["lo"]).to_datetime64()
@@ -1882,7 +1882,7 @@ def q_latest_event(sf_dir: str):
     lookup keeping only ts == max(ts); a second bounded combiner resolves
     ts ties to the min event_id; a final filter emits exactly one row per
     key.  Two cheap aggregates + two streaming filters — at fact-sized
-    key cardinality both aggregates already support the Ray-final merge
+    key cardinality both aggregates merge in an exchange by themselves
     and the lookup side switches to `shuffle_semi_anti`'s exchange (the
     repo-wide size-gate family); at this corpus the broadcast plan wins."""
     from ocr_proofreader_ray.ops.join import _fetch
@@ -2239,9 +2239,9 @@ def q_data_quality_audit(sf_dir: str):
 
     Scalar checks are ONE combiner pass (per-batch is_null / comparison
     sums -> a one-row merge).  Uniqueness is the only check that needs the
-    key space: distinct count via the per-batch-distinct + Ray-final
-    groupby (the q_count_distinct_users plan), so only distinct keys
-    shuffle and the driver sees a scalar."""
+    key space: distinct count via per-batch-distinct partials and one
+    distinct-keys merge kept as a Dataset (the q_count_distinct_users
+    plan), so the query only reads the merged keys' count."""
     orders = t(sf_dir, "orders",
                ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -2271,11 +2271,11 @@ def q_data_quality_audit(sf_dir: str):
          ("negative_totalprice", "sum", "negative_totalprice")])
     n_rows = int(merged.column("rows")[0].as_py())
 
-    # exact distinct keys: per-batch distinct partials, Ray-final groupby —
-    # only distinct keys shuffle, the driver sees the scalar count
+    # exact distinct keys: per-batch distinct partials, then one merge of
+    # the distinct keys — the query keeps only their count
     distinct_keys = grouped_agg(
-        orders.select_columns(["o_orderkey"]),
-        ["o_orderkey"], [(None, "count", "c")], final="ray").count()
+        orders.select_columns(["o_orderkey"]), ["o_orderkey"], [],
+        as_dataset=True).count()
 
     checks = [
         ("rows", n_rows),
@@ -2568,8 +2568,8 @@ def q_funnel_users(sf_dir: str):
     """Funnel analysis: users whose first click precedes their last
     purchase (click -> purchase conversion).  Conditional aggregates as
     masked columns (null outside the event type; pyarrow min/max skip
-    nulls), merged per user through the combiner with the Ray-final
-    groupby — only (user, two timestamps) rows shuffle — then a streaming
+    nulls), merged per user through the combiner into a Dataset — only
+    (user, two timestamps) partial rows merge — then a streaming
     comparison filter and a metadata count.  Null comparisons (users
     missing either event) drop in the filter, matching SQL HAVING."""
     ev = t(sf_dir, "events", ["user_id", "event_type", "ts"])
@@ -2589,7 +2589,7 @@ def q_funnel_users(sf_dir: str):
         ev.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
         ["user_id"],
         [("click_ts", "min", "first_click"),
-         ("purch_ts", "max", "last_purchase")], final="ray")
+         ("purch_ts", "max", "last_purchase")], as_dataset=True)
 
     def keep_converted(b: pa.Table) -> pa.Table:
         mask = pc.fill_null(pc.less(b.column("first_click"),
@@ -2620,14 +2620,13 @@ def q_retention_cohorts(sf_dir: str):
     counted on every day they were active — the standard growth-analytics
     artifact, composed from three primitives:
 
-    1. cohort assignment: per-user min activity day (combiner + exchange
-       final — user cardinality is corpus-sized, so the merge stays
-       distributed);
+    1. cohort assignment: per-user min activity day (combiner partials,
+       kept a Dataset — user cardinality is corpus-sized);
     2. distinct (user, day) activity via the same machinery;
     3. both corpus-sized sides meet in ONE hash-partition exchange
        (``shuffle_join`` on user), and the (cohort, day) count that
        follows is a days²-bounded combiner.
-    The driver only ever sees the final matrix."""
+    Above the merge bound the driver only ever sees the final matrix."""
     ev = t(sf_dir, "events", ["user_id", "ts"])
 
     def day_col(b: pa.Table) -> pa.Table:
@@ -2640,11 +2639,10 @@ def q_retention_cohorts(sf_dir: str):
     days = ev.map_batches(day_col, batch_format="pyarrow",
                           zero_copy_batch=True).materialize()
     first_day = grouped_agg(days, ["user_id"], [("day", "min", "cohort")],
-                            final="ray")
-    activity = grouped_agg(days, ["user_id", "day"],
-                           [(None, "count", "c")], final="ray")
+                            as_dataset=True)
+    activity = grouped_agg(days, ["user_id", "day"], [], as_dataset=True)
     activity = activity.map_batches(
-        lambda b: b.drop_columns(["c"]).rename_columns(["uid", "day"]),
+        lambda b: b.rename_columns(["uid", "day"]),
         batch_format="pyarrow", zero_copy_batch=True)
     joined = shuffle_join(activity, first_day,
                           on=("uid",), right_on=("user_id",))

@@ -16,8 +16,11 @@ import pyarrow.compute as pc
 import ray.data
 
 from ocr_proofreader_ray.functions.sketches import stable_hash64
-from ocr_proofreader_ray.ops.agg import grouped_agg, grouped_sum_top_k
-from ocr_proofreader_ray.ops.exchange import exchange
+from ocr_proofreader_ray.ops.agg import (
+    grouped_agg,
+    grouped_sum_top_k,
+    grouped_top_k,
+)
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -399,7 +402,7 @@ def q_heavy_hitters(sf_dir: str, k: int = 20):
     the same (cnt DESC, tok ASC) total order as the SQL window."""
     ds = t(sf_dir, "documents", ["lang", "text"])
     partials = ds.map_batches(_explode_token_counts, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+                              zero_copy_batch=True)
     return grouped_sum_top_k(partials, "lang", "tok", "cnt", k)
 
 
@@ -450,7 +453,7 @@ def q_bigram_heavy_hitters(sf_dir: str, k: int = 10):
                          "cnt": pa.array(cnts, pa.int64())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
+                              zero_copy_batch=True)
     return grouped_sum_top_k(partials, "lang", "bg", "cnt", k)
 
 
@@ -1041,11 +1044,6 @@ def q_pack_sequences(sf_dir: str, budget: int = 256, group_docs: int = 512):
 # ---------------------------------------------------------------------------
 
 _SOURCE_CAP = 10
-# docs at or under this parquet row count resolve the cap with the driver
-# survivor merge (grouped_top_k); above it the survivors take one hash
-# exchange on source instead (metadata-cheap switch, same pattern as
-# q_segment_dedup)
-_CAP_DRIVER_MAX_DOCS = 10_000_000
 
 
 @register(
@@ -1067,47 +1065,13 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
     Scale plan: every block first keeps its LOCAL lowest-``cap`` rows per
     source (vectorized sort + grouped head), so at most
     ``n_blocks x sources_in_block x cap`` survivor id-rows exist after the
-    map stage — document text never enters the plan at all.  Below
-    ``_CAP_DRIVER_MAX_DOCS`` the survivors merge on the driver
-    (``grouped_top_k``); above it they take ONE hash exchange on source
-    and each partition finishes its own sources exactly.  Both paths are
-    exact and pinned equivalent by pytest."""
-    import pyarrow.parquet as _pq
-
-    from ocr_proofreader_ray.ops.agg import grouped_top_k
-
+    map stage — document text never enters the plan at all.  The
+    survivors then merge on the driver or in one hash exchange on source
+    (``grouped_top_k`` decides by their measured count), and the kept ids
+    come back as a Dataset at every size."""
     ds = t(sf_dir, "documents", ["doc_id", "source", "lang"])
-    # metadata-only row count; handles both a single file and a directory
-    # corpus (composed pipelines chain stages through written directories)
-    path = f"{sf_dir}/documents.parquet"
-    import os as _os
-    if _os.path.isdir(path):
-        n_docs = sum(_pq.read_metadata(frag).num_rows
-                     for frag in _pq.ParquetDataset(path).files)
-    else:
-        n_docs = _pq.read_metadata(path).num_rows
-    if n_docs <= _CAP_DRIVER_MAX_DOCS:
-        out = grouped_top_k(ds, ["source"], [("doc_id", "ascending")], cap)
-        return out.select(["doc_id", "source", "lang"])
-
-    def local_head(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=[("doc_id", "ascending")])
-        df = b.take(idx).to_pandas()
-        return pa.Table.from_pandas(
-            df.groupby("source", sort=False, dropna=False).head(cap),
-            preserve_index=False, schema=b.schema)
-
-    def part_head(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[("source", "ascending"),
-                                            ("doc_id", "ascending")])
-        df = g.take(idx).to_pandas()
-        return pa.Table.from_pandas(
-            df.groupby("source", sort=False, dropna=False).head(cap),
-            preserve_index=False, schema=g.schema)
-
-    return exchange(ds.map_batches(local_head, batch_format="pyarrow",
-                                   zero_copy_batch=True),
-                    ["source"], part_head)
+    return grouped_top_k(ds, ["source"], [("doc_id", "ascending")], cap,
+                         as_dataset=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1184,7 @@ def q_typicality_buckets(sf_dir: str):
                                 zero_copy_batch=True).materialize()
     else:
         counts_ds = grouped_agg(partials, ["lang", "tok"],
-                                [("cnt", "sum", "cnt")], final="ray")
+                                [("cnt", "sum", "cnt")], as_dataset=True)
 
         def explode_occurrences(b: pa.Table) -> pa.Table:
             text = pc.fill_null(b.column("text"), "")
@@ -1245,7 +1209,7 @@ def q_typicality_buckets(sf_dir: str):
         joined = shuffle_join(occ, counts_ds, on=("tok", "lang"))
         sums = grouped_agg(joined, ["doc_id", "lang"],
                            [("cnt", "sum", "s"), (None, "count", "n")],
-                           final="ray")
+                           as_dataset=True)
 
         def finish(b: pa.Table) -> pa.Table:
             s = b.column("s").to_numpy(zero_copy_only=False).astype(np.int64)

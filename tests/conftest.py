@@ -54,3 +54,45 @@ def count_executions(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     yield counter
+
+
+# every size gate that picks a driver plan over an exchange: the shared
+# merge and broadcast bounds in ops/, then the gates between different
+# driver algorithms that pipeline modules still own
+_EXCHANGE_GATES = [
+    ("ocr_proofreader_ray.ops.agg", "_DRIVER_MERGE_MAX_ROWS"),
+    ("ocr_proofreader_ray.ops.join", "_BROADCAST_MAX_BYTES"),
+    ("ocr_proofreader_ray.ops.selection", "_DRIVER_SELECT_MAX_ROWS"),
+    ("ocr_proofreader_ray.pipelines.dedup", "_BANDS_DRIVER_MAX"),
+    ("ocr_proofreader_ray.pipelines.dedup", "_PAIRS_DRIVER_MAX"),
+    ("ocr_proofreader_ray.pipelines.dedup", "_GATHER_MAX_ELEMENTS"),
+    ("ocr_proofreader_ray.pipelines.dedup", "_UNION_FIND_MAX_PAIRS"),
+    ("ocr_proofreader_ray.pipelines.dedup", "_BLOOM_SEMI_THRESHOLD"),
+    ("ocr_proofreader_ray.pipelines.incremental", "_KEYS_BLOOM_THRESHOLD"),
+    ("ocr_proofreader_ray.pipelines.text_analysis",
+     "_TYP_BROADCAST_MAX_VOCAB"),
+]
+
+
+@pytest.fixture
+def all_exchange(monkeypatch):
+    """Every size gate at 0, so each merge, broadcast and driver fast path
+    takes its exchange (at-scale) plan even on tiny inputs."""
+    import importlib
+
+    for module, name in _EXCHANGE_GATES:
+        monkeypatch.setattr(importlib.import_module(module), name, 0)
+
+
+@pytest.fixture
+def no_ray_groupby_aggregate(monkeypatch):
+    """Ray's sort-based ``GroupedData.aggregate`` (behind ``count()``,
+    ``sum()``, ``min()`` and ``Dataset.aggregate``) raises: it fails on a
+    null string key, so query code aggregates through ``ops.agg`` only."""
+    from ray.data.grouped_data import GroupedData
+
+    def refuse(self, *aggs, **kwargs):
+        raise AssertionError("Ray's sort-based GroupedData.aggregate ran; "
+                             "aggregate with ops.agg.grouped_agg")
+
+    monkeypatch.setattr(GroupedData, "aggregate", refuse)

@@ -355,7 +355,7 @@ def test_dedup_keep_drops_cluster_members(ray_session, tmp_path):
     assert kept == [1, 4]  # 2 and 3 collapse into 1's cluster
 
 
-def test_label_propagation_matches_union_find(ray_session):
+def test_label_propagation_matches_union_find(ray_session, monkeypatch):
     """VERDICT r02 #9: the distributed min-label-propagation fallback must
     produce exactly the union-find components — including a long chain
     (multi-round convergence) and an isolated pair."""
@@ -374,9 +374,12 @@ def test_label_propagation_matches_union_find(ray_session):
         "doc_b": pa.array([max(e) for e in edges], pa.int64()),
     })
 
+    import ocr_proofreader_ray.pipelines.dedup as dd
+
     uf = dedup_clusters(pairs)                       # driver union-find
     # threshold 0 forces the distributed path through the public switch
-    lp = dedup_clusters(pairs, max_driver_pairs=0)
+    monkeypatch.setattr(dd, "_UNION_FIND_MAX_PAIRS", 0)
+    lp = dedup_clusters(pairs)
     assert uf.column("doc_id").to_pylist() == lp.column("doc_id").to_pylist()
     assert uf.column("rep_id").to_pylist() == lp.column("rep_id").to_pylist()
     # chain resolved to its min across 6 hops (multi-round + pointer jump)
@@ -388,11 +391,12 @@ def test_label_propagation_matches_union_find(ray_session):
         "_clusters_label_propagation"]  # the switch targets the real impl
 
 
-def test_cand_elements_bloom_path_identical(ray_session):
+def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
     """Forcing the Bloom semi-filter (threshold 0) must yield the same
     verified pairs as the exact key-set path — FPs only waste explode work."""
     import ray.data
 
+    import ocr_proofreader_ray.pipelines.dedup as dd
     from ocr_proofreader_ray.pipelines.dedup import (
         _band_rows,
         _candidate_pairs,
@@ -415,8 +419,8 @@ def test_cand_elements_bloom_path_identical(ray_session):
 
     results = []
     for threshold in (10**9, 0):  # exact path, then forced Bloom path
-        elements = _cand_elements(ds, pairs_table, shingle_elements,
-                                  bloom_threshold=threshold)
+        monkeypatch.setattr(dd, "_BLOOM_SEMI_THRESHOLD", threshold)
+        elements = _cand_elements(ds, pairs_table, shingle_elements)
         out = _verify_pairs_gather(pairs_table, elements,
                                    thr_num=500_000, thr_den=1_000_000)
         results.append({(r["doc_a"], r["doc_b"], r["inter"], r["uni"])
@@ -445,18 +449,19 @@ def test_segment_dedup_planted(ray_session, tmp_path):
     }), str(tmp_path / "documents.parquet"))
 
     got = {r["doc_id"]: (r["n_segments"], r["n_kept"])
-           for r in q_segment_dedup(str(tmp_path)).to_pylist()}
+           for r in q_segment_dedup(str(tmp_path)).take_all()}
     assert got == {1: (3, 3), 2: (3, 0), 3: (2, 1), 4: (2, 2)}
 
 
 def test_segment_dedup_ray_final_path(ray_session, monkeypatch):
-    """Forced-low threshold exercises the at-scale Ray-shuffle final: same
+    """Forced-low merge bound exercises the at-scale exchange merge: same
     values as the driver merge, returned as a Dataset."""
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines import dedup as dmod
 
     sf = "/root/testdata/sf0.001"
     driver = dmod.q_segment_dedup(sf).to_pandas()
-    monkeypatch.setattr(dmod, "_SEG_DRIVER_MAX_DOCS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
     ray_final = dmod.q_segment_dedup(sf)
     assert hasattr(ray_final, "to_pandas") and not isinstance(
         ray_final, pa.Table)
@@ -470,11 +475,12 @@ def test_segment_dedup_ray_final_path(ray_session, monkeypatch):
 
 def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
                                                         monkeypatch):
-    """Force the above-gate Ray-exchange pair dedup (the 100-TB path that
-    normally needs >5M pairs) and pin it identical to the driver-combiner
-    branch — same distinct pair set, streaming all the way."""
+    """Force the above-gate exchange pair dedup (the 100-TB path that
+    normally needs >20M partial pair rows) and pin it identical to the
+    driver merge — same distinct pair set, streaming all the way."""
     import ray.data
 
+    import ocr_proofreader_ray.ops.agg as agg
     import ocr_proofreader_ray.pipelines.dedup as dd
 
     base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
@@ -484,12 +490,12 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
 
     # three-way pin across both size gates: the bands-driver fast path
-    # (default at this size), the exchange + driver pair combiner, and the
-    # fully distributed exchange + Ray pair dedup must emit one pair set
+    # (default at this size), the exchange + driver pair merge, and the
+    # fully distributed exchange + exchange pair merge must emit one set
     small = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
     monkeypatch.setattr(dd, "_BANDS_DRIVER_MAX", 0)
     mid = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
-    monkeypatch.setattr(dd, "_PAIRS_DRIVER_MAX", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
     big = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
 
     canon = lambda df: sorted(map(tuple, df[["doc_a", "doc_b"]].to_numpy()))

@@ -1,6 +1,6 @@
 """The one hash exchange (``ops/exchange.py``): every key's rows meet in
-one call, on awkward keys too; the distributed ``grouped_agg`` final built
-on it equals the driver final; and no other module partitions rows."""
+one call, on awkward keys too; ``grouped_agg``'s exchange merge built on
+it equals the driver merge; and no other module partitions rows."""
 
 import ast
 import datetime
@@ -124,7 +124,7 @@ def test_co_exchange_meets_both_sides_with_typed_empty_sides(ray_session,
 
 
 # ---------------------------------------------------------------------------
-# grouped_agg: the distributed final equals the driver final
+# grouped_agg: the exchange merge equals the driver merge
 # ---------------------------------------------------------------------------
 
 _DAY = datetime.datetime(2024, 3, 1)
@@ -165,15 +165,19 @@ _AGG_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_AGG_CASES))
-def test_grouped_agg_distributed_final_equals_driver(ray_session, case):
+def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
+                                                      case):
     import ray.data
 
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 
     keys, aggs, tab = _AGG_CASES[case]
     ds = _blocks(tab) if tab.num_rows else ray.data.from_arrow(tab)
     want = grouped_agg(ds, keys, aggs)
-    got = _arrow_blocks(grouped_agg(ds, keys, aggs, final="ray"))
+    # bound 0: any partial row takes the exchange merge
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    got = _arrow_blocks(grouped_agg(ds, keys, aggs, as_dataset=True))
     if not want.num_rows:
         assert got == []
         return
@@ -228,13 +232,36 @@ def test_rows_are_partitioned_only_through_ops_exchange():
         "with ops.exchange.exchange / co_exchange")
 
 
+def test_grouped_agg_forms_share_typed_schema_on_empty_input(ray_session):
+    """An empty input still yields the typed result schema in both result
+    contracts (a Dataset with ``schema() is None`` leaves a downstream
+    ``select_columns`` nothing to work from)."""
+    import ray.data
+
+    from ocr_proofreader_ray.ops.agg import grouped_agg
+
+    keys, aggs, tab = _AGG_CASES["empty_input"]
+    want = grouped_agg(ray.data.from_arrow(tab), keys, aggs)
+    got = grouped_agg(ray.data.from_arrow(tab), keys, aggs, as_dataset=True)
+    assert want.num_rows == 0 and got.count() == 0
+    assert want.schema == pa.schema([("k", pa.string()), ("s", pa.int64()),
+                                     ("n", pa.int64())])
+    assert got.schema().base_schema == want.schema
+
+
 def test_agg_does_not_import_ray_aggregates():
-    with open(os.path.join(PKG, "ops", "agg.py")) as fh:
-        tree = ast.parse(fh.read())
+    """No module of the package imports Ray's sort-based aggregates: every
+    grouped aggregate runs through ``ops.agg``."""
     modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            modules.add(node.module)
-        elif isinstance(node, ast.Import):
-            modules.update(a.name for a in node.names)
+    for root, _dirs, files in os.walk(PKG):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    modules.add(node.module)
+                elif isinstance(node, ast.Import):
+                    modules.update(a.name for a in node.names)
     assert not {m for m in modules if m and m.startswith("ray.data.aggregate")}

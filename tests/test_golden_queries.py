@@ -32,6 +32,8 @@ from fixtures.gen_golden_queries import (
 with open(os.path.join(OUT_DIR, "MANIFEST.json")) as _f:
     _MANIFEST = json.load(_f)
 
+pytestmark = pytest.mark.usefixtures("no_ray_groupby_aggregate")
+
 
 def test_goldens_match_testdata():
     assert _MANIFEST["testdata_fingerprint"] == testdata_fingerprint(), (
@@ -58,6 +60,11 @@ def test_golden_query(ray_session, name):
 
 @pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
 def test_golden_query_ray_split(ray_session, ray_default_split, name):
+    _assert_matches_golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(_MANIFEST["queries"]))
+def test_golden_query_all_exchange(ray_session, all_exchange, name):
     _assert_matches_golden(name)
 
 

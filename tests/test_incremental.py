@@ -24,6 +24,14 @@ def _docs(rows):
     })).repartition(3)
 
 
+def _keep_ids(res) -> list[int]:
+    """Sorted doc ids of an exact increment's kept Dataset."""
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+
+    return sorted(i for b in _arrow_blocks(res["keep"])
+                  for i in b.column("doc_id").to_pylist())
+
+
 def _fixture():
     rng = np.random.default_rng(42)
     texts = {i: _text(rng) for i in range(1, 11)}
@@ -216,13 +224,50 @@ def test_exact_increment_appends_index(ray_session, tmp_path):
     work = str(tmp_path / "w")
     bootstrap_exact_index(_docs([(1, "a"), (2, "b")]), work)
     r1 = dedup_exact_increment(_docs([(10, "c"), (11, "a")]), work, "inc-1")
-    assert sorted(r1["keep"].column("doc_id").to_pylist()) == [10]
+    assert _keep_ids(r1) == [10]
     assert r1["n_dropped_vs_corpus"] == 1
     # "c" is now retained: a later increment re-crawling it must drop it
     r2 = dedup_exact_increment(_docs([(20, "c"), (21, "d")]), work, "inc-2")
-    assert sorted(r2["keep"].column("doc_id").to_pylist()) == [21]
+    assert _keep_ids(r2) == [21]
     assert r2["n_dropped_vs_corpus"] == 1
     assert r2["n_dropped_within"] == 0
+
+
+def test_exact_increment_exchange_plan_matches_driver(ray_session, tmp_path,
+                                                      monkeypatch):
+    """With the merge and broadcast bounds at 0 the increment collapses,
+    filters the index and anti-joins through exchanges; keep ids, both drop
+    counters and the appended index batch equal the driver plan's."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from ocr_proofreader_ray.ops import agg, join
+    from ocr_proofreader_ray.pipelines.incremental import (
+        _EXACT_INDEX_SUBDIR,
+        bootstrap_exact_index,
+        dedup_exact_increment,
+    )
+
+    old, new = _fixture()
+    new = new + [(30, old[3][1]), (31, "fresh text"), (32, "fresh text")]
+
+    def run(work: str):
+        bootstrap_exact_index(_docs(old), work)
+        res = dedup_exact_increment(_docs(new), work, "inc-1")
+        batch = pq.ParquetDataset(
+            os.path.join(work, _EXACT_INDEX_SUBDIR, "inc-1")).read()
+        return (_keep_ids(res), res["n_dropped_vs_corpus"],
+                res["n_dropped_within"],
+                sorted(zip(batch.column("h1").to_pylist(),
+                           batch.column("h2").to_pylist())))
+
+    driver = run(str(tmp_path / "driver"))
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+    assert run(str(tmp_path / "exchange")) == driver
+    assert driver[:3] == ([21, 23, 31], 3, 2)
+    assert len(driver[3]) == 3
 
 
 def test_exact_index_refuses_other_hash_stamp(ray_session, tmp_path):
@@ -252,7 +297,7 @@ def test_exact_index_refuses_other_hash_stamp(ray_session, tmp_path):
     assert stamp == {"hash": "polars.Series.hash",
                      "polars": version("polars")}
     r = dedup_exact_increment(_docs([(10, "c"), (11, "a")]), work, "inc-1")
-    assert r["keep"].column("doc_id").to_pylist() == [10]
+    assert _keep_ids(r) == [10]
 
     with open(stamp_path, "w") as f:
         json.dump({**stamp, "polars": "0.0.0"}, f)

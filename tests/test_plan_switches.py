@@ -26,7 +26,7 @@ def test_heavy_hitters_ray_final_matches_driver(ray_session, monkeypatch):
 
     driver = _canon(ta.q_heavy_hitters(SF))
     driver_bg = _canon(ta.q_bigram_heavy_hitters(SF))
-    monkeypatch.setattr(agg, "_TOPK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
     forced = _canon(ta.q_heavy_hitters(SF))
     forced_bg = _canon(ta.q_bigram_heavy_hitters(SF))
     pd.testing.assert_frame_equal(driver, forced, check_dtype=False,
@@ -142,7 +142,7 @@ def test_heavy_hitters_null_lang_stratum(ray_session, tmp_path, monkeypatch):
     bg = _canon(ta.q_bigram_heavy_hitters(str(tmp_path)))
     assert uni["lang"].isna().any()   # NULL stratum present
     assert bg["lang"].isna().any()
-    monkeypatch.setattr(agg, "_TOPK_DRIVER_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
     pd.testing.assert_frame_equal(uni, _canon(ta.q_heavy_hitters(str(tmp_path))),
                                   check_dtype=False, check_exact=True)
     pd.testing.assert_frame_equal(bg, _canon(ta.q_bigram_heavy_hitters(str(tmp_path))),

@@ -69,10 +69,12 @@ def test_prep_resume_skips_completed_stages(ray_session):
 
 def test_prep_source_cap_exchange_plan_matches_driver(ray_session,
                                                       monkeypatch):
-    """Above _CAP_DRIVER_MAX_DOCS q_source_cap returns a Dataset of keep
-    ids; the prep chain must semi-filter with it (no driver gather) and
-    produce the same lineage and final corpus as the driver-merge plan."""
-    import ocr_proofreader_ray.pipelines.text_analysis as ta
+    """With the merge and broadcast bounds at 0 q_source_cap's survivors
+    merge in an exchange and the prep chain semi-filters with the keep ids
+    through an exchange too (no driver gather); lineage and final corpus
+    must equal the driver plan's."""
+    import ocr_proofreader_ray.ops.agg as agg
+    import ocr_proofreader_ray.ops.join as join
 
     final = "/tmp/opr_llm_prep/sf0.001/final/documents.parquet"
 
@@ -82,7 +84,8 @@ def test_prep_source_cap_exchange_plan_matches_driver(ray_session,
 
     driver = q_llm_prep_corpus(SF, resume=False)
     driver_ids = final_ids()
-    monkeypatch.setattr(ta, "_CAP_DRIVER_MAX_DOCS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
     exchange = q_llm_prep_corpus(SF, resume=False)
     assert exchange.equals(driver)
     assert final_ids() == driver_ids

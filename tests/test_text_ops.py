@@ -209,7 +209,7 @@ def test_source_cap_paths_equivalent(ray_session, monkeypatch):
     test_relational_oracle.py)."""
     import pandas as pd
 
-    import ocr_proofreader_ray.pipelines.text_analysis as ta
+    import ocr_proofreader_ray.ops.agg as agg
     from ocr_proofreader_ray.pipelines.text_analysis import q_source_cap
 
     sf = "/root/testdata/sf0.001"
@@ -219,7 +219,7 @@ def test_source_cap_paths_equivalent(ray_session, monkeypatch):
         return df.sort_values(["source", "doc_id"]).reset_index(drop=True)
 
     a = canon(q_source_cap(sf))
-    monkeypatch.setattr(ta, "_CAP_DRIVER_MAX_DOCS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
     b = canon(q_source_cap(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # every source holds at most the cap, with the lowest doc_ids kept
