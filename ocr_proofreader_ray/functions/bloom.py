@@ -10,9 +10,11 @@ classic commutative reduce), broadcast once via ``ray.put``.
 Correctness contract: membership tests have false positives (rate ~fpp)
 and NO false negatives, so a Bloom test alone is a PREFILTER, never an
 exact semi/anti join — every surviving row must still pass an exact join
-downstream.  ``ops/join.py::shuffle_join(bloom_prefilter=True)`` uses it
-exactly that way: results are bit-identical with the filter on or off
-(tests/test_bloom.py), only the shuffled volume changes.
+downstream.  ``ops/join.py::prefilter`` builds one when its key side is
+above the broadcast bound, and its callers follow with that exact join:
+results are bit-identical on either plan (tests/test_bloom.py), only the
+shuffled volume changes.  Pipeline modules reach it only through
+``prefilter``.
 
 Hashing: double hashing h_i(x) = h1(x) + i*h2(x) (Kirsch-Mitzenstein,
 public knowledge) over a splitmix64-mixed key — vectorized uint64 numpy,

@@ -24,8 +24,6 @@ persists it, because both sides of an exchange hash inside one job.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -37,37 +35,43 @@ _SIDE = "__side"
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # per-partition memory budget: a partition's rows land in ONE map_groups
-# task, so with 256 MiB of input parquet per partition (~3x in-memory
-# expansion) a partition stays well under 1 GiB of worker heap
+# task, so with 256 MiB of in-memory input rows per partition a task stays
+# well under 1 GiB of worker heap
 _JOIN_PARTITION_INPUT_BYTES = 256 << 20
+
+
+def _source_bytes(ds: "ray.data.Dataset") -> int | None:
+    """In-memory bytes of the sources of ``ds``'s plan, from metadata only:
+    a Read's footer estimate, a materialized input's block bytes; None
+    when a source has neither."""
+    total = 0
+    ops = [ds._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        if op.input_dependencies:
+            ops.extend(op.input_dependencies)
+            continue
+        size = op.infer_metadata().size_bytes
+        if size is None:
+            return None
+        total += size
+    return total
 
 
 def num_partitions(*datasets: "ray.data.Dataset") -> int:
     """Partition count from input size, floored at the cluster's CPU count.
 
-    Size comes from the datasets' source files (free: Parquet paths
-    tracked through the plan, no execution) — it bounds per-partition
-    memory; the CPU floor keeps the per-partition stage from
-    under-parallelizing small-but-not-tiny inputs (measured: an
-    8-partition join of sf0.1 lineitem⋈orders ran 5.9 s on 32 CPUs vs
-    3.6 s with ≥16).  Falls back to 32 when an input has no file-backed
-    source (e.g. from_arrow of a driver table)."""
+    Size is the datasets' source bytes (``_source_bytes``: metadata, no
+    execution) — it bounds per-partition memory; the CPU floor keeps the
+    per-partition stage from under-parallelizing small-but-not-tiny inputs
+    (measured: an 8-partition join of sf0.1 lineitem⋈orders ran 5.9 s on
+    32 CPUs vs 3.6 s with ≥16).  Falls back to 32 when a source's size is
+    unknown."""
     ncpu = int(ray.cluster_resources().get("CPU", 8))
-    total = 0
-    for ds in datasets:
-        try:
-            files = ds.input_files()
-        except Exception:
-            return max(32, ncpu)
-        for f in files:
-            p = f.split("://", 1)[-1]
-            try:
-                total += os.path.getsize(p)
-            except OSError:
-                pass
-    if total <= 0:
+    sizes = [_source_bytes(ds) for ds in datasets]
+    if None in sizes:
         return max(32, ncpu)
-    by_bytes = -(-total // _JOIN_PARTITION_INPUT_BYTES)
+    by_bytes = -(-sum(sizes) // _JOIN_PARTITION_INPUT_BYTES)
     # no upper cap: the per-partition budget must hold at any input size,
     # so partitions grow linearly with bytes; many partitions only cost
     # per-group dispatch, which map_groups amortizes across its rows
@@ -131,9 +135,20 @@ def exchange(
             .groupby(_PART).map_groups(run, batch_format="pyarrow"))
 
 
-def _arrow_schema(ds: "ray.data.Dataset") -> pa.Schema:
-    schema = ds.schema()
-    return pa.schema(list(zip(schema.names, schema.types)))
+def with_schema(ds: "ray.data.Dataset") -> tuple["ray.data.Dataset",
+                                                 pa.Schema]:
+    """``ds`` and its Arrow schema, without a ``limit=1`` probe.
+
+    A Read or a materialized input knows its schema.  A plan whose schema
+    Ray cannot infer (any map) is materialized once and returned in place
+    of ``ds``, so its upstream runs once — a probe would run it once for
+    the schema and again for the exchange, and an upstream all-to-all
+    cannot stop early."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, pa.schema(list(zip(schema.names, schema.types)))
 
 
 def co_exchange(
@@ -151,7 +166,8 @@ def co_exchange(
     Both sides travel as one union: each side's columns are renamed to
     side-scoped layout columns and padded with nulls for the other side's,
     so any column name — shared or not — is allowed on either side."""
-    lschema, rschema = _arrow_schema(left), _arrow_schema(right)
+    left, lschema = with_schema(left)
+    right, rschema = with_schema(right)
     n = num_partitions(left, right)
     lnames = [f"__l{i}" for i in range(len(lschema))]
     rnames = [f"__r{i}" for i in range(len(rschema))]

@@ -42,7 +42,11 @@ from ocr_proofreader_ray.functions.sketches import (
 )
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 from ocr_proofreader_ray.ops.exchange import exchange
-from ocr_proofreader_ray.ops.join import broadcast_semi_anti, shuffle_join
+from ocr_proofreader_ray.ops.join import (
+    broadcast_semi_anti,
+    prefilter,
+    shuffle_join,
+)
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -289,13 +293,6 @@ def _candidate_pairs(bands: "ray.data.Dataset",
 _GATHER_MAX_ELEMENTS = 5_000_000
 
 
-# above this many candidate docs, the semi-filter ships a fixed-size Bloom
-# filter instead of the exact id set; Bloom false positives only explode a
-# few extra docs' elements (they appear in no pair, so joins/lookup drop
-# them) — results are identical, only wasted work is bounded
-_BLOOM_SEMI_THRESHOLD = 2_000_000
-
-
 def _pairs_ds(pairs) -> "ray.data.Dataset":
     """Normalize a pair set (Table from legacy callers / Dataset from
     ``_candidate_pairs``) to a materialized Dataset."""
@@ -308,42 +305,15 @@ def _cand_elements(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
                    element_rows) -> "ray.data.Dataset":
     """Exploded (doc_id, el) element rows of the candidate docs.
 
-    The candidate-id semi-filter never concentrates the pair set on the
-    driver: under ``_BLOOM_SEMI_THRESHOLD`` ids the (bounded) distinct id
-    array is gathered and broadcast exactly; above it a fixed-size Bloom filter
-    is built DISTRIBUTED over the pair id columns (per-batch partial bit
-    arrays OR-reduced — driver sees blocks x m/8 bytes, never ids) and
-    false positives only explode a few extra docs' elements, which appear
-    in no pair and drop out of every downstream join."""
-    n_pairs = pairs.count()
-    # the gate is PAIR-count-based: 2*n_pairs upper-bounds the distinct
-    # candidate-id count (star-capped buckets repeat the hub id, so it can
-    # overshoot by up to 2x), deliberately erring toward the Bloom (scale)
-    # path rather than paying a distinct-count pass on the pair Dataset
-    # just to pick a plan (ADVICE r04)
-    if 2 * n_pairs > _BLOOM_SEMI_THRESHOLD:
-        from ocr_proofreader_ray.functions.bloom import build_bloom
-
-        ids_ds = pairs.map_batches(
-            lambda b: pa.table({"doc_id": pa.concat_arrays([
-                b.column("doc_a").combine_chunks(),
-                b.column("doc_b").combine_chunks()])}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        bf = build_bloom(ids_ds, "doc_id", n_keys_estimate=2 * n_pairs)
-        bref = ray.put(bf)
-
-        def bloom_filter(b: pa.Table) -> pa.Table:
-            f = ray.get(bref)
-            return b.filter(pa.array(f.contains_column(b.column("doc_id"))))
-
-        cand_docs = docs.map_batches(bloom_filter, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    else:
-        cand_ids = pa.concat_arrays(
-            [arr for blk in _arrow_blocks(pairs)
-             for arr in (blk.column("doc_a").combine_chunks(),
-                         blk.column("doc_b").combine_chunks())]).unique()
-        cand_docs = broadcast_semi_anti(docs, cand_ids, on="doc_id")
+    The candidate-id semi-filter is ``ops.join.prefilter`` over the
+    materialized pair ids (sized from metadata, so picking the plan runs
+    nothing): the exact id set broadcasts while it fits the one broadcast
+    bound, and above it a Bloom filter built in the workers over the pair
+    id columns does — its false positives only explode a few extra docs'
+    elements, which appear in no pair and drop out of every downstream
+    join."""
+    cand_docs = prefilter(docs, pairs, on="doc_id",
+                          keys_on=["doc_a", "doc_b"])
 
     def explode(b: pa.Table) -> pa.Table:
         ids, els = [], []
@@ -1136,15 +1106,12 @@ def q_dedup_keep(sf_dir: str):
     pass actually ships: every document except non-representative members
     of near-dup clusters (doc_id != rep_id drops).
 
-    The drop set is bounded by the duplicate count, not the corpus; it
-    broadcasts as an exact key set through ``broadcast_semi_anti`` below
-    `_BLOOM_SEMI_THRESHOLD`-scale sizes, and a duplicate-heavy crawl would
-    switch the filter to the same fixed-size Bloom plan the candidate
-    semi-filter uses (FPs there would only re-keep a few duplicates —
-    safe direction for an anti filter is the exact set, so the Bloom
-    variant must invert to keep-side membership; documented, not needed
-    at current drop-set sizes).  Output: the surviving (doc_id, lang,
-    source) rows.
+    The drop set is bounded by the duplicate count, not the corpus, and
+    already sits on the driver (``dedup_clusters`` returns a Table); it
+    broadcasts as an exact key set through ``broadcast_semi_anti``.  An
+    anti filter needs the exact set — a Bloom filter's false positives
+    would drop kept docs — so ``prefilter`` does not apply here.  Output:
+    the surviving (doc_id, lang, source) rows.
     """
     clusters = q_dedup_clusters(sf_dir)
     mask = pc.not_equal(clusters.column("doc_id"), clusters.column("rep_id"))

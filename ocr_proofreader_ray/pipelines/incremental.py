@@ -10,10 +10,11 @@ increment the plan is:
 
 1. band the new docs (`dedup._band_rows` — the exact machinery the batch
    path uses, so incremental and batch agree on candidate generation);
-2. SEMI-FILTER the index to buckets touched by the new docs — the new
-   band-key set is increment-sized and broadcasts (or Blooms, same
-   size-gate as elsewhere); the corpus-sized index streams through ONE
-   `is_in` filter, nothing corpus-sized shuffles;
+2. SEMI-FILTER the index to buckets touched by the new docs through
+   `ops.join.prefilter` — the new band-key set is increment-sized and
+   broadcasts exactly while it fits the one broadcast bound (a Bloom
+   filter above it); the corpus-sized index streams through ONE filter,
+   nothing corpus-sized shuffles;
 3. candidate pairs over (touched-index ∪ new bands) via the shared
    star-capped bucket pair generation, kept only where at least one side
    is new;
@@ -48,10 +49,10 @@ import ray.data
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import (
-    broadcast_join,
     broadcast_semi_anti,
+    join,
+    prefilter,
     semi_anti,
-    shuffle_join,
 )
 from ocr_proofreader_ray.pipelines.dedup import (
     _band_rows,
@@ -62,11 +63,6 @@ from ocr_proofreader_ray.pipelines.dedup import (
 from ocr_proofreader_ray.functions.sketches import shingles
 
 _INDEX_SUBDIR = "band_index"
-
-# above this many distinct increment band keys the touched-bucket semi
-# filter ships a fixed-size Bloom instead of the exact key set (same gate
-# family as dedup._BLOOM_SEMI_THRESHOLD)
-_KEYS_BLOOM_THRESHOLD = 2_000_000
 
 # stage wall-times of the most recent q_dedup_incremental run (VERDICT r04
 # next-steps #3: the slowest bench-slice query gets a per-stage split the
@@ -204,24 +200,9 @@ def dedup_increment(
     # column carries a fourth ``part`` column: select the three index
     # columns so old and new batches union with the new band rows
     index = read_parquet(_index_dir(work_dir), columns=_INDEX_COLUMNS)
-    if len(new_keys) > _KEYS_BLOOM_THRESHOLD:
-        # huge increment: ship a fixed-size Bloom instead of the exact key
-        # set; false positives only admit old rows whose old-old pairs are
-        # dropped below — results identical, waste bounded
-        from ocr_proofreader_ray.functions.bloom import BloomFilter
-
-        bf = BloomFilter(len(new_keys), fpp=0.01)
-        bf.add_column(new_keys)
-        bref = ray.put(bf)
-
-        def bloom_touch(b: pa.Table) -> pa.Table:
-            f = ray.get(bref)
-            return b.filter(pa.array(f.contains_column(b.column("band_key"))))
-
-        touched = index.map_batches(bloom_touch, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-    else:
-        touched = broadcast_semi_anti(index, new_keys, on="band_key")
+    # a Bloom false positive only admits old rows whose old-old pairs are
+    # dropped below — results identical, waste bounded
+    touched = prefilter(index, new_keys, on="band_key")
 
     # 3. shared star-capped pair generation; keep pairs touching a new doc
     # (new_ids is increment-sized — safe to close over and ship per task)
@@ -450,14 +431,14 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     h1 set while it fits, else an exchange), so only the matched key rows
     (duplicate-bounded + ~|index|·|new|/2^64 expected h1-lane false
     positives) survive.  The exact (h1, h2) anti join of the increment
-    against them broadcasts the matched rows while they fit the driver
-    merge bound and hash-exchanges both sides above it.  Nothing
+    against them is ``ops.join.join``: it broadcasts the matched rows
+    while their bytes fit the broadcast bound and hash-exchanges both
+    sides above it.  Nothing
     corpus-sized ever concentrates.  Returns the kept (h1, h2, doc_id)
     rows as a Dataset and the drop counts; appends the kept keys under
     ``batch_tag``.  Raises ``RuntimeError`` when the index's hash stamp is
     missing or names another hash implementation.
     """
-    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines.dedup import content_keys_batch
 
     _check_exact_hash_stamp(work_dir)
@@ -475,15 +456,7 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     matched = semi_anti(read_parquet(_exact_index_dir(work_dir)), new_keys,
                         on="h1").materialize()
     # h1/h2 are never null, so no null-key semantics apply
-    if matched.count() <= agg._DRIVER_MERGE_MAX_ROWS:
-        blocks = _arrow_blocks(matched) or [
-            pa.table({"h1": pa.array([], pa.int64()),
-                      "h2": pa.array([], pa.int64())})]
-        kept = broadcast_join(new_keys, pa.concat_tables(blocks),
-                              on=["h1", "h2"], join_type="left anti")
-    else:
-        kept = shuffle_join(new_keys, matched, on=("h1", "h2"),
-                            join_type="left anti")
+    kept = join(new_keys, matched, ["h1", "h2"], join_type="left anti")
     kept = kept.materialize()
     n_dropped_vs_corpus = n_new_distinct - kept.count()
     n_dropped_within = (

@@ -28,7 +28,12 @@ import ray.data
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
 from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.io import read_parquet
-from ocr_proofreader_ray.ops.join import asof_join, join_table, shuffle_join
+from ocr_proofreader_ray.ops.join import (
+    asof_join,
+    join_table,
+    prefilter,
+    shuffle_join,
+)
 from ocr_proofreader_ray.pipelines.registry import register
 
 
@@ -424,14 +429,15 @@ def q_order_priority_revenue_salted(sf_dir: str):
     """,
 )
 def q_urgent_order_revenue(sf_dir: str):
-    """Selective fact-fact join with a Bloom prefilter (B7 scale path).
+    """Selective fact-fact join with a key prefilter (B7 scale path).
 
-    Orders shrink ~5x under the priority predicate, so a fixed-size Bloom
-    over the surviving order keys drops ~80% of lineitem rows BEFORE the
-    exchange (ops/join.py bloom_prefilter; false positives are resolved by
-    the exact per-partition Arrow join, so the DuckDB oracle pins bit-exact
-    results).  This is the broadcast_semi_anti fallback for key sets too
-    large to ship exactly."""
+    Orders shrink ~5x under the priority predicate.  The filtered orders
+    are materialized once and feed both the prefilter and the join:
+    ``ops.join.prefilter`` drops ~80% of lineitem rows BEFORE the exchange
+    — an exact key broadcast while the orders fit the broadcast bound, a
+    Bloom filter over their keys above it, whose false positives the
+    exact per-partition Arrow join resolves (the DuckDB oracle pins
+    bit-exact results)."""
     li = t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def rev(b: pa.Table) -> pa.Table:
@@ -445,9 +451,10 @@ def q_urgent_order_revenue(sf_dir: str):
     orders = orders.map_batches(
         lambda b: b.filter(pc.equal(b.column("o_orderpriority"),
                                     pa.scalar("1-URGENT"))),
-        batch_format="pyarrow", zero_copy_batch=True)
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    li = prefilter(li, orders, on="l_orderkey", keys_on="o_orderkey")
     joined = shuffle_join(li, orders, on=("l_orderkey",),
-                          right_on=("o_orderkey",), bloom_prefilter=True)
+                          right_on=("o_orderkey",))
     # grouped on the constant priority column, then projected away → the
     # combiner aggregate machinery handles the keyless-global case too
     tab = grouped_agg(joined, ["o_orderpriority"], [

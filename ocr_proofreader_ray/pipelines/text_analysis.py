@@ -21,6 +21,7 @@ from ocr_proofreader_ray.ops.agg import (
     grouped_sum_top_k,
     grouped_top_k,
 )
+from ocr_proofreader_ray.ops.join import join
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -1078,11 +1079,6 @@ def q_source_cap(sf_dir: str, cap: int = _SOURCE_CAP):
 # round 3 — per-language typicality scoring + tercile bucketing (CCNet-style)
 # ---------------------------------------------------------------------------
 
-# vocabulary rows at or under this broadcast the (lang, tok) count table to
-# every scoring task; above it the occurrence rows shuffle-join the counts
-# instead (no corpus-proportional broadcast)
-_TYP_BROADCAST_MAX_VOCAB = 2_000_000
-
 @register(
     "q_typicality_buckets",
     sql="""
@@ -1132,97 +1128,56 @@ def q_typicality_buckets(sf_dir: str):
 
     Two-pass plan, mirroring the extraction dictionary pattern:
     pass 1 builds the (lang, tok) occurrence counts via per-batch Arrow
-    partials; at or under ``_TYP_BROADCAST_MAX_VOCAB`` partial rows the
-    merged table broadcasts via ``ray.put`` and pass 2 scores each batch
-    with a vectorized hash lookup — above it, pass 2 explodes (doc, tok)
-    occurrence rows and shuffle-joins the counts on (lang, tok) so nothing
-    vocabulary-sized is ever broadcast (both paths exact, pinned
-    equivalent by pytest).  Tercile thresholds are the floor(n/3)-th and
-    floor(2n/3)-th order statistics per language from
+    partials merged by ``grouped_agg``; pass 2 explodes (doc, lang, tok)
+    occurrence rows, ``ops.join.join``s the counts on (tok, lang) — a
+    broadcast of the count table while it fits the one broadcast bound, a
+    hash exchange above it, so nothing vocabulary-sized is broadcast past
+    it (both plans exact, pinned equivalent by pytest) — and sums each
+    doc's counts with ``grouped_agg``.  Tercile thresholds are the
+    floor(n/3)-th and floor(2n/3)-th order statistics per language from
     ``ops.selection.grouped_kth_smallest`` (exact at any corpus size; the
     milli-quantization alone does NOT bound distinct scores, since the
     score is an average corpus COUNT and grows with the corpus) — and
     assignment is one more vectorized comparison pass."""
     import numpy as np
-    import pandas as pd
 
     ds = t(sf_dir, "documents", ["doc_id", "lang", "text"])
     partials = ds.map_batches(_explode_token_counts, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
 
-    if partials.count() <= _TYP_BROADCAST_MAX_VOCAB:
-        counts = grouped_agg(partials, ["lang", "tok"],
-                             [("cnt", "sum", "cnt")])
-        # "lang\x00tok" keys: one flat C-hash dict lookup per occurrence
-        keys = pc.binary_join_element_wise(
-            counts.column("lang"), counts.column("tok"), "\x00")
-        lut = dict(zip(keys.to_pylist(), counts.column("cnt").to_pylist()))
-        lut_ref = ray.put(lut)
+    counts = grouped_agg(partials, ["lang", "tok"], [("cnt", "sum", "cnt")],
+                         as_dataset=True)
 
-        def score(b: pa.Table) -> pa.Table:
-            cl = ray.get(lut_ref)
-            text = pc.fill_null(b.column("text"), "")
-            toks = pc.split_pattern(text, pattern=" ")
-            lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-            flat = pc.list_flatten(toks)
-            row_idx = np.repeat(np.arange(len(b), dtype=np.int64), lens)
-            langs = b.column("lang").take(pa.array(row_idx))
-            keys_ = pc.binary_join_element_wise(langs, flat, "\x00")
-            cnts = pd.Series(keys_.to_pylist()).map(cl).to_numpy(np.int64)
-            s = (pd.DataFrame({"r": row_idx, "c": cnts})
-                 .groupby("r", sort=True)["c"].sum()
-                 .reindex(np.arange(len(b)), fill_value=0).to_numpy())
-            return pa.table({
-                "doc_id": b.column("doc_id"),
-                "lang": b.column("lang"),
-                "score_milli": pa.array(
-                    1000 * s // np.maximum(lens.astype(np.int64), 1),
-                    pa.int64()),
-            })
+    def explode_occurrences(b: pa.Table) -> pa.Table:
+        text = pc.fill_null(b.column("text"), "")
+        toks = pc.split_pattern(text, pattern=" ")
+        lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+        row_idx = pa.array(np.repeat(np.arange(len(b), dtype=np.int64), lens))
+        return pa.table({
+            "doc_id": b.column("doc_id").take(row_idx),
+            "lang": b.column("lang").take(row_idx),
+            "tok": pc.list_flatten(toks),
+        })
 
-        scores = ds.map_batches(score, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
-    else:
-        counts_ds = grouped_agg(partials, ["lang", "tok"],
-                                [("cnt", "sum", "cnt")], as_dataset=True)
+    occ = ds.map_batches(explode_occurrences, batch_format="pyarrow",
+                         zero_copy_batch=True)
+    joined = join(occ, counts, on=["tok", "lang"])
+    sums = grouped_agg(joined, ["doc_id", "lang"],
+                       [("cnt", "sum", "s"), (None, "count", "n")],
+                       as_dataset=True)
 
-        def explode_occurrences(b: pa.Table) -> pa.Table:
-            text = pc.fill_null(b.column("text"), "")
-            toks = pc.split_pattern(text, pattern=" ")
-            lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-            flat = pc.list_flatten(toks)
-            row_idx = pa.array(np.repeat(np.arange(len(b), dtype=np.int64),
-                                         lens))
-            return pa.table({
-                "doc_id": b.column("doc_id").take(row_idx),
-                "lang": b.column("lang").take(row_idx),
-                "tok": flat,
-            })
+    def finish(b: pa.Table) -> pa.Table:
+        s = b.column("s").to_numpy(zero_copy_only=False).astype(np.int64)
+        n = b.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({
+            "doc_id": b.column("doc_id"),
+            "lang": b.column("lang"),
+            "score_milli": pa.array(1000 * s // np.maximum(n, 1),
+                                    pa.int64()),
+        })
 
-        from ocr_proofreader_ray.ops.join import shuffle_join
-
-        occ = ds.map_batches(explode_occurrences, batch_format="pyarrow",
-                             zero_copy_batch=True)
-        # key order matters: shuffle_join partitions on the FIRST key, and
-        # tok is the high-cardinality one — (lang, tok) would co-locate an
-        # entire language's occurrences in one partition group
-        joined = shuffle_join(occ, counts_ds, on=("tok", "lang"))
-        sums = grouped_agg(joined, ["doc_id", "lang"],
-                           [("cnt", "sum", "s"), (None, "count", "n")],
-                           as_dataset=True)
-
-        def finish(b: pa.Table) -> pa.Table:
-            s = b.column("s").to_numpy(zero_copy_only=False).astype(np.int64)
-            n = b.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "doc_id": b.column("doc_id"),
-                "lang": b.column("lang"),
-                "score_milli": pa.array(1000 * s // np.maximum(n, 1),
-                                        pa.int64()),
-            })
-
-        scores = sums.map_batches(finish, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
+    scores = sums.map_batches(finish, batch_format="pyarrow",
+                              zero_copy_batch=True).materialize()
 
     from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 

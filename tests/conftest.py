@@ -58,7 +58,7 @@ def count_executions(monkeypatch):
 
 # every size gate that picks a driver plan over an exchange: the shared
 # merge and broadcast bounds in ops/, then the gates between different
-# driver algorithms that pipeline modules still own
+# driver algorithms (tests/test_gates.py keeps this list complete)
 _EXCHANGE_GATES = [
     ("ocr_proofreader_ray.ops.agg", "_DRIVER_MERGE_MAX_ROWS"),
     ("ocr_proofreader_ray.ops.join", "_BROADCAST_MAX_BYTES"),
@@ -67,10 +67,6 @@ _EXCHANGE_GATES = [
     ("ocr_proofreader_ray.pipelines.dedup", "_PAIRS_DRIVER_MAX"),
     ("ocr_proofreader_ray.pipelines.dedup", "_GATHER_MAX_ELEMENTS"),
     ("ocr_proofreader_ray.pipelines.dedup", "_UNION_FIND_MAX_PAIRS"),
-    ("ocr_proofreader_ray.pipelines.dedup", "_BLOOM_SEMI_THRESHOLD"),
-    ("ocr_proofreader_ray.pipelines.incremental", "_KEYS_BLOOM_THRESHOLD"),
-    ("ocr_proofreader_ray.pipelines.text_analysis",
-     "_TYP_BROADCAST_MAX_VOCAB"),
 ]
 
 

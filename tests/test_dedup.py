@@ -392,11 +392,11 @@ def test_label_propagation_matches_union_find(ray_session, monkeypatch):
 
 
 def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
-    """Forcing the Bloom semi-filter (threshold 0) must yield the same
+    """Forcing the Bloom semi-filter (broadcast bound 0) must yield the same
     verified pairs as the exact key-set path — FPs only waste explode work."""
     import ray.data
 
-    import ocr_proofreader_ray.pipelines.dedup as dd
+    from ocr_proofreader_ray.ops import join
     from ocr_proofreader_ray.pipelines.dedup import (
         _band_rows,
         _candidate_pairs,
@@ -418,8 +418,8 @@ def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
         return [h - (1 << 63) for h in shingles((text or "").split(), n=3)]
 
     results = []
-    for threshold in (10**9, 0):  # exact path, then forced Bloom path
-        monkeypatch.setattr(dd, "_BLOOM_SEMI_THRESHOLD", threshold)
+    for bound in (join._BROADCAST_MAX_BYTES, 0):  # exact, then forced Bloom
+        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
         elements = _cand_elements(ds, pairs_table, shingle_elements)
         out = _verify_pairs_gather(pairs_table, elements,
                                    thr_num=500_000, thr_den=1_000_000)

@@ -11,6 +11,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from fixtures.gen_golden_queries import SF_DIR
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(REPO, "ocr_proofreader_ray")
 
@@ -265,3 +267,76 @@ def test_agg_does_not_import_ray_aggregates():
                 elif isinstance(node, ast.Import):
                     modules.update(a.name for a in node.names)
     assert not {m for m in modules if m and m.startswith("ray.data.aggregate")}
+
+
+def test_num_partitions_sized_from_source_bytes(ray_session, monkeypatch):
+    """A read→map plan is sized by its Read's byte estimate and a
+    materialized input by its block bytes (``Dataset.input_files()`` is
+    empty for both, so neither may fall back to the fixed guess), and the
+    exchange's result does not depend on the partition count."""
+    import math
+
+    from ocr_proofreader_ray.ops import exchange as ex
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.pipelines.relational import t
+
+    read = t(SF_DIR, "lineitem", ["l_orderkey", "l_quantity"])
+    mapped = read.map_batches(lambda b: b, batch_format="pyarrow")
+    mat = mapped.materialize()
+    assert mapped.input_files() == [] and mat.input_files() == []
+
+    def sums(ds):
+        out = pa.concat_tables(_arrow_blocks(ex.exchange(
+            ds, ["l_orderkey"], lambda rows: rows.group_by("l_orderkey")
+            .aggregate([("l_quantity", "sum")]))))
+        return sorted(zip(*out.to_pydict().values()))
+
+    want = sums(mapped)
+    budget = max(1, read.size_bytes() // 40)
+    monkeypatch.setattr(ex, "_JOIN_PARTITION_INPUT_BYTES", budget)
+    assert ex.num_partitions(mapped) == math.ceil(read.size_bytes() / budget)
+    assert ex.num_partitions(mat) == math.ceil(mat.size_bytes() / budget)
+    assert ex.num_partitions(mapped, mat) == math.ceil(
+        (read.size_bytes() + mat.size_bytes()) / budget)
+    assert ex.num_partitions(mapped) > 8
+    assert sums(mapped) == sums(mat) == want
+
+
+def test_exchanges_run_no_limit_probe(ray_session, monkeypatch):
+    """The joins read each side's schema without a ``limit=1`` execution:
+    a side whose schema Ray cannot infer is materialized once and feeds
+    the exchange, so no executed DAG holds a Limit operator, and the
+    materialization costs no more executions than the probe did."""
+    from ray.data._internal.execution.operators.limit_operator import (
+        LimitOperator,
+    )
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ocr_proofreader_ray.pipelines.registry import all_queries
+
+    runs = []
+    real = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        ops, limits = [dag], 0
+        while ops:
+            op = ops.pop()
+            limits += isinstance(op, LimitOperator)
+            ops.extend(op.input_dependencies)
+        runs.append(limits)
+        return real(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    queries = all_queries()
+    # executions per query while shuffle_join still probed schemas (one
+    # Limit DAG each)
+    for name, before in [("q_urgent_order_revenue", 4),
+                         ("q_customer_orders_outer", 2)]:
+        runs.clear()
+        out = queries[name](SF_DIR)
+        if not isinstance(out, pa.Table):
+            out.to_pandas()
+        assert runs and not any(runs), (name, runs)
+        assert len(runs) <= before, (name, len(runs))

@@ -1,0 +1,59 @@
+"""Every size gate in the package is one that ``conftest.all_exchange``
+forces, so no plan runs only at a scale the tests never reach; and only
+``ops/`` builds Bloom filters."""
+
+import ast
+import os
+
+from conftest import _EXCHANGE_GATES
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PKG = os.path.join(REPO, "ocr_proofreader_ray")
+
+# module-level constants named like gates that pick no plan: a sample
+# size, a similarity threshold and a training-sample size
+_NOT_GATES = {"_SAMPLE_MAX", "_SIM_MAX_HAMMING", "_IVF_TRAIN_MAX"}
+
+
+def _modules():
+    for root, _dirs, files in os.walk(PKG):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, REPO)[:-3].replace(os.sep, ".")
+                with open(path) as fh:
+                    yield rel.removesuffix(".__init__"), ast.parse(fh.read())
+
+
+def test_every_gate_is_forced_by_all_exchange():
+    gates = set()
+    for module, tree in _modules():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and ("MAX" in target.id or "THRESHOLD" in target.id)
+                        and target.id not in _NOT_GATES):
+                    gates.add((module, target.id))
+    assert gates == set(_EXCHANGE_GATES), (
+        "a size gate must be in conftest._EXCHANGE_GATES so the oracle and "
+        "golden gates run its other plan")
+
+
+def test_pipelines_do_not_build_bloom_filters():
+    """Pipelines filter by a key set through ``ops.join.prefilter``, which
+    picks the exact broadcast or a Bloom filter by the one broadcast
+    bound."""
+    stray = []
+    for module, tree in _modules():
+        if not module.startswith("ocr_proofreader_ray.pipelines."):
+            continue
+        for node in ast.walk(tree):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [])
+            stray += [(module, n) for n in names
+                      if n and n.endswith("functions.bloom")]
+    assert not stray

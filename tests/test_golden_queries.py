@@ -26,7 +26,7 @@ from fixtures.gen_golden_queries import (
     OUT_DIR,
     SF_DIR,
     canonicalize,
-    testdata_fingerprint,
+    testdata_fingerprint as tables_fingerprint,
 )
 
 with open(os.path.join(OUT_DIR, "MANIFEST.json")) as _f:
@@ -36,7 +36,7 @@ pytestmark = pytest.mark.usefixtures("no_ray_groupby_aggregate")
 
 
 def test_goldens_match_testdata():
-    assert _MANIFEST["testdata_fingerprint"] == testdata_fingerprint(), (
+    assert _MANIFEST["testdata_fingerprint"] == tables_fingerprint(), (
         "goldens are stale: the sf0.001 tables changed since generation — "
         "rerun `python fixtures/gen_golden_queries.py` to re-pin")
 

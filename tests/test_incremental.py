@@ -147,12 +147,13 @@ def test_disjoint_increment_all_kept(ray_session, tmp_path):
 
 
 def test_bloom_touch_path_equals_broadcast(ray_session, tmp_path, monkeypatch):
-    import ocr_proofreader_ray.pipelines.incremental as inc
+    from ocr_proofreader_ray.ops import join
 
     old, new = _fixture()
     results = {}
-    for label, thresh in [("broadcast", 10**9), ("bloom", 0)]:
-        monkeypatch.setattr(inc, "_KEYS_BLOOM_THRESHOLD", thresh)
+    for label, bound in [("broadcast", join._BROADCAST_MAX_BYTES),
+                         ("bloom", 0)]:
+        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
         work = str(tmp_path / label)
         bootstrap_index(_docs(old), work)
         kept_old = _docs([r for r in old if r[0] != 11])

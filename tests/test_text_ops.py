@@ -229,13 +229,12 @@ def test_source_cap_paths_equivalent(ray_session, monkeypatch):
 
 def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
                                                         monkeypatch):
-    """The broadcast-dict and shuffle-join scoring plans of
-    q_typicality_buckets must produce identical per-doc scores and
-    terciles (both exact; oracle-pinned in test_relational_oracle.py)."""
+    """The broadcast and shuffle-join plans of q_typicality_buckets' count
+    join must produce identical per-doc scores and terciles (both exact;
+    oracle-pinned in test_relational_oracle.py)."""
     import pandas as pd
 
-    import ocr_proofreader_ray.pipelines.text_analysis as ta
-    from ocr_proofreader_ray.ops import selection
+    from ocr_proofreader_ray.ops import join, selection
     from ocr_proofreader_ray.pipelines.text_analysis import (
         q_typicality_buckets,
     )
@@ -248,7 +247,7 @@ def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
 
     a = canon(q_typicality_buckets(sf))
     with monkeypatch.context() as m:
-        m.setattr(ta, "_TYP_BROADCAST_MAX_VOCAB", 0)
+        m.setattr(join, "_BROADCAST_MAX_BYTES", 0)
         b = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # distributed bisection selection must find the identical thresholds
