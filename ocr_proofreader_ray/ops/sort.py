@@ -96,11 +96,14 @@ def global_sort_position(
     append 1-based global rank as ``position_name``.  Output blocks are the
     sorted ranges in partition order (range i holds ranks
     offsets[i]+1 .. offsets[i+1])."""
-    if {"__range", position_name} & set(ds.schema().names):
-        raise ValueError("global_sort_position: reserved column collision")
     # three consumers (sample, histogram, exchange) — materialize once so
-    # the upstream plan is not re-executed per consumer
+    # the upstream plan is not re-executed per consumer; the materialized
+    # schema is block metadata, where a lazy plan's would cost a limit=1
+    # run of its whole upstream
     ds = ds.materialize()
+    schema = ds.schema()
+    if schema and {"__range", position_name} & set(schema.names):
+        raise ValueError("global_sort_position: reserved column collision")
     total = ds.count()
     if num_partitions is None:
         num_partitions = _num_partitions(ds)

@@ -4,11 +4,11 @@
 Scale notes (100 TB):
 * exact dedup shuffles only (hash, doc_id) pairs, never document text;
 * MinHash-LSH shuffles (band_id, band_key, doc_id) triples — the classic
-  shingle→minhash→band→bucket-groupby plan; candidate verification is a
-  SHUFFLE JOIN of exploded (doc_id, shingle) rows against the candidate
-  pairs (inter = multi-key join count), so no worker ever holds more than
-  its hash partition of candidate shingles and the driver only ever sees
-  post-LSH pair aggregates;
+  shingle→minhash→band→bucket-groupby plan; candidate verification maps
+  each candidate doc to one (doc_id, element set) row and joins that set
+  table to the candidate pairs on each side through ``ops.join.join``
+  (broadcast while it fits the one broadcast bound, hash exchange above
+  it), so the driver only ever sees post-LSH pair metadata;
 * n-gram Jaccard routes through the same MinHash banding as a prefilter
   (threshold 0.9 → per-pair LSH miss probability ~1e-15 with 32x4 bands),
   so pairwise work is bounded by LSH bucket size, not (lang, source)
@@ -41,9 +41,10 @@ from ocr_proofreader_ray.functions.sketches import (
     stable_hash64,
 )
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
-from ocr_proofreader_ray.ops.exchange import exchange
+from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
 from ocr_proofreader_ray.ops.join import (
     broadcast_semi_anti,
+    join,
     prefilter,
     shuffle_join,
 )
@@ -283,190 +284,91 @@ def _candidate_pairs(bands: "ray.data.Dataset",
                        as_dataset=True).materialize()
 
 
-# adaptive verification cutover: at or below this many candidate ELEMENT
-# rows (shingles/tokens of candidate docs — the quantity driver memory
-# actually scales with, not the doc count) they are gathered to the driver
-# and verified with set ops; above it, the shuffle-join plan runs.  Both
-# paths are exact and tested equal — this is the small-input fast path,
-# not a correctness tradeoff.  ~5M int64 elements ≈ a few hundred MB of
-# Python sets, a safe driver bound.
-_GATHER_MAX_ELEMENTS = 5_000_000
+def _shingle_elements(shingle_n: int):
+    """Element function of MinHash verification (batch and incremental):
+    a doc's ``shingle_n``-shingle hashes as signed int64."""
+    def fn(text: str):
+        return [h - (1 << 63)
+                for h in shingles((text or "").split(), n=shingle_n)]
+    return fn
 
 
-def _pairs_ds(pairs) -> "ray.data.Dataset":
-    """Normalize a pair set (Table from legacy callers / Dataset from
-    ``_candidate_pairs``) to a materialized Dataset."""
-    if isinstance(pairs, pa.Table):
-        return ray.data.from_arrow(pairs).materialize()
-    return pairs.materialize()
+def _verify_pairs(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
+                  element_rows, thr_num: int,
+                  thr_den: int) -> "ray.data.Dataset":
+    """Exact verification of candidate pairs: a Dataset of (doc_a, doc_b,
+    inter, uni) rows, ``inter = |A ∩ B|`` and ``uni = |A ∪ B|`` over the
+    docs' distinct ``element_rows(text)``, kept when ``uni > 0`` and
+    ``inter * thr_den >= thr_num * uni`` (integer exact).
 
-
-def _cand_elements(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
-                   element_rows) -> "ray.data.Dataset":
-    """Exploded (doc_id, el) element rows of the candidate docs.
-
-    The candidate-id semi-filter is ``ops.join.prefilter`` over the
-    materialized pair ids (sized from metadata, so picking the plan runs
-    nothing): the exact id set broadcasts while it fits the one broadcast
-    bound, and above it a Bloom filter built in the workers over the pair
-    id columns does — its false positives only explode a few extra docs'
-    elements, which appear in no pair and drop out of every downstream
-    join."""
+    ``pairs`` is the materialized pair Dataset of ``_candidate_pairs``.
+    ``ops.join.prefilter`` keeps the candidate docs (a Bloom false
+    positive only maps a doc that no pair joins), and each maps to ONE
+    row: its doc_id and its sorted distinct int64 elements packed as
+    bytes.  That set table is materialized once and meets the pairs twice
+    through ``ops.join.join`` — on doc_a, then on doc_b — which broadcasts
+    it while its bytes fit the one broadcast bound and hash-exchanges both
+    sides above it; one map then intersects each pair's two sorted sets.
+    Elements travel as ``large_binary``: Arrow's hash join carries no
+    list column that is not a key, and 64-bit offsets keep a joined
+    partition past 2 GiB of elements in one array."""
+    pairs = pairs.materialize()
+    if pairs.count() == 0:
+        return ray.data.from_arrow(_PAIRS_SCHEMA.empty_table())
     cand_docs = prefilter(docs, pairs, on="doc_id",
                           keys_on=["doc_a", "doc_b"])
 
-    def explode(b: pa.Table) -> pa.Table:
-        ids, els = [], []
-        for d, text in zip(b.column("doc_id").to_pylist(),
-                           b.column("text").to_pylist()):
-            for el in element_rows(text):
-                ids.append(d)
-                els.append(el)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "el": pa.array(els, pa.int64())})
+    def to_sets(b: pa.Table) -> pa.Table:
+        els = [np.unique(np.asarray(element_rows(text), np.int64)).tobytes()
+               for text in b.column("text").to_pylist()]
+        return pa.table({
+            "doc_id": b.column("doc_id"),
+            "els": pa.array(els, pa.large_binary()),
+        })
 
-    elements = cand_docs.map_batches(explode, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    return elements
-
-
-def _verify_pairs(docs, pairs, element_rows,
-                  thr_num: int, thr_den: int):
-    """Exact verification of candidate pairs (Dataset or legacy Table);
-    picks the gather or shuffle plan by candidate ELEMENT count (see
-    _GATHER_MAX_ELEMENTS).  The element rows are materialized once either
-    way — the shuffle plan feeds them to three consumers, and the count
-    that drives the plan choice is then free metadata.  Always returns a
-    ``ray.data.Dataset`` (ADVICE r04: the old Table/Dataset union return
-    forced isinstance-switches on every caller); the gather plan's
-    driver-bounded Table is wrapped with ``ray.data.from_arrow``, and
-    driver-bounded callers gather explicitly."""
-    pairs = _pairs_ds(pairs)
-    n_pairs = pairs.count()
-    if n_pairs == 0:
-        return ray.data.from_arrow(_PAIRS_SCHEMA.empty_table())
-    elements = _cand_elements(docs, pairs, element_rows)
-    elements = elements.materialize()
-    # the gather plan puts BOTH the element rows and the pair list on the
-    # driver, so both must clear the gate (a flood of one-shingle docs
-    # could otherwise pass a tiny element count with a huge pair list)
-    if max(elements.count(), n_pairs) <= _GATHER_MAX_ELEMENTS:
-        return ray.data.from_arrow(
-            _verify_pairs_gather(pairs, elements,
-                                 thr_num=thr_num, thr_den=thr_den))
-    return _verify_pairs_shuffle(pairs, elements,
-                                 thr_num=thr_num, thr_den=thr_den)
-
-
-def _verify_pairs_gather(pairs: "ray.data.Dataset",
-                         elements: "ray.data.Dataset",
-                         thr_num: int, thr_den: int) -> pa.Table:
-    """Small-candidate-set plan: gather the candidate element rows (bounded
-    by pair count x set size — the distributed explode already dropped the
-    rest of the corpus) and verify with Python set ops on the driver."""
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
-    sets: dict[int, set[int]] = {}
-    for blk in _arrow_blocks(elements):
-        for d, el in zip(blk.column("doc_id").to_pylist(),
-                         blk.column("el").to_pylist()):
-            sets.setdefault(d, set()).add(el)
-    out = {"doc_a": [], "doc_b": [], "inter": [], "uni": []}
-    order = sorted(
-        (a, b) for blk in _arrow_blocks(pairs)
-        for a, b in zip(blk.column("doc_a").to_pylist(),
-                        blk.column("doc_b").to_pylist()))
-    for a_id, b_id in order:
-        sa, sb = sets.get(a_id, set()), sets.get(b_id, set())
-        inter = len(sa & sb)
-        uni = len(sa | sb)
-        if uni > 0 and inter * thr_den >= thr_num * uni:
-            out["doc_a"].append(a_id)
-            out["doc_b"].append(b_id)
-            out["inter"].append(inter)
-            out["uni"].append(uni)
-    return pa.table(out, schema=_PAIRS_SCHEMA)
-
-
-def _verify_pairs_shuffle(
-    pairs: "ray.data.Dataset",
-    elements: "ray.data.Dataset",
-    thr_num: int,
-    thr_den: int,
-) -> "ray.data.Dataset":
-    """Exact set-overlap verification of candidate pairs WITHOUT broadcasting
-    per-doc state (VERDICT r01 #1: the 10^12-doc path).
-
-    ``elements`` is the candidate-only (doc_id, el) dataset from
-    ``_cand_elements``; then
-      inter(a,b) = |{el : el ∈ a ∧ el ∈ b}|
-                 = count of the multi-key shuffle join
-                   (pairs ⋈_{doc_a} elements) ⋈_{(doc_b, el)} elements
-    Set sizes come from a combiner aggregate of the same element rows, and
-    ``uni = sz_a + sz_b - inter``.  Keep ``inter * thr_den >= thr_num * uni``
-    (integer exact; pairs with uni = 0 or inter = 0 drop out of the inner
-    join, matching the gather/broadcast paths which also drop them).
-    Shuffled bytes ∝ candidate-set elements, never the corpus; the
-    threshold filter is two more hash joins against the per-doc sizes —
-    neither the pair set nor the size table ever touches the driver
-    (VERDICT r03 #5), and the verified set streams out as a Dataset.
-    """
-    # elements arrive materialized from _verify_pairs (they feed three
-    # consumers here: sizes + both joins); volume is bounded by
-    # candidate-set elements (object-store blocks, spillable), never the
-    # corpus
-    sizes = grouped_agg(elements, ["doc_id"], [(None, "count", "sz")],
-                        as_dataset=True).materialize()
-
-    a_side = shuffle_join(pairs, elements,
-                          on=("doc_a",), right_on=("doc_id",)).materialize()
-    inter_rows = shuffle_join(a_side, elements,
-                              on=("doc_b", "el"), right_on=("doc_id", "el"))
-    inter = grouped_agg(inter_rows, ["doc_a", "doc_b"],
-                        [(None, "count", "inter")], as_dataset=True)
-
-    sz_a = sizes.map_batches(lambda t: t.rename_columns(["__ka", "sz_a"]),
-                             batch_format="pyarrow", zero_copy_batch=True)
-    sz_b = sizes.map_batches(lambda t: t.rename_columns(["__kb", "sz_b"]),
-                             batch_format="pyarrow", zero_copy_batch=True)
-    joined = shuffle_join(inter, sz_a, on=("doc_a",), right_on=("__ka",))
-    joined = shuffle_join(joined, sz_b, on=("doc_b",), right_on=("__kb",))
+    sets = cand_docs.map_batches(to_sets, batch_format="pyarrow",
+                                 zero_copy_batch=True).materialize()
+    a_side = join(pairs, sets, ["doc_a"], ["doc_id"]).map_batches(
+        lambda t: t.rename_columns(
+            ["els_a" if c == "els" else c for c in t.column_names]),
+        batch_format="pyarrow", zero_copy_batch=True)
+    both = join(a_side, sets, ["doc_b"], ["doc_id"])
 
     def threshold(b: pa.Table) -> pa.Table:
-        n_int = pc.cast(b.column("inter"), pa.int64())
-        uni = pc.subtract(
-            pc.add(pc.cast(b.column("sz_a"), pa.int64()),
-                   pc.cast(b.column("sz_b"), pa.int64())), n_int)
-        keep = pc.and_(
-            pc.greater(uni, 0),
-            pc.greater_equal(pc.multiply(n_int, thr_den),
-                             pc.multiply(uni, thr_num)))
-        b = b.append_column("uni", uni).filter(keep)
-        return b.select(["doc_a", "doc_b", "inter", "uni"]).cast(
-            _PAIRS_SCHEMA)
+        n = b.num_rows
+        inter = np.empty(n, np.int64)
+        uni = np.empty(n, np.int64)
+        for i, (ea, eb) in enumerate(zip(b.column("els_a").to_pylist(),
+                                         b.column("els").to_pylist())):
+            sa = np.frombuffer(ea, np.int64)
+            sb = np.frombuffer(eb, np.int64)
+            inter[i] = len(np.intersect1d(sa, sb, assume_unique=True))
+            uni[i] = len(sa) + len(sb) - inter[i]
+        keep = (uni > 0) & (inter * thr_den >= thr_num * uni)
+        return pa.table({
+            "doc_a": b.column("doc_a").filter(keep),
+            "doc_b": b.column("doc_b").filter(keep),
+            "inter": inter[keep],
+            "uni": uni[keep],
+        }).cast(_PAIRS_SCHEMA)
 
-    return joined.map_batches(threshold, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return both.map_batches(threshold, batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 def minhash_lsh_pairs(
     docs: "ray.data.Dataset",
     shingle_n: int = 3,
     jaccard_threshold: float = 0.5,
-    token_sets: dict[int, set[int]] | None = None,
     star_cap: int = _STAR_BUCKET_CAP,
     bands: "ray.data.Dataset | None" = None,
-):
+) -> "ray.data.Dataset":
     """shingle → minhash → band → bucket-groupby → verified candidate pairs.
 
-    Default verification is adaptive (`_verify_pairs`): candidate-only
-    element rows are exploded distributed, then either gathered to the
-    driver (small candidate sets) or verified via the multi-key shuffle
-    join (the 10^12-doc path) — nothing per-doc is ever broadcast and
-    nothing corpus-sized touches the driver on either plan.  Passing
-    ``token_sets`` (doc_id → shingle hashes) selects the legacy broadcast
-    verification — kept for the path-equivalence test (tests/test_dedup.py)
-    and for corpora known to fit in one worker.
+    Verification (`_verify_pairs`) is exact and runs in the workers: each
+    candidate doc's shingle-hash set meets its pairs through
+    ``ops.join.join``, broadcast or hash-exchanged by its bytes; nothing
+    corpus-sized touches the driver.
     Output columns: (doc_a, doc_b, inter, uni), kept when
     inter/uni >= threshold exactly (integer comparison).
 
@@ -476,37 +378,10 @@ def minhash_lsh_pairs(
     """
     if bands is None:
         bands = _band_rows(docs, shingle_n)
-    pairs_table = _candidate_pairs(bands, star_cap=star_cap)
-    thr_num = int(jaccard_threshold * 1_000_000)
-
-    if token_sets is None:
-        def shingle_elements(text: str):
-            return [h - (1 << 63)
-                    for h in shingles((text or "").split(), n=shingle_n)]
-
-        return _verify_pairs(docs, pairs_table, shingle_elements,
-                             thr_num=thr_num, thr_den=1_000_000)
-
-    # legacy broadcast verification (small-corpus / equivalence-test path)
-    pairs = pairs_table
-    sets_ref = ray.put(token_sets)
-
-    def verify(b: pa.Table) -> pa.Table:
-        sets = ray.get(sets_ref)
-        rows = {"doc_a": [], "doc_b": [], "inter": [], "uni": []}
-        for a_id, b_id in zip(b.column("doc_a").to_pylist(),
-                              b.column("doc_b").to_pylist()):
-            sa, sb = sets.get(a_id, set()), sets.get(b_id, set())
-            inter = len(sa & sb)
-            uni = len(sa | sb)
-            if uni and inter * 1_000_000 >= thr_num * uni:
-                rows["doc_a"].append(a_id)
-                rows["doc_b"].append(b_id)
-                rows["inter"].append(inter)
-                rows["uni"].append(uni)
-        return pa.table(rows, schema=_PAIRS_SCHEMA)
-
-    return pairs.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = _candidate_pairs(bands, star_cap=star_cap)
+    return _verify_pairs(docs, pairs, _shingle_elements(shingle_n),
+                         thr_num=int(jaccard_threshold * 1_000_000),
+                         thr_den=1_000_000)
 
 
 @register("q_dedup_minhash")  # sketch-based: no SQL oracle (rows-only check)
@@ -785,9 +660,9 @@ def q_dedup_ngram_jaccard(sf_dir: str):
     O(n^2).  At threshold 0.9 the 32x4 banding's per-pair miss probability
     is (1 - 0.9^4)^32 ≈ 1.3e-15 — deterministic seeded hashing makes the
     outcome fixed, and the DuckDB oracle equality at sf0.01 pins it.
-    Exact verification runs on the token identities via the same adaptive
-    plan as MinHash (`_verify_pairs`: gather for small candidate sets,
-    multi-key shuffle join at scale; raw strings are NOT used as elements —
+    Exact verification runs on the token identities through the same plan
+    as MinHash (`_verify_pairs`: the candidate docs' token sets join the
+    pairs through ``ops.join.join``; raw strings are NOT used as elements —
     they are blake2b-64 hashed, and the collision probability over a doc's
     vocabulary is ~|V|^2 / 2^64, negligible and fixed), then the doc pair
     is restricted to equal (lang, source) by the bucket keys themselves.
@@ -795,13 +670,13 @@ def q_dedup_ngram_jaccard(sf_dir: str):
     docs = t(sf_dir, "documents", ["doc_id", "text", "lang", "source"])
 
     bands = _band_rows(docs, shingle_n=1, group_cols=("lang", "source"))
-    pairs_table = _candidate_pairs(bands, group_cols=("lang", "source"))
+    pairs = _candidate_pairs(bands, group_cols=("lang", "source"))
 
     def token_elements(text: str):
         return [stable_hash64(tok) - (1 << 63)
                 for tok in set((text or "").split())]
 
-    return _verify_pairs(docs, pairs_table, token_elements,
+    return _verify_pairs(docs, pairs, token_elements,
                          thr_num=9, thr_den=10)
 
 
@@ -1014,12 +889,11 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         # repartition bounds the label block count per round — without it
         # every join/union multiplies blocks and round cost grows
         # exponentially (measured: 6 -> 26 -> 106 blocks in 3 rounds)
-        n_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)))
         labels_ds = jumped.map_batches(
             lambda t: pa.table({"node": t.column("node"),
                                 "label": t.column("jlabel")}),
             batch_format="pyarrow", zero_copy_batch=True,
-        ).repartition(n_blocks).materialize()
+        ).repartition(num_partitions(jumped)).materialize()
         new_sum = grouped_agg(labels_ds, [], [("label", "sum", "s")]
                               ).column("s")[0].as_py()
         if new_sum == prev_sum:

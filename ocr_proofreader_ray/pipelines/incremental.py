@@ -18,10 +18,11 @@ increment the plan is:
 3. candidate pairs over (touched-index ∪ new bands) via the shared
    star-capped bucket pair generation, kept only where at least one side
    is new;
-4. exact verification via the shared adaptive gather/shuffle element-join
-   plan (`dedup._verify_pairs`) over (retained-corpus ∪ increment) docs —
-   the element explode is candidate-only, so old docs are touched only if
-   an LSH bucket put them in a pair;
+4. exact verification via the shared set-join plan
+   (`dedup._verify_pairs`) over (retained-corpus ∪ increment) docs: only
+   candidate docs map to element sets, so old docs are touched only if an
+   LSH bucket put them in a pair, and the sets meet the pairs through
+   `ops.join.join`;
 5. cluster the verified pairs: a component containing ANY retained old
    doc drops all of its new members; an all-new component keeps its min
    doc_id.  With increments arriving in ascending doc_id order this
@@ -57,10 +58,10 @@ from ocr_proofreader_ray.ops.join import (
 from ocr_proofreader_ray.pipelines.dedup import (
     _band_rows,
     _candidate_pairs,
+    _shingle_elements,
     _verify_pairs,
     dedup_clusters,
 )
-from ocr_proofreader_ray.functions.sketches import shingles
 
 _INDEX_SUBDIR = "band_index"
 
@@ -114,13 +115,6 @@ def _write_index_batch(work_dir: str, bands: "ray.data.Dataset",
         .write_parquet(out, min_rows_per_file=500_000)
 
 
-def _element_rows(shingle_n: int):
-    def fn(text: str):
-        return [h - (1 << 63)
-                for h in shingles((text or "").split(), n=shingle_n)]
-    return fn
-
-
 def bootstrap_index(docs: "ray.data.Dataset", work_dir: str,
                     shingle_n: int = 3,
                     jaccard_threshold: float = 0.5,
@@ -164,7 +158,7 @@ def dedup_increment(
     """Dedup ``new_docs`` against the persisted band index (and itself).
 
     ``corpus_docs`` is the retained corpus (doc_id, text) — read only for
-    the candidate-only verification explode.  Returns a dict with the kept
+    the candidate docs' verification element sets.  Returns a dict with the kept
     new ids plus drop lineage counts, and appends the kept band rows to
     the index under ``batch_tag``.
     """
@@ -220,14 +214,14 @@ def dedup_increment(
         # generation (_candidate_pairs materializes its output eagerly)
         timings["inc_pairs_sec"] = round(time.perf_counter() - _t_pairs0, 4)
 
-    # 4. exact verification over (corpus ∪ increment); explode is
-    # candidate-only on both sides
+    # 4. exact verification over (corpus ∪ increment); element sets are
+    # built for candidate docs only on both sides
     thr_num = int(jaccard_threshold * 1_000_000)
     with _timed(timings, "inc_verify_sec"):
         verified = _verify_pairs(
             corpus_docs.select_columns(["doc_id", "text"])
             .union(new_docs.select_columns(["doc_id", "text"])),
-            pairs, _element_rows(shingle_n),
+            pairs, _shingle_elements(shingle_n),
             thr_num=thr_num, thr_den=1_000_000).materialize()
 
     # 5. component rule: any old member -> drop all new members;

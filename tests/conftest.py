@@ -38,19 +38,29 @@ def ray_default_split(monkeypatch):
 def count_executions(monkeypatch):
     """Counter of Ray Data executions started in this process: every plan
     run (materialize, iteration, a ``limit=1`` schema probe) goes through
-    one ``StreamingExecutor.execute`` call."""
+    one ``StreamingExecutor.execute`` call.  ``limit_dags`` counts the
+    executed DAGs that hold a Limit operator (a schema or row probe)."""
     from types import SimpleNamespace
 
+    from ray.data._internal.execution.operators.limit_operator import (
+        LimitOperator,
+    )
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
 
-    counter = SimpleNamespace(n=0)
+    counter = SimpleNamespace(n=0, limit_dags=0)
     real = StreamingExecutor.execute
 
-    def counted(self, *args, **kwargs):
+    def counted(self, dag, *args, **kwargs):
         counter.n += 1
-        return real(self, *args, **kwargs)
+        ops, limited = [dag], False
+        while ops:
+            op = ops.pop()
+            limited |= isinstance(op, LimitOperator)
+            ops.extend(op.input_dependencies)
+        counter.limit_dags += limited
+        return real(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
     yield counter
@@ -65,7 +75,6 @@ _EXCHANGE_GATES = [
     ("ocr_proofreader_ray.ops.selection", "_DRIVER_SELECT_MAX_ROWS"),
     ("ocr_proofreader_ray.pipelines.dedup", "_BANDS_DRIVER_MAX"),
     ("ocr_proofreader_ray.pipelines.dedup", "_PAIRS_DRIVER_MAX"),
-    ("ocr_proofreader_ray.pipelines.dedup", "_GATHER_MAX_ELEMENTS"),
     ("ocr_proofreader_ray.pipelines.dedup", "_UNION_FIND_MAX_PAIRS"),
 ]
 

@@ -15,6 +15,37 @@ from ocr_proofreader_ray.functions.sketches import (
 )
 
 
+def _reference_verify(rows, pairs, element_rows, thr_num, thr_den):
+    """Broadcast-set verification (what ``minhash_lsh_pairs(token_sets=)``
+    ran): one Python set per doc, one pass over the (doc_a, doc_b) pairs;
+    returns the kept (doc_a, doc_b, inter, uni) tuples."""
+    sets = {r["doc_id"]: set(element_rows(r["text"])) for r in rows}
+    out = set()
+    for a, b in pairs:
+        sa, sb = sets.get(a, set()), sets.get(b, set())
+        inter, uni = len(sa & sb), len(sa | sb)
+        if uni and inter * thr_den >= thr_num * uni:
+            out.add((a, b, inter, uni))
+    return out
+
+
+def _as_set(recs):
+    return {(r["doc_a"], r["doc_b"], r["inter"], r["uni"]) for r in recs}
+
+
+# the two plans of ops.join: broadcast (exact prefilter, broadcast joins)
+# and exchange (Bloom prefilter, hash-exchange joins), forced by the one
+# broadcast bound
+_PLANS = ["broadcast", "exchange"]
+
+
+def _force_plan(monkeypatch, plan):
+    from ocr_proofreader_ray.ops import join
+
+    if plan == "exchange":
+        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+
+
 def test_stable_hashes_are_process_independent():
     # pinned values: guard against accidental use of salted hash()
     assert stable_hash32("hello") == 907060870
@@ -57,10 +88,16 @@ def test_simhash_near_duplicates_close():
     assert hamming64(simhash64(doc), simhash64(far)) > 10
 
 
-def test_minhash_lsh_pipeline_finds_planted_dups(ray_session):
+def test_minhash_lsh_pipeline_finds_planted_dups(ray_session, monkeypatch):
     import ray.data
 
-    from ocr_proofreader_ray.pipelines.dedup import minhash_lsh_pairs
+    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.pipelines.dedup import (
+        _band_rows,
+        _candidate_pairs,
+        _shingle_elements,
+        _verify_pairs,
+    )
 
     base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
     near = base.replace("tok3x3", "changed", 1)  # ~1 token differs
@@ -71,14 +108,16 @@ def test_minhash_lsh_pipeline_finds_planted_dups(ray_session):
         {"doc_id": 3, "text": other},
         {"doc_id": 4, "text": base},  # exact dup of 1
     ]
-    token_sets = {r["doc_id"]: shingles(r["text"].split(), 3) for r in rows}
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
-    pairs = minhash_lsh_pairs(ds, shingle_n=3, jaccard_threshold=0.5,
-                              token_sets=token_sets).take_all()
-    found = {(p["doc_a"], p["doc_b"]) for p in pairs}
-    assert (1, 4) in found          # exact dup
-    assert (1, 2) in found          # near dup
-    assert not any(3 in p for p in found)  # unrelated doc clean
+    for bound in (join._BROADCAST_MAX_BYTES, 0):  # broadcast, exchange
+        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
+        pairs = _verify_pairs(ds, _candidate_pairs(_band_rows(ds, 3)),
+                              _shingle_elements(3), thr_num=500_000,
+                              thr_den=1_000_000).take_all()
+        found = {(p["doc_a"], p["doc_b"]) for p in pairs}
+        assert (1, 4) in found          # exact dup
+        assert (1, 2) in found          # near dup
+        assert not any(3 in p for p in found)  # unrelated doc clean
 
 
 def test_embedding_neardup_pairs(ray_session, tmp_path):
@@ -137,12 +176,18 @@ def test_embedding_scheme_two_widths_agree(ray_session, tmp_path):
     assert _emb_scheme(10**12)[1] > _emb_scheme(1_000)[1]
 
 
-def test_minhash_shuffle_verify_matches_broadcast(ray_session):
-    """VERDICT r01 #1: the scale-safe shuffle-join verification must produce
-    the identical pair set as the legacy broadcast token_sets path."""
+def test_minhash_shuffle_verify_matches_broadcast(ray_session, monkeypatch):
+    """VERDICT r01 #1: the scale-safe exchange verification must produce
+    the identical pair set as broadcast Python-set verification."""
     import ray.data
 
-    from ocr_proofreader_ray.pipelines.dedup import minhash_lsh_pairs
+    from ocr_proofreader_ray.pipelines.dedup import (
+        _band_rows,
+        _candidate_pairs,
+        _shingle_elements,
+        _verify_pairs,
+        minhash_lsh_pairs,
+    )
 
     rng = np.random.RandomState(11)
     rows = []
@@ -155,38 +200,25 @@ def test_minhash_shuffle_verify_matches_broadcast(ray_session):
     for d in range(6, 30):  # background corpus
         words = [f"w{rng.randint(0, 500)}" for _ in range(60)]
         rows.append({"doc_id": d, "text": " ".join(words)})
-    token_sets = {r["doc_id"]: shingles(r["text"].split(), 3) for r in rows}
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
 
-    old = minhash_lsh_pairs(ds, shingle_n=3, jaccard_threshold=0.5,
-                            token_sets=token_sets).take_all()
-    new_tab = minhash_lsh_pairs(ds, shingle_n=3, jaccard_threshold=0.5)
-    new = new_tab.take_all()  # _verify_pairs returns a Dataset (r05)
+    pairs = _candidate_pairs(_band_rows(ds, 3))
+    old = _reference_verify(
+        rows, [(p["doc_a"], p["doc_b"]) for p in pairs.take_all()],
+        lambda text: shingles((text or "").split(), 3),
+        thr_num=500_000, thr_den=1_000_000)
+    new = minhash_lsh_pairs(ds, shingle_n=3,
+                            jaccard_threshold=0.5).take_all()
 
-    as_set = lambda recs: {(r["doc_a"], r["doc_b"], r["inter"], r["uni"])
-                           for r in recs}
-    assert as_set(old) == as_set(new)
+    assert old == _as_set(new)
     assert (1, 4) in {(r["doc_a"], r["doc_b"]) for r in new}
 
-    # the adaptive default picked the gather plan at this size; force the
-    # shuffle-join plan too and pin all three paths identical
-    from ocr_proofreader_ray.pipelines.dedup import (
-        _band_rows,
-        _candidate_pairs,
-        _cand_elements,
-        _verify_pairs_shuffle,
-    )
-
-    pairs_table = _candidate_pairs(_band_rows(ds, 3))
-
-    def shingle_elements(text):
-        return [h - (1 << 63) for h in shingles((text or "").split(), n=3)]
-
-    elements = _cand_elements(ds, pairs_table,
-                              shingle_elements).materialize()
-    shuffled = _verify_pairs_shuffle(pairs_table, elements,
-                                     thr_num=500_000, thr_den=1_000_000)
-    assert as_set(shuffled.take_all()) == as_set(new)
+    # the default broadcasts at this size; force the exchange plan too and
+    # pin all three paths identical
+    _force_plan(monkeypatch, "exchange")
+    shuffled = _verify_pairs(ds, pairs, _shingle_elements(3),
+                             thr_num=500_000, thr_den=1_000_000)
+    assert _as_set(shuffled.take_all()) == _as_set(new)
 
 
 def test_simhash_hamming_finds_planted_neardups(ray_session):
@@ -400,8 +432,8 @@ def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
     from ocr_proofreader_ray.pipelines.dedup import (
         _band_rows,
         _candidate_pairs,
-        _cand_elements,
-        _verify_pairs_gather,
+        _shingle_elements,
+        _verify_pairs,
     )
 
     base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
@@ -412,19 +444,14 @@ def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
         {"doc_id": 4, "text": base},
     ]
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
-    pairs_table = _candidate_pairs(_band_rows(ds, 3))
-
-    def shingle_elements(text):
-        return [h - (1 << 63) for h in shingles((text or "").split(), n=3)]
+    pairs = _candidate_pairs(_band_rows(ds, 3))
 
     results = []
     for bound in (join._BROADCAST_MAX_BYTES, 0):  # exact, then forced Bloom
         monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
-        elements = _cand_elements(ds, pairs_table, shingle_elements)
-        out = _verify_pairs_gather(pairs_table, elements,
-                                   thr_num=500_000, thr_den=1_000_000)
-        results.append({(r["doc_a"], r["doc_b"], r["inter"], r["uni"])
-                        for r in out.to_pylist()})
+        out = _verify_pairs(ds, pairs, _shingle_elements(3),
+                            thr_num=500_000, thr_den=1_000_000)
+        results.append(_as_set(out.take_all()))
     assert results[0] == results[1]
     assert any(p[:2] == (1, 4) for p in results[0])
 
@@ -539,8 +566,9 @@ def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
 
 def test_verify_pairs_streaming_shuffle_threshold_joins(ray_session,
                                                         monkeypatch):
-    """Force the fully-streaming verify plan (Dataset pairs + Ray-side size
-    joins + threshold map) and pin it equal to the gather plan."""
+    """Force the fully-streaming verify plan (Bloom prefilter + both set
+    joins hash-exchanged + threshold map) and pin it equal to the
+    broadcast plan."""
     import ray.data
 
     import ocr_proofreader_ray.pipelines.dedup as dd
@@ -555,16 +583,79 @@ def test_verify_pairs_streaming_shuffle_threshold_joins(ray_session,
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
     pairs = dd._candidate_pairs(dd._band_rows(ds, 3))
 
-    def shingle_elements(text):
-        return [h - (1 << 63) for h in shingles((text or "").split(), n=3)]
-
-    want = dd._verify_pairs(ds, pairs, shingle_elements,
-                            thr_num=500_000, thr_den=1_000_000)
-    monkeypatch.setattr(dd, "_GATHER_MAX_ELEMENTS", 0)
-    got = dd._verify_pairs(ds, pairs, shingle_elements,
-                           thr_num=500_000, thr_den=1_000_000)
-    got = got.to_pandas()    # always a Dataset since r05
-    want = want.to_pandas()
+    want = dd._verify_pairs(ds, pairs, dd._shingle_elements(3),
+                            thr_num=500_000, thr_den=1_000_000).to_pandas()
+    _force_plan(monkeypatch, "exchange")
+    got = dd._verify_pairs(ds, pairs, dd._shingle_elements(3),
+                           thr_num=500_000, thr_den=1_000_000).to_pandas()
     canon = lambda df: sorted(map(tuple, df.to_numpy()))
     assert canon(got) == canon(want)
     assert any(r[:2] == (1, 4) for r in canon(got))
+
+
+def _verify_by_hand(rows, pairs, thr_num, thr_den):
+    import ray.data
+
+    from ocr_proofreader_ray.pipelines.dedup import _verify_pairs
+
+    def _int_elements(text):
+        # element ids written out in the text: set sizes are set by hand
+        return [int(tok) for tok in (text or "").split()]
+
+    docs = ray.data.from_arrow(pa.Table.from_pylist(
+        rows, schema=pa.schema([("doc_id", pa.int64()),
+                                ("text", pa.string())])))
+    pair_ds = ray.data.from_arrow(pa.table({
+        "doc_a": pa.array([a for a, _ in pairs], pa.int64()),
+        "doc_b": pa.array([b for _, b in pairs], pa.int64()),
+    })).materialize()
+    got = _verify_pairs(docs, pair_ds, _int_elements,
+                        thr_num=thr_num, thr_den=thr_den).take_all()
+    want = _reference_verify(rows, pairs, _int_elements, thr_num, thr_den)
+    assert _as_set(got) == want
+    assert len(got) == len(want)  # one row per kept pair
+    return _as_set(got)
+
+
+@pytest.mark.parametrize("plan", _PLANS)
+def test_verify_pairs_keeps_pair_at_threshold(ray_session, monkeypatch,
+                                              plan):
+    """inter * den == num * uni is kept; a repeated element counts once."""
+    _force_plan(monkeypatch, plan)
+    rows = [
+        {"doc_id": 1, "text": "1 2 3 4"},
+        {"doc_id": 2, "text": "1 2 3 5 5"},   # inter 3, uni 5 with doc 1
+        {"doc_id": 3, "text": "1 2 6 7"},     # inter 2, uni 6 with doc 1
+    ]
+    got = _verify_by_hand(rows, [(1, 2), (1, 3)], thr_num=3, thr_den=5)
+    assert got == {(1, 2, 3, 5)}
+
+
+@pytest.mark.parametrize("plan", _PLANS)
+def test_verify_pairs_empty_text_doc(ray_session, monkeypatch, plan):
+    """An empty or null text is an empty set: it never passes a positive
+    threshold, and a pair of two empty sets (uni = 0) never passes."""
+    _force_plan(monkeypatch, plan)
+    rows = [
+        {"doc_id": 1, "text": "1 2 3"},
+        {"doc_id": 2, "text": ""},
+        {"doc_id": 3, "text": None},
+    ]
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    assert _verify_by_hand(rows, pairs, thr_num=1, thr_den=2) == set()
+    assert _verify_by_hand(rows, pairs, thr_num=0, thr_den=2) == {
+        (1, 2, 0, 3), (1, 3, 0, 3)}
+
+
+@pytest.mark.parametrize("plan", _PLANS)
+def test_verify_pairs_one_doc_in_many_pairs(ray_session, monkeypatch, plan):
+    """A hub doc in 40 pairs meets every partner with its own set."""
+    _force_plan(monkeypatch, plan)
+    hub = " ".join(str(i) for i in range(40))
+    rows = [{"doc_id": 1, "text": hub}]
+    rows += [{"doc_id": d, "text": " ".join(str(i) for i in range(d, 40 + d))}
+             for d in range(2, 42)]
+    pairs = [(1, d) for d in range(2, 42)]
+    got = _verify_by_hand(rows, pairs, thr_num=1, thr_den=2)
+    # partner d shares 40 - d elements of a 40 + d union: kept to d = 13
+    assert got == {(1, d, 40 - d, 40 + d) for d in range(2, 14)}
