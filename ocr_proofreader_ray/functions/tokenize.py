@@ -3,7 +3,8 @@
 Pass 1 counts word frequencies per language over the *raw* extracted text —
 before any dictionary exists — so it must un-wrap hyphenated line breaks
 without consulting a dictionary.  Policy: a line ending in ``word-`` is always
-joined to the next line's leading fragment with the hyphen dropped.  Soft-wrap
+joined to the next line's leading fragment with the hyphen dropped — pass 2's
+reflow (``line_join``) against a dictionary that holds every word.  Soft-wrap
 hyphens (the overwhelming majority) are thereby counted correctly; wrapped
 literal compounds produce a rare junk merge (``wellknown``) that falls below
 the dictionary's ``min_count`` threshold.
@@ -17,45 +18,26 @@ from __future__ import annotations
 
 from collections import Counter
 
+from ocr_proofreader_ray.functions.line_join import (
+    join_lines,
+    join_lines_tokens,
+)
 
-def _unwrap_token_lists(text: str) -> list[list[str]]:
-    """Paragraph reflow with unconditional hyphen-join, as token lists."""
-    paragraphs: list[list[str]] = []
-    current: list[str] = []
-    for line in text.split("\n"):
-        if line.strip():
-            current.append(line)
-        elif current:
-            paragraphs.append(current)
-            current = []
-    if current:
-        paragraphs.append(current)
 
-    out: list[list[str]] = []
-    for lines in paragraphs:
-        tokens: list[str] = []
-        pending: str | None = None
-        for line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            if pending is not None:
-                parts[0] = pending + parts[0]
-                pending = None
-            last = parts[-1]
-            if len(last) >= 2 and last.endswith("-") and not last.endswith("--"):
-                pending = last[:-1]
-                parts.pop()
-            tokens.extend(parts)
-        if pending is not None:
-            tokens.append(pending + "-")
-        out.append(tokens)
-    return out
+class _EveryWord:
+    """A dictionary that holds every word: with it ``join_lines_tokens``
+    joins every wrap hyphen, the pass-1 policy."""
+
+    def __contains__(self, _word: str) -> bool:
+        return True
+
+
+_EVERY_WORD = _EveryWord()
 
 
 def naive_unwrap(text: str) -> list[str]:
     """Paragraph reflow with unconditional hyphen-join (no dictionary)."""
-    return [" ".join(toks) for toks in _unwrap_token_lists(text)]
+    return join_lines(text, _EVERY_WORD)
 
 
 def dict_tokens(text: str) -> list[str]:
@@ -65,7 +47,7 @@ def dict_tokens(text: str) -> list[str]:
     strings and re-splitting them was a measured ~15% of the tokenize
     stage."""
     toks: list[str] = []
-    for para in _unwrap_token_lists(text):
+    for para in join_lines_tokens(text, _EVERY_WORD):
         for tok in para:
             low = tok.lower()
             if len(low) >= 2 and low.isalpha():

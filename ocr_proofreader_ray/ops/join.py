@@ -15,37 +15,39 @@ Two physical strategies:
   filter or a ``merge_asof``.  The partition hash, the partition count and
   how the two sides travel together belong to ``ops/exchange.py``.
 
-Every choice between them is made here, against ONE bound,
-``_BROADCAST_MAX_BYTES`` (256 MiB), so query code describes its sides and
-never names a plan:
+Every choice between them is made here, by three entry points against ONE
+sizing rule, so query code describes its sides and never names a plan:
+``_gathered`` materializes the side a plan would broadcast and gathers it
+only while its Arrow block bytes fit ``_BROADCAST_MAX_BYTES`` (256 MiB).
 
-* ``join_table`` — a right side stored as one Parquet file, sized by the
-  file's bytes;
-* ``join`` — a right side that is a Dataset, materialized once and sized by
-  its block bytes (a left-streaming join type broadcasts under the bound);
-* ``semi_anti`` — an exact semi/anti join against a Dataset key side, sized
-  by the bytes of its materialized distinct keys;
+* ``join`` — inner, left outer, left semi/anti or full outer against a
+  Dataset right side; a left-streaming join type broadcasts the right
+  side under the bound, everything else hash-exchanges;
+* ``semi_anti`` — an exact semi/anti join against a Dataset key side,
+  sized by the bytes of its materialized distinct keys;
 * ``prefilter`` — a superset key filter (never a false negative): the exact
   key set broadcasts under the bound, a Bloom filter above it.
 
-Tests force every hash-exchange or Bloom plan by patching that constant to
-0.  The exact key broadcast runs up to 256 MiB of distinct keys, the bound
-every broadcast here uses; ``_fetch`` fetches it once per worker process.
+A right side that ``join`` receives already materialized is gathered and
+put once however many joins read it: its broadcast ref is memoized per
+Dataset (``_BROADCAST_REFS``, weakly keyed, so the entry dies with the
+Dataset).  Tests force every hash-exchange or Bloom plan by patching the
+bound to 0; ``_fetch`` fetches a broadcast once per worker process.
 """
 
 from __future__ import annotations
 
-import os
+import weakref
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ocr_proofreader_ray.functions.bloom import BloomFilter, build_bloom
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, _empty_like
 from ocr_proofreader_ray.ops.exchange import co_exchange, with_schema
-from ocr_proofreader_ray.ops.io import read_parquet
 
 # per-worker-process memo of fetched broadcast objects
 _FETCH_CACHE: dict[str, object] = {}
@@ -60,18 +62,14 @@ def _fetch(ref: "ray.ObjectRef"):
 
 def broadcast_join(
     ds: "ray.data.Dataset",
-    right: pa.Table,
-    on: list[str] | str,
-    right_on: list[str] | str | None = None,
+    ref: "ray.ObjectRef",
+    on: list[str],
+    right_on: list[str] | None = None,
     join_type: str = "inner",
 ) -> "ray.data.Dataset":
-    """Join a streaming Dataset against a small in-memory Arrow table."""
-    on = [on] if isinstance(on, str) else list(on)
-    right_on = (
-        on if right_on is None
-        else ([right_on] if isinstance(right_on, str) else list(right_on))
-    )
-    ref = ray.put(right)
+    """Join a streaming Dataset against a small Arrow table already
+    ``ray.put`` as ``ref``."""
+    right_on = right_on or on
 
     def _join(batch: pa.Table) -> pa.Table:
         rt: pa.Table = _fetch(ref)
@@ -114,54 +112,19 @@ def broadcast_semi_anti(
 _BROADCAST_MAX_BYTES = 256 << 20
 
 
-def join_table(
-    ds: "ray.data.Dataset",
-    path: str,
-    columns: list[str],
-    on: str,
-    right_on: str | None = None,
-    *,
-    prep=None,
-    how: str = "inner",
-) -> "ray.data.Dataset":
-    """Join ``ds`` against the Parquet file at ``path``, size-gated.
-
-    The right side is the file pruned to ``columns``, then ``prep``
-    (Arrow table -> Arrow table) applied to it.  While the file's bytes fit
-    ``_BROADCAST_MAX_BYTES`` it is read once on the driver, ``prep``-ed
-    whole and broadcast; above it (or when its size is unknown) it streams,
-    ``prep`` runs per batch, and both sides hash-exchange on the key.
-
-    ``how="inner"`` joins on ``on`` = ``right_on`` (keys coalesce into
-    ``on``); ``"semi"`` / ``"anti"`` keep the rows of ``ds`` whose ``on``
-    value is (not) among the right side's ``right_on`` values.  ``prep``
-    must be row-local (filter, project, rename, join a small table), so
-    applying it per batch equals applying it once."""
-    if how not in ("inner", "semi", "anti"):
-        raise ValueError(f"join_table: unknown how={how!r}")
-    right_on = right_on or on
-    try:
-        broadcast = os.path.getsize(path) <= _BROADCAST_MAX_BYTES
-    except OSError:
-        broadcast = False  # unknown size: assume big, take the exchange
-    if broadcast:
-        import pyarrow.parquet as pq
-
-        right = pq.read_table(path, columns=columns)
-        if prep is not None:
-            right = prep(right)
-        if how == "inner":
-            return broadcast_join(ds, right, on=on, right_on=right_on)
-        return broadcast_semi_anti(ds, right.column(right_on), on=on,
-                                   anti=how == "anti")
-    right = read_parquet(path, columns=columns)
-    if prep is not None:
-        right = right.map_batches(prep, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    if how == "inner":
-        return shuffle_join(ds, right, on=(on,), right_on=(right_on,))
-    return shuffle_semi_anti(ds, right, on=on, keys_on=right_on,
-                             anti=how == "anti")
+def _gathered(ds: "ray.data.Dataset") -> tuple["ray.data.Dataset",
+                                               pa.Table | None]:
+    """``ds`` materialized (kept as it is when it already is) and, while
+    its block bytes fit ``_BROADCAST_MAX_BYTES``, its rows gathered to the
+    driver as one Arrow table — typed and empty when it has no rows; None
+    above the bound."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    if ds.size_bytes() > _BROADCAST_MAX_BYTES:
+        return ds, None
+    blocks = _arrow_blocks(ds)
+    return ds, (pa.concat_tables(blocks, promote_options="default")
+                if blocks else _empty_like(ds))
 
 
 def _distinct_keys(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
@@ -187,12 +150,10 @@ def semi_anti(
     one exact key set (``broadcast_semi_anti``), above it both sides meet
     in ``shuffle_semi_anti``.  Both plans select the same rows."""
     keys_on = keys_on or on
-    keys = _distinct_keys(keys_ds, keys_on).materialize()
-    if keys.size_bytes() <= _BROADCAST_MAX_BYTES:
-        blocks = _arrow_blocks(keys) or [_empty_like(keys_ds)]
-        key_set = pa.concat_tables(
-            [b.select([keys_on]) for b in blocks]).column(keys_on)
-        return broadcast_semi_anti(ds, key_set, on=on, anti=anti)
+    keys, table = _gathered(_distinct_keys(keys_ds, keys_on))
+    if table is not None:
+        return broadcast_semi_anti(ds, table.column(keys_on), on=on,
+                                   anti=anti)
     return shuffle_semi_anti(ds, keys, on=on, keys_on=keys_on, anti=anti)
 
 
@@ -217,15 +178,10 @@ def prefilter(
     exact rows follow with a join, which resolves the false positives."""
     if isinstance(keys, ray.data.Dataset):
         cols = [keys_on or on] if not isinstance(keys_on, list) else keys_on
-        keys = keys.materialize()
-        if keys.size_bytes() <= _BROADCAST_MAX_BYTES:
-            arrays = [blk.column(c).combine_chunks()
-                      for blk in _arrow_blocks(keys) for c in cols]
-            if not arrays:
-                return ds.map_batches(lambda b: b.slice(0, 0),
-                                      batch_format="pyarrow",
-                                      zero_copy_batch=True)
-            return broadcast_semi_anti(ds, pa.concat_arrays(arrays), on=on)
+        keys, table = _gathered(keys)
+        if table is not None:
+            return broadcast_semi_anti(ds, pa.concat_arrays(
+                [table.column(c).combine_chunks() for c in cols]), on=on)
         flat = keys.map_batches(
             lambda b: pa.table({"key": pa.concat_arrays(
                 [b.column(c).combine_chunks() for c in cols])}),
@@ -252,6 +208,11 @@ def prefilter(
 _LEFT_STREAMING = ("inner", "left outer", "left semi", "left anti")
 
 
+# broadcast ref per materialized right side of ``join``: weakly keyed, so
+# an entry lives exactly as long as the Dataset that several joins read
+_BROADCAST_REFS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def join(
     ds: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -261,19 +222,24 @@ def join(
 ) -> "ray.data.Dataset":
     """Join ``ds`` against a Dataset ``right`` of any size.
 
-    ``right`` is materialized once; while its bytes (block metadata) fit
-    ``_BROADCAST_MAX_BYTES`` it gathers and broadcasts (``broadcast_join``)
-    and ``ds`` streams, above it both sides hash-exchange
-    (``shuffle_join``).  A join type that must see right-side non-matches
-    (right or full outer, right semi/anti) always exchanges.  Both plans
-    return the same rows with keys coalesced into ``on``; non-key column
-    names must be disjoint across sides."""
-    right = right.materialize()
-    if (join_type in _LEFT_STREAMING
-            and right.size_bytes() <= _BROADCAST_MAX_BYTES):
-        blocks = _arrow_blocks(right) or [_empty_like(right)]
-        return broadcast_join(ds, pa.concat_tables(blocks), on, right_on,
-                              join_type)
+    For a left-streaming join type (inner, left outer, left semi/anti)
+    ``right`` goes through ``_gathered``: while its bytes fit
+    ``_BROADCAST_MAX_BYTES`` it is put once and broadcast
+    (``broadcast_join``) and ``ds`` streams; above it both sides
+    hash-exchange (``shuffle_join``).  A join type that must see
+    right-side non-matches (right or full outer, right semi/anti) always
+    exchanges.  An already materialized ``right`` is gathered and put once
+    for every join that reads it (``_BROADCAST_REFS``).  Both plans return
+    the same rows with keys coalesced into ``on``; non-key column names
+    must be disjoint across sides."""
+    if join_type in _LEFT_STREAMING:
+        ref = _BROADCAST_REFS.get(right)
+        if ref is None:
+            right, table = _gathered(right)
+            if table is not None:
+                ref = _BROADCAST_REFS[right] = ray.put(table)
+        if ref is not None:
+            return broadcast_join(ds, ref, on, right_on, join_type)
     return shuffle_join(ds, right, on, right_on, join_type)
 
 

@@ -42,12 +42,7 @@ from ocr_proofreader_ray.functions.sketches import (
 )
 from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
-from ocr_proofreader_ray.ops.join import (
-    broadcast_semi_anti,
-    join,
-    prefilter,
-    shuffle_join,
-)
+from ocr_proofreader_ray.ops.join import broadcast_semi_anti, join, prefilter
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
 
@@ -816,9 +811,8 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
         bucket_pairs, batch_format="pandas")
     # a true pair appears in ~all tables → dedup on (vec_a, vec_b); cos_milli
     # is identical across tables (same float inputs), Min keeps schema honest
-    return ray.data.from_arrow(
-        grouped_agg(pairs, ["vec_a", "vec_b"], [("cos_milli", "min", "cos_milli")])
-    )
+    return grouped_agg(pairs, ["vec_a", "vec_b"],
+                       [("cos_milli", "min", "cos_milli")], as_dataset=True)
 
 
 # ---------------------------------------------------------------------------
@@ -836,16 +830,18 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
     """Distributed connected components: iterative min-label propagation.
 
     label(v) starts as v; each round every node takes the min of its own
-    label and its neighbors' labels (one shuffle join edges⋈labels + one
-    grouped min), then POINTER-JUMPS label(v) <- label(label(v)) (a second
-    shuffle join of labels against itself) — the jump contracts label
+    label and its neighbors' labels (one ``ops.join.join`` edges⋈labels +
+    one grouped min), then POINTER-JUMPS label(v) <- label(label(v)) (a
+    second join of labels against itself) — the jump contracts label
     chains exponentially, so convergence is O(log diameter) rounds instead
     of O(diameter).  Fixpoint when the label sum stops falling (labels
     only ever decrease, so the sum is a strict progress measure).
-    Per-round state is (node, label) rows in the object store; nothing
-    corpus-sized touches the driver until the final (output-sized) gather —
-    including the INPUT pair set, which arrives as a Dataset and is
-    expanded to edges / seeded labels distributed (VERDICT r03 #5).
+    Per-round state is (node, label) rows in the object store; each join
+    broadcasts its label side while that fits the join budget and
+    hash-exchanges above it, so nothing beyond that budget touches the
+    driver until the final (output-sized) gather — including the INPUT
+    pair set, which arrives as a Dataset and is expanded to edges / seeded
+    labels distributed (VERDICT r03 #5).
     """
     def both_dirs(t: pa.Table) -> pa.Table:
         a = t.column("doc_a").combine_chunks()
@@ -868,7 +864,7 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         nbr_labels = labels_ds.map_batches(
             lambda t: t.rename_columns(["nbr", "nbr_label"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        prop = shuffle_join(edges_ds, nbr_labels, on=("nbr",))
+        prop = join(edges_ds, nbr_labels, ["nbr"])
         cand = prop.map_batches(
             lambda t: pa.table({"node": t.column("node"),
                                 "label": t.column("nbr_label")}),
@@ -884,8 +880,7 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         jump_side = merged.map_batches(
             lambda t: t.rename_columns(["jkey", "jlabel"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        jumped = shuffle_join(merged, jump_side,
-                              on=("label",), right_on=("jkey",))
+        jumped = join(merged, jump_side, ["label"], ["jkey"])
         # repartition bounds the label block count per round — without it
         # every join/union multiplies blocks and round cost grows
         # exponentially (measured: 6 -> 26 -> 106 blocks in 3 rounds)

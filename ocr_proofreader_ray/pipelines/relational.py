@@ -25,13 +25,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
+from ocr_proofreader_ray.ops.agg import (
+    _arrow_blocks,
+    grouped_agg,
+    grouped_top_k,
+    top_k,
+)
 from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import (
     asof_join,
-    join_table,
+    join,
     prefilter,
+    semi_anti,
     shuffle_join,
 )
 from ocr_proofreader_ray.pipelines.registry import register
@@ -313,7 +319,8 @@ def q_nation_revenue(sf_dir: str):
 
     orders = t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     # nation is genuinely tiny (25 rows) — always read on the driver; the
-    # customer side (collapsed to a custkey -> nation map) is size-gated
+    # customer side (collapsed to a custkey -> nation map) is sized by
+    # ops.join.join
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
 
@@ -330,9 +337,9 @@ def q_nation_revenue(sf_dir: str):
                          right_keys=["n_nationkey"]).select(
             ["c_custkey", "n_name"]).rename_columns(["c_custkey", "nation"])
 
-    joined = join_table(orders, f"{sf_dir}/customer.parquet",
-                        ["c_custkey", "c_nationkey"], "o_custkey", "c_custkey",
-                        prep=cust_nation)
+    cust = t(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
+        cust_nation, batch_format="pyarrow", zero_copy_batch=True)
+    joined = join(orders, cust, ["o_custkey"], ["c_custkey"])
     return grouped_agg(joined, ["nation"], [
         ("cents", "sum", "revenue_cents"),
         (None, "count", "n_orders"),
@@ -353,10 +360,10 @@ def q_nation_revenue(sf_dir: str):
 def q_order_priority_revenue(sf_dir: str):
     """Fact-fact join with a size-gated plan (B7).
 
-    The projected orders side (key + priority) goes through ``join_table``:
-    it broadcasts while the orders parquet fits the join budget
-    (``ops.join._BROADCAST_MAX_BYTES``) — the same gate as the customer
-    joins; above it, ONE hash-partition exchange
+    The projected orders side (key + priority) goes through
+    ``ops.join.join``: it broadcasts while its materialized Arrow bytes fit
+    the join budget (``ops.join._BROADCAST_MAX_BYTES``) — the same bound as
+    every join; above it, ONE hash-partition exchange
     joins both fact sides (that plan stays oracle-gated at every scale via
     `q_order_priority_revenue_salted`, which always takes the exchange,
     and pinned equal by the forced-path test).  (A
@@ -372,9 +379,8 @@ def q_order_priority_revenue(sf_dir: str):
                          "rev_ucents": to_units(r, 10000)})
 
     li = li.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
-    joined = join_table(li, f"{sf_dir}/orders.parquet",
-                        ["o_orderkey", "o_orderpriority"], "l_orderkey",
-                        "o_orderkey")
+    orders = t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    joined = join(li, orders, ["l_orderkey"], ["o_orderkey"])
     return grouped_agg(joined, ["o_orderpriority"], [
         ("rev_ucents", "sum", "revenue_ucents"),
         (None, "count", "n_items"),
@@ -433,11 +439,12 @@ def q_urgent_order_revenue(sf_dir: str):
 
     Orders shrink ~5x under the priority predicate.  The filtered orders
     are materialized once and feed both the prefilter and the join:
-    ``ops.join.prefilter`` drops ~80% of lineitem rows BEFORE the exchange
-    — an exact key broadcast while the orders fit the broadcast bound, a
-    Bloom filter over their keys above it, whose false positives the
-    exact per-partition Arrow join resolves (the DuckDB oracle pins
-    bit-exact results)."""
+    ``ops.join.prefilter`` drops ~80% of lineitem rows before the join —
+    an exact key broadcast while the orders fit the broadcast bound, a
+    Bloom filter over their keys above it.  ``ops.join.join`` then
+    broadcasts the orders under the same bound or hash-exchanges both
+    sides above it, and its exact Arrow join resolves the Bloom filter's
+    false positives (the DuckDB oracle pins bit-exact results)."""
     li = t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def rev(b: pa.Table) -> pa.Table:
@@ -453,8 +460,7 @@ def q_urgent_order_revenue(sf_dir: str):
                                     pa.scalar("1-URGENT"))),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
     li = prefilter(li, orders, on="l_orderkey", keys_on="o_orderkey")
-    joined = shuffle_join(li, orders, on=("l_orderkey",),
-                          right_on=("o_orderkey",))
+    joined = join(li, orders, ["l_orderkey"], ["o_orderkey"])
     # grouped on the constant priority column, then projected away → the
     # combiner aggregate machinery handles the keyless-global case too
     tab = grouped_agg(joined, ["o_orderpriority"], [
@@ -484,8 +490,8 @@ def q_urgent_order_revenue(sf_dir: str):
 )
 def q_customers_with_orders(sf_dir: str):
     ds = t(sf_dir, "customer", ["c_custkey", "c_name"])
-    return join_table(ds, f"{sf_dir}/orders.parquet", ["o_custkey"],
-                      "c_custkey", "o_custkey", how="semi")
+    return semi_anti(ds, t(sf_dir, "orders", ["o_custkey"]),
+                     on="c_custkey", keys_on="o_custkey")
 
 
 @register(
@@ -504,11 +510,11 @@ def q_customers_without_orders(sf_dir: str):
     (a Bloom key set would wrongly drop customers on false positives)."""
     ds = t(sf_dir, "customer", ["c_custkey", "c_name"])
     cut = pa.scalar(datetime(1996, 1, 1), pa.timestamp("us"))
-    return join_table(ds, f"{sf_dir}/orders.parquet",
-                      ["o_custkey", "o_orderdate"], "c_custkey", "o_custkey",
-                      prep=lambda o: o.filter(
-                          pc.less(o.column("o_orderdate"), cut)),
-                      how="anti")
+    early = t(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
+        lambda o: o.filter(pc.less(o.column("o_orderdate"), cut)),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return semi_anti(ds, early, on="c_custkey", keys_on="o_custkey",
+                     anti=True)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +580,12 @@ def q_union_segments(sf_dir: str):
     return a.union(b)
 
 
-def _building(cust: pa.Table) -> pa.Table:
+def _building(sf_dir: str) -> "ray.data.Dataset":
     """BUILDING-segment customers: the key side of the set-op semi/anti
     joins."""
-    return cust.filter(pc.equal(cust.column("c_mktsegment"), "BUILDING"))
+    return t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        lambda c: c.filter(pc.equal(c.column("c_mktsegment"), "BUILDING")),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 @register(
@@ -589,14 +597,13 @@ def _building(cust: pa.Table) -> pa.Table:
     """,
 )
 def q_intersect_custkeys(sf_dir: str):
-    """INTERSECT via distinct + semi join — ``join_table`` broadcasts the
-    BUILDING key set while the customer parquet fits the join budget and
-    hash-exchanges both sides above it."""
+    """INTERSECT via distinct + semi join — ``ops.join.semi_anti``
+    broadcasts the BUILDING key set while its distinct keys fit the join
+    budget and hash-exchanges both sides above it."""
     ds = t(sf_dir, "orders", ["o_custkey"])
     distinct = grouped_agg(ds, ["o_custkey"], [], as_dataset=True)
-    out = join_table(distinct, f"{sf_dir}/customer.parquet",
-                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
-                     prep=_building, how="semi")
+    out = semi_anti(distinct, _building(sf_dir), on="o_custkey",
+                    keys_on="c_custkey")
     return out.map_batches(
         lambda b: b.rename_columns(["custkey"]),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -614,9 +621,8 @@ def q_intersect_custkeys(sf_dir: str):
 def q_except_custkeys(sf_dir: str):
     ds = t(sf_dir, "orders", ["o_custkey"])
     distinct = grouped_agg(ds, ["o_custkey"], [], as_dataset=True)
-    out = join_table(distinct, f"{sf_dir}/customer.parquet",
-                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
-                     prep=_building, how="anti")
+    out = semi_anti(distinct, _building(sf_dir), on="o_custkey",
+                    keys_on="c_custkey", anti=True)
     return out.map_batches(
         lambda b: b.rename_columns(["custkey"]),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -714,8 +720,11 @@ def q_events_daily(sf_dir: str):
 def q_rank_in_segment(sf_dir: str):
     """Window row_number per group: top-3 customers by revenue in each
     market segment.  Revenue per customer via combiner partials
-    (high-cardinality key, kept a Dataset); the per-segment ranking is a
-    5-group map_groups with a deterministic total order."""
+    (high-cardinality key, kept a Dataset), joined to its segment through
+    ``ops.join.join``; ``grouped_top_k`` keeps each segment's top 3 under a
+    deterministic total order (a null segment is its own partition), and
+    the row numbers are assigned on the driver over at most segments x 3
+    rows."""
     orders = t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -728,22 +737,23 @@ def q_rank_in_segment(sf_dir: str):
         orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
         ["o_custkey"], [("cents", "sum", "revenue_cents")], as_dataset=True,
     )
-    rev = join_table(rev, f"{sf_dir}/customer.parquet",
-                     ["c_custkey", "c_mktsegment"], "o_custkey", "c_custkey",
-                     prep=lambda c: c.rename_columns(["c_custkey", "segment"]))
-
-    def rank_top3(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[("revenue_cents", "descending"),
-                                            ("o_custkey", "ascending")])
-        g = g.take(idx[:3])
-        return pa.table({
-            "segment": g.column("segment"),
-            "custkey": g.column("o_custkey"),
-            "revenue_cents": g.column("revenue_cents"),
-            "rnk": pa.array(range(1, g.num_rows + 1), pa.int64()),
-        })
-
-    return rev.groupby("segment").map_groups(rank_top3, batch_format="pyarrow")
+    cust = t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        lambda c: c.rename_columns(["c_custkey", "segment"]),
+        batch_format="pyarrow", zero_copy_batch=True)
+    rev = join(rev, cust, ["o_custkey"], ["c_custkey"])
+    order = [("revenue_cents", "descending"), ("o_custkey", "ascending")]
+    top = grouped_top_k(rev, ["segment"], order, 3)
+    top = top.take(pc.sort_indices(top, [("segment", "ascending")] + order))
+    seg = top.column("segment").to_pylist()
+    rnk = []
+    for i, s in enumerate(seg):
+        rnk.append(rnk[-1] + 1 if i and s == seg[i - 1] else 1)
+    return pa.table({
+        "segment": top.column("segment"),
+        "custkey": top.column("o_custkey"),
+        "revenue_cents": top.column("revenue_cents"),
+        "rnk": pa.array(rnk, pa.int64()),
+    })
 
 
 @register(
@@ -888,8 +898,6 @@ def q_stratified_sample_lang(sf_dir: str, k: int = 3):
     ``ops/agg.py::grouped_top_k``: each block keeps its local per-group
     top-k, the driver merges blocks x groups x k survivor rows — no
     global sort, no shuffle."""
-    from ocr_proofreader_ray.ops.agg import grouped_top_k
-
     docs = t(sf_dir, "documents", ["doc_id", "lang"])
 
     def hkey(b: pa.Table) -> pa.Table:
@@ -1611,13 +1619,13 @@ def q_customer_orders_outer(sf_dir: str):
     orders, plus customers with no orders (null order columns) and — were
     any present — orders with no customer (null customer columns).
 
-    Outer semantics compose per partition because ``shuffle_join``
-    co-locates ALL rows of a key on both sides in one hash exchange: a
-    partition-local full outer is then exactly the global full outer
-    (non-matches of either side surface in the partition that owns their
-    key).  Broadcast plans cannot do this — right-side non-matches are
-    invisible to a streamed left — so this query always takes the
-    exchange.  Money stays per-row exact-integer cents (no sums)."""
+    Outer semantics compose per partition because the hash exchange
+    co-locates ALL rows of a key on both sides: a partition-local full
+    outer is then exactly the global full outer (non-matches of either
+    side surface in the partition that owns their key).  Broadcast plans
+    cannot do this — right-side non-matches are invisible to a streamed
+    left — so ``ops.join.join`` always exchanges a full outer join.  Money
+    stays per-row exact-integer cents (no sums)."""
     cust = t(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = t(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
@@ -1630,8 +1638,8 @@ def q_customer_orders_outer(sf_dir: str):
 
     orders = orders.map_batches(cents, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    return shuffle_join(cust, orders, on=("c_custkey",),
-                        right_on=("o_custkey",), join_type="full outer")
+    return join(cust, orders, ["c_custkey"], ["o_custkey"],
+                join_type="full outer")
 
 
 @register(
@@ -1881,56 +1889,19 @@ def q_quantity_percentiles(sf_dir: str):
 )
 def q_latest_event(sf_dir: str):
     """Latest row per key (the recrawl pattern: keep the newest version of
-    each url/user) — window ``last_value`` semantics with a deterministic
-    tie-break, WITHOUT sorting any partition.
+    each url/user) — window ``row_number`` semantics with a deterministic
+    tie-break, without a global sort.
 
-    Plan: a combiner ``grouped_agg`` reduces events to max(ts) per user
-    (state = keys, not rows); rows stream through a semi-style broadcast
-    lookup keeping only ts == max(ts); a second bounded combiner resolves
-    ts ties to the min event_id; a final filter emits exactly one row per
-    key.  Two cheap aggregates + two streaming filters — at fact-sized
-    key cardinality both aggregates merge in an exchange by themselves
-    and the lookup side switches to `shuffle_semi_anti`'s exchange (the
-    repo-wide size-gate family); at this corpus the broadcast plan wins."""
-    from ocr_proofreader_ray.ops.join import _fetch
-
+    ``grouped_top_k`` with k=1 keeps each block's first row per user in
+    (ts DESC, event_id ASC) order, and the same head merges the survivors
+    on the driver or inside a hash exchange on user_id, by their count, so
+    the state is one row per user and block.  It keeps SQL's partition
+    semantics that a join on the key would lose: a null user_id is one
+    partition, and a null ts sorts last."""
     ev = t(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
-
-    def arg_lookup(agg: pa.Table, val_name: str, val_np) -> tuple:
-        users = np.asarray(agg.column("user_id"), np.int64)
-        vals = val_np(agg.column(val_name))
-        order = np.argsort(users, kind="stable")
-        return users[order], vals[order]
-
-    def keep_equal(ref, value_col: str, val_np):
-        def fn(b: pa.Table) -> pa.Table:
-            users_s, vals_s = _fetch(ref)
-            if len(users_s) == 0:
-                return b.slice(0, 0)
-            u = np.asarray(b.column("user_id"), np.int64)
-            v = val_np(b.column(value_col))
-            idx = np.searchsorted(users_s, u)
-            idx = np.clip(idx, 0, len(users_s) - 1)
-            mask = (users_s[idx] == u) & (vals_s[idx] == v)
-            return b.filter(pa.array(mask))
-        return fn
-
-    def ts_np(col):
-        return np.asarray(pc.cast(pc.cast(col, pa.timestamp("us")),
-                                  pa.int64()))
-
-    def id_np(col):
-        return np.asarray(pc.cast(col, pa.int64()))
-
-    max_ts = grouped_agg(ev, ["user_id"], [("ts", "max", "max_ts")])
-    ts_ref = ray.put(arg_lookup(max_ts, "max_ts", ts_np))
-    at_max = ev.map_batches(keep_equal(ts_ref, "ts", ts_np),
-                            batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-    min_id = grouped_agg(at_max, ["user_id"], [("event_id", "min", "min_id")])
-    id_ref = ray.put(arg_lookup(min_id, "min_id", id_np))
-    return at_max.map_batches(keep_equal(id_ref, "event_id", id_np),
-                              batch_format="pyarrow", zero_copy_batch=True)
+    return grouped_top_k(ev, ["user_id"], [("ts", "descending"),
+                                           ("event_id", "ascending")], 1,
+                         as_dataset=True)
 
 
 def _source_fingerprint(path: str) -> str:
@@ -2630,9 +2601,10 @@ def q_retention_cohorts(sf_dir: str):
     1. cohort assignment: per-user min activity day (combiner partials,
        kept a Dataset — user cardinality is corpus-sized);
     2. distinct (user, day) activity via the same machinery;
-    3. both corpus-sized sides meet in ONE hash-partition exchange
-       (``shuffle_join`` on user), and the (cohort, day) count that
-       follows is a days²-bounded combiner.
+    3. both sides meet on user through ``ops.join.join`` (the cohort side
+       broadcasts under the join budget, both sides hash-exchange above
+       it), and the (cohort, day) count that follows is a days²-bounded
+       combiner.
     Above the merge bound the driver only ever sees the final matrix."""
     ev = t(sf_dir, "events", ["user_id", "ts"])
 
@@ -2651,8 +2623,7 @@ def q_retention_cohorts(sf_dir: str):
     activity = activity.map_batches(
         lambda b: b.rename_columns(["uid", "day"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    joined = shuffle_join(activity, first_day,
-                          on=("uid",), right_on=("user_id",))
+    joined = join(activity, first_day, ["uid"], ["user_id"])
     return grouped_agg(joined, ["cohort", "day"],
                        [(None, "count", "n_active")])
 

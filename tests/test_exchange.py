@@ -198,7 +198,6 @@ def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
 _MAP_GROUPS_ALLOWED = {
     ("ops/exchange.py", None),
     ("ops/sort.py", None),
-    ("pipelines/relational.py", "q_rank_in_segment"),
     ("pipelines/text_analysis.py", "q_pack_sequences"),
     ("pipelines/dedup.py", "q_dedup_embedding"),
 }

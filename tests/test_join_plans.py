@@ -1,0 +1,136 @@
+"""Query code names no join plan: every join goes through ``ops.join.join``
+or ``ops.join.semi_anti``, which size what they would broadcast, and a
+materialized right side that several joins read is gathered and put once."""
+
+import ast
+import gc
+import os
+import weakref
+
+import pyarrow as pa
+
+from fixtures.gen_golden_queries import SF_DIR as SF
+
+PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "ocr_proofreader_ray")
+
+# plan-naming join functions; pipeline modules call none of them except the
+# salted query, whose salted exchange is the thing it exists to check
+_PLAN_CALLS = {"join_table", "broadcast_join", "shuffle_join",
+               "shuffle_semi_anti"}
+_PLAN_CALLS_ALLOWED = {
+    ("relational.py", "q_order_priority_revenue_salted", "shuffle_join"),
+}
+
+
+def _plan_calls():
+    """(module, top-level function, callee) of every plan-naming join call
+    under ``pipelines/``."""
+    root = os.path.join(PKG, "pipelines")
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                callee = (fn.id if isinstance(fn, ast.Name)
+                          else fn.attr if isinstance(fn, ast.Attribute)
+                          else None)
+                if callee in _PLAN_CALLS:
+                    yield name, getattr(top, "name", None), callee
+
+
+def test_pipelines_name_no_join_plan():
+    assert set(_plan_calls()) == _PLAN_CALLS_ALLOWED
+
+
+def _count_puts(monkeypatch, column: str) -> list:
+    """Rows of every Arrow table holding ``column`` that goes to
+    ``ray.put`` from now on."""
+    import ray
+
+    puts = []
+    real = ray.put
+
+    def put(value, *args, **kwargs):
+        if isinstance(value, pa.Table) and column in value.column_names:
+            puts.append(value.num_rows)
+        return real(value, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "put", put)
+    return puts
+
+
+def test_minhash_verification_ships_its_set_table_once(ray_session,
+                                                       monkeypatch):
+    """``_verify_pairs`` joins one set table on doc_a and then on doc_b:
+    it is gathered and put once per verification, not once per join."""
+    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.pipelines.dedup as dedup
+
+    puts = _count_puts(monkeypatch, "els")
+    gathers = []
+    real_gather = j._arrow_blocks
+
+    def gather(ds):
+        blocks = real_gather(ds)
+        if any("els" in b.column_names for b in blocks):
+            gathers.append(sum(b.num_rows for b in blocks))
+        return blocks
+
+    monkeypatch.setattr(j, "_arrow_blocks", gather)
+    out = dedup.q_dedup_minhash(SF)
+    rows = out.num_rows if isinstance(out, pa.Table) else out.count()
+    assert rows > 0
+    assert len(puts) == 1 and puts[0] > 0
+    assert gathers == puts
+
+
+def test_broadcast_memo_dies_with_its_dataset(ray_session, monkeypatch):
+    import ray
+
+    import ocr_proofreader_ray.ops.join as j
+
+    left = ray.data.from_arrow(pa.table({"k": [1, 2, 3], "v": [10, 20, 30]}))
+    right = ray.data.from_arrow(
+        pa.table({"rk": [1, 3, 4], "w": ["a", "c", "d"]})).materialize()
+    puts = _count_puts(monkeypatch, "w")
+    inner = j.join(left, right, ["k"], ["rk"])
+    outer = j.join(left, right, ["k"], ["rk"], join_type="left outer")
+    assert puts == [3]
+    assert right in j._BROADCAST_REFS
+    assert sorted(inner.to_pandas()["w"]) == ["a", "c"]
+    assert sorted(outer.to_pandas()["w"].fillna("-")) == ["-", "a", "c"]
+
+    n = len(j._BROADCAST_REFS)
+    alive = weakref.ref(right)
+    del right
+    gc.collect()
+    assert alive() is None
+    assert len(j._BROADCAST_REFS) == n - 1
+
+
+def test_latest_event_gathers_nothing_above_the_bounds(ray_session,
+                                                       all_exchange,
+                                                       monkeypatch):
+    """With every bound at 0 the per-user head merges inside a hash
+    exchange, so no key-sized lookup reaches the driver."""
+    import ocr_proofreader_ray.ops.agg as agg
+    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.pipelines.relational as rel
+
+    calls = []
+
+    def refuse(ds):
+        calls.append(ds)
+        return []
+
+    monkeypatch.setattr(agg, "_arrow_blocks", refuse)
+    monkeypatch.setattr(j, "_arrow_blocks", refuse)
+    df = rel.q_latest_event(SF).to_pandas()
+    assert calls == []
+    assert len(df) > 0 and df["user_id"].is_unique

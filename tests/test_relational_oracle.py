@@ -108,6 +108,66 @@ def test_count_distinct_users_null_event_type(ray_session, tmp_path):
                                   check_exact=True)
 
 
+@pytest.mark.parametrize("plan", ["default", "all_exchange"])
+def test_rank_in_segment_null_segment(ray_session, tmp_path, request, plan):
+    """A null market segment is its own ranking partition, as in SQL; Ray's
+    sort-based ``map_groups`` raised ``TypeError`` on a null string key
+    once the input spanned two blocks."""
+    import pyarrow.parquet as pq
+
+    if plan == "all_exchange":
+        request.getfixturevalue("all_exchange")
+    customer = tmp_path / "customer.parquet"
+    customer.mkdir()
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3, 4], pa.int64()),
+        "c_mktsegment": pa.array(["A", None, "B", None]),
+    }), str(customer / "a.parquet"))
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([5, 6, 7, 8], pa.int64()),
+        "c_mktsegment": pa.array([None, "A", None, "A"]),
+    }), str(customer / "b.parquet"))
+    pq.write_table(pa.table({
+        "o_custkey": pa.array([1, 2, 3, 4, 5, 6, 7, 8, 2, 8], pa.int64()),
+        "o_totalprice": pa.array([5.0, 3.0, 1.0, 3.0, 9.0, 5.0, 2.0, 4.0,
+                                  1.0, 1.0]),
+    }), str(tmp_path / "orders.parquet"))
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW customer AS SELECT * FROM "
+              f"read_parquet('{customer}/*.parquet')")
+    c.execute(f"CREATE VIEW orders AS SELECT * FROM "
+              f"read_parquet('{tmp_path}/orders.parquet')")
+    got = canon(to_pandas(QUERIES["q_rank_in_segment"](str(tmp_path))))
+    want = canon(c.sql(ORACLES["q_rank_in_segment"]).df())
+    assert want["segment"].isna().sum() == 3
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+
+
+@pytest.mark.parametrize("plan", ["default", "all_exchange"])
+def test_latest_event_null_user_and_ts(ray_session, tmp_path, request, plan):
+    """A null user_id is one PARTITION BY group and a null ts sorts last,
+    as in SQL: a join on (user_id, max ts) would drop both."""
+    import pyarrow.parquet as pq
+
+    if plan == "all_exchange":
+        request.getfixturevalue("all_exchange")
+    pq.write_table(pa.table({
+        "user_id": pa.array([1, None, None, 2, 2, 3, 3], pa.int64()),
+        "event_id": pa.array([1, 2, 3, 4, 5, 6, 7], pa.int64()),
+        "ts": pa.array([1, 5, 7, None, None, None, 4], pa.timestamp("us")),
+        "event_type": pa.array(["a", "b", "c", "d", "e", "f", "g"]),
+    }), str(tmp_path / "events.parquet"))
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW events AS SELECT * FROM "
+              f"read_parquet('{tmp_path}/events.parquet')")
+    got = canon(to_pandas(QUERIES["q_latest_event"](str(tmp_path))))
+    want = canon(c.sql(ORACLES["q_latest_event"]).df())
+    assert sorted(want["event_id"]) == [1, 3, 4, 7]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+
+
 def test_every_oracle_has_query():
     assert set(ORACLES) <= set(QUERIES)
 
