@@ -11,7 +11,7 @@ Correctness contract: membership tests have false positives (rate ~fpp)
 and NO false negatives, so a Bloom test alone is a PREFILTER, never an
 exact semi/anti join — every surviving row must still pass an exact join
 downstream.  ``ops/join.py::prefilter`` builds one when its key side is
-above the broadcast bound, and its callers follow with that exact join:
+above the driver bound, and its callers follow with that exact join:
 results are bit-identical on either plan (tests/test_bloom.py), only the
 shuffled volume changes.  Pipeline modules reach it only through
 ``prefilter``.

@@ -10,9 +10,9 @@ C++ ``Table.group_by`` (vectorized, zero Python per row), so only
 One merge, one bound, two result contracts.  ``grouped_agg``,
 ``grouped_top_k`` and ``grouped_sum_top_k`` each hand their partial rows
 and ONE merge function to ``_merge``, which materializes the partials and
-counts them (free metadata once materialized):
+sizes them (block bytes: free metadata once materialized):
 
-* at or under ``_DRIVER_MERGE_MAX_ROWS`` the partials gather and the merge
+* at or under ``_DRIVER_MAX_BYTES`` the partials gather and the merge
   runs once on the driver — no shuffle at all;
 * above it the partials hash-partition on the group keys through
   ``ops.exchange.exchange`` and each partition runs the SAME merge; the
@@ -24,13 +24,12 @@ Dataset (``as_dataset=True``, for a downstream join, exchange or write).
 The Table form gathers the exchange's merged rows above the bound; the
 Dataset form wraps the driver merge in ``ray.data.from_arrow`` under it.
 Both plans return the same rows and Arrow types, an empty input included.
-Tests force the exchange by patching the bound to 0
-(``tests/conftest.py::all_exchange``).
 
-Why 20M: it is the largest driver merge the tree already ran — the
-extraction dictionary and ``q_segment_dedup`` merged up to 20M rows on the
-driver — and partials never outnumber input rows, so every caller that
-merged on the driver before still does.
+``_DRIVER_MAX_BYTES`` is the package's one size gate: this merge, the
+broadcasts of ``ops.join``, ``ops.selection``'s gather and dedup's pair
+expansion and components all compare the bytes they would hold in one
+process with it.  Tests force every distributed plan by patching it to 0
+(``tests/conftest.py::all_exchange``).
 
 The distributed merge used to be Ray's sort-based
 ``groupby(keys).aggregate(Sum/Min/Max)`` over the partials.  That raised
@@ -50,14 +49,33 @@ Means are derived by callers from sum+count (exact-integer trick).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ocr_proofreader_ray.ops.exchange import exchange
 
+# the most bytes a driver plan holds in one process (the driver, or a
+# worker holding a broadcast); read at call time, so patching forces plans
+_DRIVER_MAX_BYTES = 256 << 20
+
 # how each partial column merges in the final pass
 _MERGE_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def materialized(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` executed once.  An executed MaterializedDataset comes back as
+    it is: ``materialize()`` on one runs nothing, yet copies its plan and
+    builds two Datasets, each a blocking call to Ray Data's stats actor.
+    ``ray.data.from_arrow``'s is not executed yet: materializing it takes
+    no execution, where reading its blocks would take one."""
+    if (isinstance(ds, MaterializedDataset)
+            and ds._plan.has_computed_output()):
+        return ds
+    return ds.materialize()
 
 
 def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
@@ -68,8 +86,7 @@ def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
     executes it and then reads its schema through a second ``limit=1``
     execution, and an upstream all-to-all (shuffle join, sort) cannot stop
     early, so that probe re-runs the whole upstream (measured 2x the join
-    per aggregate).  A materialized dataset has its schema cached and
-    materializing it again executes nothing.
+    per aggregate).  A materialized dataset is read as it is.
 
     ``to_arrow_refs`` passes pandas blocks through unconverted (seen when an
     upstream ``map_groups(batch_format="pandas")`` emitted only empty frames
@@ -77,7 +94,7 @@ def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
     import pandas as pd
 
     out = []
-    for blk in ray.get(ds.materialize().to_arrow_refs()):
+    for blk in ray.get(materialized(ds).to_arrow_refs()):
         if isinstance(blk, pd.DataFrame):
             if len(blk):
                 out.append(pa.Table.from_pandas(blk, preserve_index=False))
@@ -116,25 +133,22 @@ def _partial_specs(aggs: list[tuple[str | None, str, str]]):
     return specs, names
 
 
-# partial (or survivor) rows at or under this merge on the driver; above
-# it they merge inside a hash exchange (see the module docstring)
-_DRIVER_MERGE_MAX_ROWS = 20_000_000
-
-
 def _merge(parts: "ray.data.Dataset", keys: list[str], fn, empty,
            as_dataset: bool) -> pa.Table | "ray.data.Dataset":
     """Run ``fn`` (Arrow rows -> merged Arrow rows, correct on any subset
     that holds every row of its keys) over the partial rows ``parts``.
 
-    The partials are materialized once, so their row count is free
-    metadata: at or under ``_DRIVER_MERGE_MAX_ROWS`` they gather and ``fn``
+    The partials are materialized once, so their block bytes are free
+    metadata: at or under ``_DRIVER_MAX_BYTES`` they gather and ``fn``
     runs once on the driver; above it they hash-exchange on ``keys`` and
-    ``fn`` runs once per partition.  ``as_dataset`` picks the result
-    contract only: a Table (the exchange's merged rows gathered) or a
-    Dataset (the driver merge wrapped by ``ray.data.from_arrow``).
-    ``empty()`` gives the typed result when there are no partial rows."""
-    parts = parts.materialize()
-    if parts.count() <= _DRIVER_MERGE_MAX_ROWS:
+    ``fn`` runs once per partition.  (The switch was 20M partial rows; at
+    256 MiB it is 16.7M rows of two int64 columns, 5.6M of six.)
+    ``as_dataset`` picks the result contract only: a Table (the exchange's
+    merged rows gathered) or a Dataset (the driver merge wrapped by
+    ``ray.data.from_arrow``).  ``empty()`` gives the typed result when
+    there are no partial rows."""
+    parts = materialized(parts)
+    if parts.size_bytes() <= _DRIVER_MAX_BYTES:
         tables = _arrow_blocks(parts)
         out = (fn(pa.concat_tables(tables, promote_options="default"))
                if tables else empty())
@@ -186,15 +200,22 @@ def grouped_agg(
 
 def _head(rows: pa.Table, group_cols: list[str],
           sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
-    """The first ``k`` rows of each group in ``sort_keys`` order.  A null
-    group key is a group (SQL window PARTITION BY semantics — the oracles
-    keep a NULL stratum, so must we)."""
-    import pyarrow.compute as pc
-
-    df = rows.take(pc.sort_indices(rows, sort_keys=sort_keys)).to_pandas()
-    return pa.Table.from_pandas(
-        df.groupby(group_cols, sort=False, dropna=False).head(k),
-        preserve_index=False, schema=rows.schema).combine_chunks()
+    """The first ``k`` rows of each group in ``sort_keys`` order, group by
+    group.  A null group key is a group (SQL window PARTITION BY semantics
+    — the oracles keep a NULL stratum, so must we).  The rows stay Arrow,
+    so an int64 column holding a null keeps every value exact."""
+    rows = rows.take(pc.sort_indices(
+        rows, sort_keys=[(c, "ascending") for c in group_cols] + sort_keys))
+    n = rows.num_rows
+    new_group = np.zeros(n, bool)
+    new_group[:1] = True
+    for c in group_cols:
+        codes = pc.fill_null(pc.dictionary_encode(
+            rows.column(c).combine_chunks()).indices, -1).to_numpy()
+        new_group[1:] |= codes[1:] != codes[:-1]
+    # each row's position in its group run
+    starts = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
+    return rows.filter(np.arange(n) - starts < k).combine_chunks()
 
 
 def grouped_top_k(
@@ -238,7 +259,7 @@ def grouped_sum_top_k(
     Each block sums its (group, key) rows; the partial sums then merge
     through ``_merge`` on the group column, and one function sums and
     ranks them, on the driver or inside each exchange partition, so the
-    driver never holds more partial rows than the merge bound."""
+    driver never holds more partial bytes than ``_DRIVER_MAX_BYTES``."""
     cols = [group_col, key_col, value_col]
     order = [(group_col, "ascending"), (value_col, "descending"),
              (key_col, "ascending")]
@@ -270,8 +291,6 @@ def top_k(
     scale.  ``sort_keys``: [(col, "ascending"|"descending"), ...]; ties must
     be broken by the key list itself for deterministic output.
     """
-    import pyarrow.compute as pc
-
     def local(b: pa.Table) -> pa.Table:
         idx = pc.sort_indices(b, sort_keys=sort_keys)
         return b.take(idx[:k])

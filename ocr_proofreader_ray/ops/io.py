@@ -13,7 +13,10 @@ reads one block per file, which fuses ``ReadParquet->MapBatches`` into one
 task per file; above it, Ray's autodetect plans the read unchanged (a
 corpus-sized scan keeps its cluster-wide split).  The caller's paths and
 keyword arguments (``filter=``, partitioned directories) reach Ray as
-given.  Query code reads Parquet only through here.
+given; a single named file is read with its own schema minus any
+metadata (a pandas-written file's dict makes Ray fail to hash the read
+schemas and run a full unification).  Query code reads Parquet only
+through here.
 """
 
 from __future__ import annotations
@@ -74,4 +77,9 @@ def read_parquet(paths: str | list[str], columns: list[str] | None = None,
     files = _parquet_files(paths)
     if files and _estimated_bytes(files, columns, bound) <= bound:
         kw.setdefault("override_num_blocks", len(files))
+    if isinstance(paths, str) and os.path.isfile(paths):
+        schema = pq.read_schema(paths)
+        if schema.metadata and set(columns or []) <= set(schema.names):
+            kw.setdefault("schema", pa.schema(
+                [schema.field(c) for c in columns or schema.names]))
     return ray.data.read_parquet(paths, columns=columns, **kw)

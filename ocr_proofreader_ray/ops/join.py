@@ -3,9 +3,9 @@
 Two physical strategies:
 
 * **Broadcast hash join** — the small side (dimension table, key set) is
-  ``ray.put`` ONCE on the driver; every map task ``ray.get``s it (object is
-  node-local after first fetch, and additionally memoized per worker process
-  here) and joins each Arrow batch with ``pyarrow.Table.join`` (Arrow C++
+  ``ray.put`` ONCE on the driver; every map task ``ray.get``s it (a
+  zero-copy view of the node's object store, so nothing outlives the
+  task) and joins each Arrow batch with ``pyarrow.Table.join`` (Arrow C++
   hash join).  No shuffle; the big side streams.  Semi/anti joins broadcast
   the key set and filter with ``pyarrow.compute.is_in``.
 * **Hash-exchange join** — both sides large → ``shuffle_join`` /
@@ -18,7 +18,8 @@ Two physical strategies:
 Every choice between them is made here, by three entry points against ONE
 sizing rule, so query code describes its sides and never names a plan:
 ``_gathered`` materializes the side a plan would broadcast and gathers it
-only while its Arrow block bytes fit ``_BROADCAST_MAX_BYTES`` (256 MiB).
+only while its Arrow block bytes fit the package's one driver bound,
+``ops.agg._DRIVER_MAX_BYTES`` (256 MiB).
 
 * ``join`` — inner, left outer, left semi/anti or full outer against a
   Dataset right side; a left-streaming join type broadcasts the right
@@ -32,7 +33,7 @@ A right side that ``join`` receives already materialized is gathered and
 put once however many joins read it: its broadcast ref is memoized per
 Dataset (``_BROADCAST_REFS``, weakly keyed, so the entry dies with the
 Dataset).  Tests force every hash-exchange or Bloom plan by patching the
-bound to 0; ``_fetch`` fetches a broadcast once per worker process.
+bound to 0.
 """
 
 from __future__ import annotations
@@ -43,21 +44,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.dataset import MaterializedDataset
 
 from ocr_proofreader_ray.functions.bloom import BloomFilter, build_bloom
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, _empty_like
+from ocr_proofreader_ray.ops import agg
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, _empty_like, materialized
 from ocr_proofreader_ray.ops.exchange import co_exchange, with_schema
-
-# per-worker-process memo of fetched broadcast objects
-_FETCH_CACHE: dict[str, object] = {}
-
-
-def _fetch(ref: "ray.ObjectRef"):
-    key = ref.hex()
-    if key not in _FETCH_CACHE:
-        _FETCH_CACHE[key] = ray.get(ref)
-    return _FETCH_CACHE[key]
 
 
 def broadcast_join(
@@ -72,7 +63,7 @@ def broadcast_join(
     right_on = right_on or on
 
     def _join(batch: pa.Table) -> pa.Table:
-        rt: pa.Table = _fetch(ref)
+        rt: pa.Table = ray.get(ref)
         return batch.join(
             rt, keys=on, right_keys=right_on, join_type=join_type,
             coalesce_keys=True,
@@ -95,7 +86,7 @@ def broadcast_semi_anti(
     ref = ray.put(pc.unique(keys))
 
     def _filter(batch: pa.Table) -> pa.Table:
-        key_set = _fetch(ref)
+        key_set = ray.get(ref)
         mask = pc.is_in(batch.column(on), value_set=key_set)
         if anti:
             mask = pc.invert(mask)
@@ -104,23 +95,14 @@ def broadcast_semi_anti(
     return ds.map_batches(_filter, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# broadcast-side budget (VERDICT r02 #7): gathering the "small" side on the
-# driver and shipping it to every worker is only safe while its bytes stay
-# under this — customer is fact-sized at crawl scale, so every plan here is
-# chosen by a measured size, falling back to the exchange (or, for a
-# prefilter, a fixed-size Bloom filter) above it
-_BROADCAST_MAX_BYTES = 256 << 20
-
-
 def _gathered(ds: "ray.data.Dataset") -> tuple["ray.data.Dataset",
                                                pa.Table | None]:
     """``ds`` materialized (kept as it is when it already is) and, while
-    its block bytes fit ``_BROADCAST_MAX_BYTES``, its rows gathered to the
-    driver as one Arrow table — typed and empty when it has no rows; None
-    above the bound."""
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
-    if ds.size_bytes() > _BROADCAST_MAX_BYTES:
+    its block bytes fit ``agg._DRIVER_MAX_BYTES``, its rows gathered to
+    the driver as one Arrow table — typed and empty when it has no rows;
+    None above the bound."""
+    ds = materialized(ds)
+    if ds.size_bytes() > agg._DRIVER_MAX_BYTES:
         return ds, None
     blocks = _arrow_blocks(ds)
     return ds, (pa.concat_tables(blocks, promote_options="default")
@@ -146,7 +128,7 @@ def semi_anti(
     ``keys_on`` values) or anti join against a key side of any size.
 
     The key side's per-block distinct keys are materialized once; while
-    their bytes fit ``_BROADCAST_MAX_BYTES`` they gather and broadcast as
+    their bytes fit ``agg._DRIVER_MAX_BYTES`` they gather and broadcast as
     one exact key set (``broadcast_semi_anti``), above it both sides meet
     in ``shuffle_semi_anti``.  Both plans select the same rows."""
     keys_on = keys_on or on
@@ -171,7 +153,7 @@ def prefilter(
     sized from metadata (an array's distinct keys; a Dataset materialized
     once, then its block bytes, an upper bound on its keys'), so a
     materialized key side costs no execution to size.  While that fits
-    ``_BROADCAST_MAX_BYTES`` the exact key set broadcasts
+    ``agg._DRIVER_MAX_BYTES`` the exact key set broadcasts
     (``broadcast_semi_anti``) and the result IS the semi join; above it a
     Bloom filter of the keys — built in the workers for a Dataset —
     broadcasts once and drops most non-matching rows.  Callers that need
@@ -191,14 +173,14 @@ def prefilter(
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
         keys = pc.unique(keys)
-        if keys.nbytes <= _BROADCAST_MAX_BYTES:
+        if keys.nbytes <= agg._DRIVER_MAX_BYTES:
             return broadcast_semi_anti(ds, keys, on=on)
         bloom = BloomFilter(len(keys))
         bloom.add_column(keys)
     ref = ray.put(bloom)
 
     def probe(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(_fetch(ref).contains_column(b.column(on))))
+        return b.filter(pa.array(ray.get(ref).contains_column(b.column(on))))
 
     return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -224,7 +206,7 @@ def join(
 
     For a left-streaming join type (inner, left outer, left semi/anti)
     ``right`` goes through ``_gathered``: while its bytes fit
-    ``_BROADCAST_MAX_BYTES`` it is put once and broadcast
+    ``agg._DRIVER_MAX_BYTES`` it is put once and broadcast
     (``broadcast_join``) and ``ds`` streams; above it both sides
     hash-exchange (``shuffle_join``).  A join type that must see
     right-side non-matches (right or full outer, right semi/anti) always
@@ -535,7 +517,7 @@ def range_count_join(
     ref = ray.put((days, cnt_prefix, sum_prefix))
 
     def probe(b: pa.Table) -> pa.Table:
-        day_arr, prefix, sprefix = _fetch(ref)
+        day_arr, prefix, sprefix = ray.get(ref)
         lo, valid = _epoch_days(b.column(left_ts))
         hi = lo + window_days
         ilo = np.searchsorted(day_arr, lo, side="left")

@@ -4,8 +4,8 @@
 within each group" EXACTLY at any corpus size, with a two-plan size switch:
 
 - **driver gather** (small inputs): pull only the (group, value) pair
-  columns to the driver and ``np.sort`` per group.  Chosen while the row
-  count stays under ``_DRIVER_SELECT_MAX_ROWS``.
+  columns to the driver and ``np.sort`` per group.  Chosen while their
+  materialized bytes fit ``ops.agg._DRIVER_MAX_BYTES``.
 - **distributed bisection** (the scale path): selection-by-counting — each
   round broadcasts one candidate value per unfinished (group, rank) target,
   a combiner pass counts values at or under the candidate per target, and
@@ -25,12 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ocr_proofreader_ray.ops.agg import grouped_agg
-
-# rows at or under this gather the (group, value) pairs to the driver
-# (16 bytes/row -> ~80 MB at the gate); above it the bisection path keeps
-# driver state corpus-independent
-_DRIVER_SELECT_MAX_ROWS = 5_000_000
+from ocr_proofreader_ray.ops import agg
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
 
 
 def grouped_kth_smallest(
@@ -46,11 +42,11 @@ def grouped_kth_smallest(
     ``n`` from work they already do (the gathered rows, the bisection's
     stats aggregate), so callers need no separate count pass.  ``ds`` is
     materialized here because the bisection path runs multiple counting
-    passes over it.
+    passes over it; its block bytes pick the plan (the switch was 5M
+    rows; at 256 MiB it is 16.7M rows of an int64 group and value).
     """
     ds = ds.select_columns([group_col, value_col]).materialize()
-    total = ds.count()
-    if total <= _DRIVER_SELECT_MAX_ROWS:
+    if ds.size_bytes() <= agg._DRIVER_MAX_BYTES:
         return _kth_driver(ds, group_col, value_col, ranks_for)
     return _kth_bisect(ds, group_col, value_col, ranks_for)
 
@@ -68,8 +64,6 @@ def _fold_nan_keys(t: pa.Table, group_col: str) -> pa.Table:
 
 
 def _kth_driver(ds, group_col: str, value_col: str, ranks_for) -> dict:
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
     tables = _arrow_blocks(ds)
     if not tables:
         return {}

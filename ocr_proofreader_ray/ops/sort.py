@@ -41,7 +41,6 @@ import ray
 from ocr_proofreader_ray.functions.bloom import _key_hash64
 from ocr_proofreader_ray.ops.agg import grouped_agg
 from ocr_proofreader_ray.ops.exchange import num_partitions as _num_partitions
-from ocr_proofreader_ray.ops.join import _fetch
 
 _SAMPLE_MAX = 100_000
 
@@ -112,7 +111,7 @@ def global_sort_position(
     bref = ray.put(bounds)
 
     def assign(b: pa.Table) -> pa.Table:
-        bv = _fetch(bref)
+        bv = ray.get(bref)
         col = b.column(key_col)
         _assert_clean_key(col, key_col)
         part = _searchsorted_right(bv, col)
@@ -133,7 +132,7 @@ def global_sort_position(
     oref = ray.put(offsets)
 
     def sort_range(g: pa.Table) -> pa.Table:
-        offs = _fetch(oref)
+        offs = ray.get(oref)
         part = g.column("__range")[0].as_py()
         order = pc.sort_indices(g, sort_keys=[(key_col, "ascending")])
         g = g.take(order).drop_columns(["__range"])

@@ -7,8 +7,9 @@ Scale notes (100 TB):
   shingle→minhash→band→bucket-groupby plan; candidate verification maps
   each candidate doc to one (doc_id, element set) row and joins that set
   table to the candidate pairs on each side through ``ops.join.join``
-  (broadcast while it fits the one broadcast bound, hash exchange above
-  it), so the driver only ever sees post-LSH pair metadata;
+  (broadcast while it fits ``ops.agg._DRIVER_MAX_BYTES``, the one bound
+  on what a driver plan holds, hash exchange above it), so the driver
+  only ever sees post-LSH pair metadata;
 * n-gram Jaccard routes through the same MinHash banding as a prefilter
   (threshold 0.9 → per-pair LSH miss probability ~1e-15 with 32x4 bands),
   so pairwise work is bounded by LSH bucket size, not (lang, source)
@@ -40,7 +41,8 @@ from ocr_proofreader_ray.functions.sketches import (
     simhash64,
     stable_hash64,
 )
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+from ocr_proofreader_ray.ops import agg
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, materialized
 from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, join, prefilter
 from ocr_proofreader_ray.pipelines.registry import register
@@ -195,16 +197,48 @@ def _band_rows(docs: "ray.data.Dataset", shingle_n: int,
 _STAR_BUCKET_CAP = 64
 
 
-# pair count at or below which the band-row fast path below expands the
-# pairs on the driver (a Python expansion: dup-flooded crawls make the
-# post-LSH set corpus-proportional even under star caps, VERDICT r03 #5)
-_PAIRS_DRIVER_MAX = 5_000_000
+def _bucket_pairs(rows: pa.Table, bucket_cols: list[str],
+                  star_cap: int) -> pa.Table:
+    """Distinct (doc_a < doc_b) pairs of docs that share a bucket of
+    ``rows`` (each bucket complete): every pair of a bucket of at most
+    ``star_cap`` distinct docs, star edges (bucket min -> each other
+    member) above it.  A bucket with a null key value emits nothing.
 
-# at or below this many BAND ROWS the candidate-pair pass gathers the
-# (bucket-key, doc_id) columns and runs one vectorized driver pass
-# (~28 B/row -> ~110 MB at the gate) instead of the hash exchange on the
-# bucket key; above it the exchange is the only shape that scales
-_BANDS_DRIVER_MAX = 4_000_000
+    Array code: sort by (bucket, doc_id), cut the bucket runs, then one
+    ``np.triu_indices`` gather per distinct bucket size."""
+    for c in bucket_cols:
+        rows = rows.filter(pc.is_valid(rows.column(c)))
+    keys = [pc.dictionary_encode(rows.column(c).combine_chunks())
+            .indices.to_numpy() for c in bucket_cols]
+    doc = np.asarray(rows.column("doc_id").to_numpy(), np.int64)
+    order = np.lexsort([doc] + keys)
+    doc = doc[order]
+    first = np.zeros(len(doc), bool)
+    first[:1] = True
+    for k in keys:
+        k = k[order]
+        first[1:] |= k[1:] != k[:-1]
+    # a doc twice in one bucket counts once
+    keep = first.copy()
+    keep[1:] |= doc[1:] != doc[:-1]
+    doc, first = doc[keep], first[keep]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(doc)))
+    bucket = np.repeat(np.arange(len(starts)), sizes)
+    star = (sizes > star_cap)[bucket] & ~first
+    out_a, out_b = [doc[starts[bucket[star]]]], [doc[star]]
+    for size in np.unique(sizes[(sizes > 1) & (sizes <= star_cap)]):
+        ia, ib = np.triu_indices(size, k=1)
+        at = starts[sizes == size][:, None]
+        out_a.append(doc[at + ia].ravel())
+        out_b.append(doc[at + ib].ravel())
+    a, b = np.concatenate(out_a), np.concatenate(out_b)
+    # the same pair from several buckets once
+    order = np.lexsort([b, a])
+    a, b = a[order], b[order]
+    dup = np.zeros(len(a), bool)
+    dup[1:] = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+    return pa.table({"doc_a": a[~dup], "doc_b": b[~dup]})
 
 
 def _candidate_pairs(bands: "ray.data.Dataset",
@@ -214,69 +248,39 @@ def _candidate_pairs(bands: "ray.data.Dataset",
     returned as a MATERIALIZED Dataset — the pair set stays in the object
     store end-to-end; nothing corpus-proportional touches the driver.
 
-    Buckets are (group_cols..., band_id, band_key); only buckets with >1
-    member survive the duplicated() prefilter, so the Python loop touches
-    collision buckets only (rare).  Buckets above ``star_cap`` members emit
-    star edges (member, bucket-min) instead of all pairs — see
-    ``_STAR_BUCKET_CAP``.  The cross-partition pair dedup is one
-    distinct-keys ``grouped_agg``, which merges on the driver or in an
-    exchange by the measured partial count.
+    Buckets are (group_cols..., band_id, band_key) and expand through
+    ``_bucket_pairs`` (see ``_STAR_BUCKET_CAP``).  While the band rows'
+    bytes and their pair bound (16 B a pair: few band rows can still make
+    ~u^2/2 pairs a bucket) fit ``ops.agg._DRIVER_MAX_BYTES``, one driver
+    pass expands them (the switch was 4M band rows and 5M pairs; at 256
+    MiB it is ~13M ungrouped 20-byte band rows and 16.7M pairs).  Above
+    it the band rows hash-exchange on the bucket key, each partition
+    expands its buckets and one distinct-keys ``grouped_agg`` dedups the
+    pairs across partitions.  Both plans emit the same pair set.
     """
     bucket_cols = list(group_cols) + ["band_id", "band_key"]
 
-    def part_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # every bucket of g is complete: the exchange routes by bucket key
-        dup = g[g.duplicated(bucket_cols, keep=False)]
-        out_a, out_b = [], []
-        for _, ids in dup.groupby(bucket_cols, sort=False)["doc_id"]:
-            u = np.unique(ids.to_numpy())
-            if len(u) > star_cap:
-                # flood bucket: star edges bucket-min -> each other member
-                out_a.append(np.full(len(u) - 1, u[0], dtype=u.dtype))
-                out_b.append(u[1:])
-            elif len(u) > 1:
-                ia, ib = np.triu_indices(len(u), k=1)
-                out_a.append(u[ia])
-                out_b.append(u[ib])
-        if not out_a:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                                 "doc_b": pd.Series([], dtype="int64")})
-        return pd.DataFrame({
-            "doc_a": np.concatenate(out_a),
-            "doc_b": np.concatenate(out_b),
-        }).drop_duplicates()  # same pair from several bands in this part
+    def pairs_of(rows: pa.Table) -> pa.Table:
+        return _bucket_pairs(rows, bucket_cols, star_cap)
 
-    bands = bands.materialize()
-    if bands.count() <= _BANDS_DRIVER_MAX:
-        # small-side fast path: one vectorized pass over the gathered
-        # band rows replaces the bucket-key exchange, whose fixed
-        # sort-shuffle cost dominated the incremental-dedup bench slice
-        # (VERDICT r04 next-steps #3).  Identical output set: part_pairs
-        # groups on the full bucket key, so partitioning is only a scale
-        # device; pinned equivalent by tests/test_dedup.py.
-        blocks = [blk.select(bucket_cols + ["doc_id"])
-                  for blk in _arrow_blocks(bands)]
+    bands = materialized(bands)
+    if bands.size_bytes() <= agg._DRIVER_MAX_BYTES:
+        blocks = _arrow_blocks(bands)
         if not blocks:
             return ray.data.from_arrow(pa.table({
                 "doc_a": pa.array([], pa.int64()),
                 "doc_b": pa.array([], pa.int64())}))
         rows = pa.concat_tables(blocks, promote_options="default")
-        # few band rows can still expand to ~u^2/2 pairs per bucket on a
-        # dup-dense input, so the pair count part_pairs would emit is
-        # bounded first and an over-budget expansion takes the exchange
         u = (rows.group_by(bucket_cols)
              .aggregate([("doc_id", "count_distinct")])
              .column("doc_id_count_distinct").to_numpy())
         bound = np.where(u <= star_cap, u * (u - 1) // 2, u - 1).sum()
-        if bound <= _PAIRS_DRIVER_MAX:
-            out = part_pairs(rows.to_pandas())
-            return ray.data.from_arrow(pa.Table.from_pandas(
-                out.drop_duplicates(), preserve_index=False)).materialize()
+        if 16 * bound <= agg._DRIVER_MAX_BYTES:
+            return ray.data.from_arrow(pairs_of(rows))
 
-    pairs = exchange(bands, bucket_cols, lambda rows: pa.Table.from_pandas(
-        part_pairs(rows.to_pandas()), preserve_index=False))
-    return grouped_agg(pairs, ["doc_a", "doc_b"], [],
-                       as_dataset=True).materialize()
+    pairs = exchange(bands, bucket_cols, pairs_of)
+    return materialized(grouped_agg(pairs, ["doc_a", "doc_b"], [],
+                                    as_dataset=True))
 
 
 def _shingle_elements(shingle_n: int):
@@ -302,12 +306,12 @@ def _verify_pairs(docs: "ray.data.Dataset", pairs: "ray.data.Dataset",
     row: its doc_id and its sorted distinct int64 elements packed as
     bytes.  That set table is materialized once and meets the pairs twice
     through ``ops.join.join`` — on doc_a, then on doc_b — which broadcasts
-    it while its bytes fit the one broadcast bound and hash-exchanges both
+    it while its bytes fit the driver bound and hash-exchanges both
     sides above it; one map then intersects each pair's two sorted sets.
     Elements travel as ``large_binary``: Arrow's hash join carries no
     list column that is not a key, and 64-bit offsets keep a joined
     partition past 2 GiB of elements in one array."""
-    pairs = pairs.materialize()
+    pairs = materialized(pairs)
     if pairs.count() == 0:
         return ray.data.from_arrow(_PAIRS_SCHEMA.empty_table())
     cand_docs = prefilter(docs, pairs, on="doc_id",
@@ -819,26 +823,22 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
 # near-dup cluster resolution: connected components over verified pairs
 # ---------------------------------------------------------------------------
 
-# pair count at or below which connected components run as driver-side
-# union-find; above it the distributed min-label-propagation plan runs
-# (VERDICT r02 #9) — each round is one shuffle of (node, label) rows
-_UNION_FIND_MAX_PAIRS = 5_000_000
-
-
 def _clusters_label_propagation(pairs: "ray.data.Dataset",
                                 max_rounds: int = 64) -> pa.Table:
     """Distributed connected components: iterative min-label propagation.
 
     label(v) starts as v; each round every node takes the min of its own
-    label and its neighbors' labels (one ``ops.join.join`` edges⋈labels +
-    one grouped min), then POINTER-JUMPS label(v) <- label(label(v)) (a
-    second join of labels against itself) — the jump contracts label
-    chains exponentially, so convergence is O(log diameter) rounds instead
-    of O(diameter).  Fixpoint when the label sum stops falling (labels
-    only ever decrease, so the sum is a strict progress measure).
+    label and its neighbors' labels, and each edge hooks label(v)'s own
+    node onto the neighbor's label too (edges joined to the labels of
+    both ends through ``ops.join.join`` + one grouped min), then
+    POINTER-JUMPS label(v) <- label(label(v)) (a join of labels against
+    itself) — hook and jump contract label chains, so a region that holds
+    a local min no longer takes one round per hop.  Fixpoint when the
+    label sum stops falling (labels only ever decrease, so the sum is a
+    strict progress measure); ``max_rounds`` without one raises.
     Per-round state is (node, label) rows in the object store; each join
-    broadcasts its label side while that fits the join budget and
-    hash-exchanges above it, so nothing beyond that budget touches the
+    broadcasts its label side while that fits the driver bound and
+    hash-exchanges above it, so nothing beyond that bound touches the
     driver until the final (output-sized) gather — including the INPUT
     pair set, which arrives as a Dataset and is expanded to edges / seeded
     labels distributed (VERDICT r03 #5).
@@ -864,10 +864,17 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         nbr_labels = labels_ds.map_batches(
             lambda t: t.rename_columns(["nbr", "nbr_label"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        prop = join(edges_ds, nbr_labels, ["nbr"])
+        node_labels = labels_ds.map_batches(
+            lambda t: t.rename_columns(["node", "node_label"]),
+            batch_format="pyarrow", zero_copy_batch=True)
+        prop = join(join(edges_ds, nbr_labels, ["nbr"]), node_labels,
+                    ["node"])
+        # each edge lowers its node's label and hooks that label's node:
+        # unhooked, a smaller label crosses a local min's region a hop a round
         cand = prop.map_batches(
-            lambda t: pa.table({"node": t.column("node"),
-                                "label": t.column("nbr_label")}),
+            lambda t: pa.concat_tables([
+                t.select([end, "nbr_label"]).rename_columns(["node", "label"])
+                for end in ("node", "node_label")]),
             batch_format="pyarrow", zero_copy_batch=True)
         # materialize: the jump consumes `merged` twice (probe + build
         # side) — unmaterialized, each consumer would re-execute the whole
@@ -894,6 +901,9 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
         if new_sum == prev_sum:
             break
         prev_sum = new_sum
+    else:
+        raise RuntimeError(f"connected components did not converge in "
+                           f"{max_rounds} rounds")
     out = pa.concat_tables(
         [blk.select(["node", "label"]) for blk in _arrow_blocks(labels_ds)],
         promote_options="default")
@@ -903,59 +913,58 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
                      "rep_id": out.column("label")})
 
 
+def _min_labels(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Connected components of the edges (a[i], b[i]) as (doc_id, rep_id)
+    rows sorted by doc_id, rep_id the component's min doc_id.
+
+    The ids relabel to dense ints (``np.unique``, so a smaller int is a
+    smaller id).  Every label starts as its own node and is kept a root
+    (a node that is its own label): each round every edge whose ends
+    carry different roots points the larger root at the smaller, then
+    labels pointer-jump to their roots.  It stops when no edge joins two
+    roots, so each component holds one root, its min.  Memory is a few
+    int64 arrays per edge, with no Python object per node."""
+    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ea, eb = inv[:len(a)], inv[len(a):]
+    label = np.arange(len(nodes))
+    while True:
+        la, lb = label[ea], label[eb]
+        new = label.copy()
+        np.minimum.at(new, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return pa.table({"doc_id": pa.array(nodes, pa.int64()),
+                     "rep_id": pa.array(nodes[label], pa.int64())})
+
+
 def dedup_clusters(pairs) -> pa.Table:
     """(doc_a, doc_b) pairs (Table or Dataset) -> (doc_id, rep_id):
     connected components with the component's min doc_id as canonical
     representative.
 
-    At or below ``_UNION_FIND_MAX_PAIRS`` this is driver-side union-find (path
-    compression + union by min): the pair set is post-LSH-verified and
-    star-capped, so it is corpus-bounded, and one machine handles millions
-    of pairs in seconds.  Above the threshold the distributed iterative
+    While the pairs' (doc_a, doc_b) bytes (16 B a pair) fit
+    ``ops.agg._DRIVER_MAX_BYTES`` they gather and ``_min_labels`` runs on
+    the driver (the switch was 5M pairs; at 256 MiB it is 16.7M): the
+    pair set is post-LSH-verified and star-capped, so it is
+    corpus-bounded.  Above it the distributed iterative
     min-label-propagation plan runs (`_clusters_label_propagation`) over
     the pair DATASET — the pair set never lands on the driver on that
     path — and both paths are exact and pinned equivalent by
     tests/test_dedup.py.
     """
-    if not isinstance(pairs, pa.Table):
-        pairs = pairs.materialize()
-        if pairs.count() > _UNION_FIND_MAX_PAIRS:
-            return _clusters_label_propagation(pairs)
-        blocks = [blk.select(["doc_a", "doc_b"])
-                  for blk in _arrow_blocks(pairs)]
-        pairs = (pa.concat_tables(blocks, promote_options="default")
-                 if blocks else _PAIRS_SCHEMA.empty_table()
-                 .select(["doc_a", "doc_b"]))
-    elif pairs.num_rows > _UNION_FIND_MAX_PAIRS:
-        return _clusters_label_propagation(
-            ray.data.from_arrow(pairs).materialize())
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
-    for a, b in zip(pairs.column("doc_a").to_pylist(),
-                    pairs.column("doc_b").to_pylist()):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        union(a, b)
-
-    members = sorted(parent)
-    return pa.table({
-        "doc_id": pa.array(members, pa.int64()),
-        "rep_id": pa.array([find(m) for m in members], pa.int64()),
-    })
+    if isinstance(pairs, pa.Table):
+        pairs = ray.data.from_arrow(pairs)
+    pairs = materialized(pairs)
+    if 16 * pairs.count() > agg._DRIVER_MAX_BYTES:
+        return _clusters_label_propagation(pairs)
+    blocks = _arrow_blocks(pairs)
+    pairs = (pa.concat_tables(blocks, promote_options="default")
+             if blocks else _PAIRS_SCHEMA.empty_table())
+    return _min_labels(np.asarray(pairs.column("doc_a"), np.int64),
+                       np.asarray(pairs.column("doc_b"), np.int64))
 
 
 @register("q_dedup_clusters")  # transitive closure over sketch pairs: no oracle

@@ -12,7 +12,7 @@ increment the plan is:
    path uses, so incremental and batch agree on candidate generation);
 2. SEMI-FILTER the index to buckets touched by the new docs through
    `ops.join.prefilter` — the new band-key set is increment-sized and
-   broadcasts exactly while it fits the one broadcast bound (a Bloom
+   broadcasts exactly while it fits the driver bound (a Bloom
    filter above it); the corpus-sized index streams through ONE filter,
    nothing corpus-sized shuffles;
 3. candidate pairs over (touched-index ∪ new bands) via the shared
@@ -47,7 +47,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, materialized
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import (
     broadcast_semi_anti,
@@ -125,7 +125,7 @@ def bootstrap_index(docs: "ray.data.Dataset", work_dir: str,
     from ocr_proofreader_ray.pipelines.dedup import minhash_lsh_pairs
 
     with _timed(timings, "bootstrap_band_sec"):
-        docs = docs.materialize()
+        docs = materialized(docs)
         # band ONCE: minhash signatures dominate banding cost, and the same
         # materialized band rows serve pair generation and the index write
         bands = _band_rows(docs, shingle_n).materialize()
@@ -163,7 +163,7 @@ def dedup_increment(
     the index under ``batch_tag``.
     """
     with _timed(timings, "inc_band_sec"):
-        new_docs = new_docs.materialize()  # banded + verified + id-scanned
+        new_docs = materialized(new_docs)  # banded + verified + id-scanned
         if new_docs.count() == 0:
             # empty increment: nothing to dedup, nothing to index
             return {
@@ -301,14 +301,14 @@ def q_dedup_incremental(sf_dir: str):
     shutil.rmtree(work_dir, ignore_errors=True)
 
     with _timed(tm, "split_sec"):
-        old = old.materialize()
+        old = materialized(old)
     drop_old = bootstrap_index(old, work_dir, timings=tm)
     with _timed(tm, "kept_old_sec"):
         kept_old = old
         if len(drop_old):
             kept_old = broadcast_semi_anti(old, drop_old, on="doc_id",
                                            anti=True)
-        kept_old = kept_old.materialize()
+        kept_old = materialized(kept_old)
 
     res = dedup_increment(new, kept_old, work_dir, "inc-1", timings=tm)
     _LAST_TIMINGS.clear()
@@ -426,7 +426,7 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
     (duplicate-bounded + ~|index|·|new|/2^64 expected h1-lane false
     positives) survive.  The exact (h1, h2) anti join of the increment
     against them is ``ops.join.join``: it broadcasts the matched rows
-    while their bytes fit the broadcast bound and hash-exchanges both
+    while their bytes fit the driver bound and hash-exchanges both
     sides above it.  Nothing
     corpus-sized ever concentrates.  Returns the kept (h1, h2, doc_id)
     rows as a Dataset and the drop counts; appends the kept keys under

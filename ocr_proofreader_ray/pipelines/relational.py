@@ -36,7 +36,6 @@ from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import (
     asof_join,
     join,
-    prefilter,
     semi_anti,
     shuffle_join,
 )
@@ -362,7 +361,7 @@ def q_order_priority_revenue(sf_dir: str):
 
     The projected orders side (key + priority) goes through
     ``ops.join.join``: it broadcasts while its materialized Arrow bytes fit
-    the join budget (``ops.join._BROADCAST_MAX_BYTES``) — the same bound as
+    the driver bound (``ops.agg._DRIVER_MAX_BYTES``) — the same bound as
     every join; above it, ONE hash-partition exchange
     joins both fact sides (that plan stays oracle-gated at every scale via
     `q_order_priority_revenue_salted`, which always takes the exchange,
@@ -435,16 +434,13 @@ def q_order_priority_revenue_salted(sf_dir: str):
     """,
 )
 def q_urgent_order_revenue(sf_dir: str):
-    """Selective fact-fact join with a key prefilter (B7 scale path).
+    """Selective fact-fact join (B7 scale path).
 
-    Orders shrink ~5x under the priority predicate.  The filtered orders
-    are materialized once and feed both the prefilter and the join:
-    ``ops.join.prefilter`` drops ~80% of lineitem rows before the join —
-    an exact key broadcast while the orders fit the broadcast bound, a
-    Bloom filter over their keys above it.  ``ops.join.join`` then
-    broadcasts the orders under the same bound or hash-exchanges both
-    sides above it, and its exact Arrow join resolves the Bloom filter's
-    false positives (the DuckDB oracle pins bit-exact results)."""
+    Orders shrink ~5x under the priority predicate.  ``ops.join.join``
+    materializes the filtered orders once and broadcasts them while they
+    fit the driver bound — lineitem streams through one Arrow join that
+    drops the ~80% of its rows with no urgent order — or hash-exchanges
+    both sides above it (the DuckDB oracle pins bit-exact results)."""
     li = t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
     def rev(b: pa.Table) -> pa.Table:
@@ -458,8 +454,7 @@ def q_urgent_order_revenue(sf_dir: str):
     orders = orders.map_batches(
         lambda b: b.filter(pc.equal(b.column("o_orderpriority"),
                                     pa.scalar("1-URGENT"))),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    li = prefilter(li, orders, on="l_orderkey", keys_on="o_orderkey")
+        batch_format="pyarrow", zero_copy_batch=True)
     joined = join(li, orders, ["l_orderkey"], ["o_orderkey"])
     # grouped on the constant priority column, then projected away → the
     # combiner aggregate machinery handles the keyless-global case too
@@ -506,7 +501,7 @@ def q_customers_with_orders(sf_dir: str):
 def q_customers_without_orders(sf_dir: str):
     """Anti join: customers with no orders before 1996 (the date filter keeps
     the result non-empty at every sf — every customer has *some* order).
-    Above the join budget the anti join stays EXACT through the exchange
+    Above the driver bound the anti join stays EXACT through the exchange
     (a Bloom key set would wrongly drop customers on false positives)."""
     ds = t(sf_dir, "customer", ["c_custkey", "c_name"])
     cut = pa.scalar(datetime(1996, 1, 1), pa.timestamp("us"))
@@ -1479,7 +1474,6 @@ def q_ntile_customers(sf_dir: str, tiles: int = 4):
     then stream through one searchsorted probe against the broadcast
     boundaries.  Ordering key packs (cents, custkey) into one int64
     (custkey < 2^33; |cents| < 2^30 — both hold for TPC-H shapes)."""
-    from ocr_proofreader_ray.ops.join import _fetch
     from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 
     ds = t(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
@@ -1505,7 +1499,7 @@ def q_ntile_customers(sf_dir: str, tiles: int = 4):
                    for g, (_n, vs) in bounds.items()})
 
     def assign(b: pa.Table) -> pa.Table:
-        bmap = _fetch(ref)
+        bmap = ray.get(ref)
         segs = b.column("c_mktsegment").to_pandas().to_numpy()
         comp = np.asarray(b.column("__comp"))
         tile = np.ones(len(comp), np.int64)
@@ -1833,8 +1827,6 @@ def q_quantity_percentiles(sf_dir: str):
     bit-identical to the SQL engine's) -> ONE broadcast searchsorted
     lookup as rows stream.  No shuffle, no sort, row output stays
     block-parallel."""
-    from ocr_proofreader_ray.ops.join import _fetch
-
     li = t(sf_dir, "lineitem",
            ["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity"])
     counts = grouped_agg(li, ["l_returnflag", "l_quantity"],
@@ -1860,7 +1852,7 @@ def q_quantity_percentiles(sf_dir: str):
     ref = ray.put(lut)
 
     def assign(b: pa.Table) -> pa.Table:
-        m = _fetch(ref)
+        m = ray.get(ref)
         flags = b.column("l_returnflag").to_pandas().to_numpy()
         qty = np.asarray(b.column("l_quantity"), np.float64)
         pct = np.empty(len(qty), np.float64)
@@ -2108,7 +2100,6 @@ def q_winsorized_prices(sf_dir: str):
     through one vectorized clamp + the usual combiner sum — integer cents
     end-to-end, so the distributed sum is order-invariant and
     hash-exact."""
-    from ocr_proofreader_ray.ops.join import _fetch
     from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 
     li = t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
@@ -2127,7 +2118,7 @@ def q_winsorized_prices(sf_dir: str):
                    for g, (_n, v) in bounds.items()})
 
     def clamp(b: pa.Table) -> pa.Table:
-        m = _fetch(ref)
+        m = ray.get(ref)
         flags = b.column("l_returnflag").to_pandas().to_numpy()
         c = np.asarray(b.column("c"), np.int64).copy()
         for g, (lo, hi) in m.items():
@@ -2491,7 +2482,6 @@ def q_price_mad(sf_dir: str):
     ints), rows stream through one |x - med| map, and the second
     selection runs over the derived values.  quantile_disc rank
     semantics (ceil(n*q)) on both engines; integer cents end-to-end."""
-    from ocr_proofreader_ray.ops.join import _fetch
     from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 
     li = t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
@@ -2513,7 +2503,7 @@ def q_price_mad(sf_dir: str):
     mref = ray.put(med)
 
     def abs_dev(b: pa.Table) -> pa.Table:
-        m = _fetch(mref)
+        m = ray.get(mref)
         flags = b.column("l_returnflag").to_pandas().to_numpy()
         c = np.asarray(b.column("c"), np.int64).copy()
         for g, mv in m.items():
@@ -2602,10 +2592,10 @@ def q_retention_cohorts(sf_dir: str):
        kept a Dataset — user cardinality is corpus-sized);
     2. distinct (user, day) activity via the same machinery;
     3. both sides meet on user through ``ops.join.join`` (the cohort side
-       broadcasts under the join budget, both sides hash-exchange above
+       broadcasts under the driver bound, both sides hash-exchange above
        it), and the (cohort, day) count that follows is a days²-bounded
        combiner.
-    Above the merge bound the driver only ever sees the final matrix."""
+    Above the driver bound the driver only ever sees the final matrix."""
     ev = t(sf_dir, "events", ["user_id", "ts"])
 
     def day_col(b: pa.Table) -> pa.Table:
@@ -2651,8 +2641,6 @@ def q_minmax_scaled(sf_dir: str):
     (c - lo) / (hi - lo) — both operands exact ints, so the float division
     is the identical IEEE operation in both engines and the row-level
     output hash-matches the SQL oracle.  No shuffle, no sort."""
-    from ocr_proofreader_ray.ops.join import _fetch
-
     li = t(sf_dir, "lineitem",
            ["l_orderkey", "l_linenumber", "l_returnflag", "l_extendedprice"])
 
@@ -2674,7 +2662,7 @@ def q_minmax_scaled(sf_dir: str):
                        span.column("hi").to_pylist())})
 
     def scale(b: pa.Table) -> pa.Table:
-        m = _fetch(ref)
+        m = ray.get(ref)
         flags = b.column("l_returnflag").to_pandas().to_numpy()
         c = np.asarray(b.column("c"), np.int64)
         scaled = np.empty(len(c), np.float64)

@@ -497,9 +497,7 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     w_ref = ray.put((w, mu))
 
     def project(b: pa.Table) -> pa.Table:
-        from ocr_proofreader_ray.ops.join import _fetch
-
-        wt, mu_ = _fetch(w_ref)
+        wt, mu_ = ray.get(w_ref)
         mat = _batch_matrix(b).astype(np.float64)
         q = np.floor(mat * _PCA_QUANT + 0.5)
         centered = q - mu_

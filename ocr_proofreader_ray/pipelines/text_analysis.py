@@ -674,8 +674,6 @@ def q_tfidf_top_terms(sf_dir: str):
     would break if Ray's dynamic block splitting ever cut a doc's tf rows
     across blocks.
     """
-    from ocr_proofreader_ray.ops.join import _fetch
-
     import ray
 
     ds = t(sf_dir, "documents", ["doc_id", "text"])
@@ -693,7 +691,7 @@ def q_tfidf_top_terms(sf_dir: str):
     df_ref = ray.put(df_tab.combine_chunks())
 
     def score_argmax(b: pa.Table) -> pa.Table:
-        dfs: pa.Table = _fetch(df_ref)
+        dfs: pa.Table = ray.get(df_ref)
         tf = _doc_term_counts(b)
         joined = tf.join(dfs, keys=["tok"])
         score = pc.divide(
@@ -1130,7 +1128,7 @@ def q_typicality_buckets(sf_dir: str):
     pass 1 builds the (lang, tok) occurrence counts via per-batch Arrow
     partials merged by ``grouped_agg``; pass 2 explodes (doc, lang, tok)
     occurrence rows, ``ops.join.join``s the counts on (tok, lang) — a
-    broadcast of the count table while it fits the one broadcast bound, a
+    broadcast of the count table while it fits the one driver bound, a
     hash exchange above it, so nothing vocabulary-sized is broadcast past
     it (both plans exact, pinned equivalent by pytest) — and sums each
     doc's counts with ``grouped_agg``.  Tercile thresholds are the

@@ -66,23 +66,16 @@ def count_executions(monkeypatch):
     yield counter
 
 
-# every size gate that picks a driver plan over an exchange: the shared
-# merge and broadcast bounds in ops/, then the gates between different
-# driver algorithms (tests/test_gates.py keeps this list complete)
-_EXCHANGE_GATES = [
-    ("ocr_proofreader_ray.ops.agg", "_DRIVER_MERGE_MAX_ROWS"),
-    ("ocr_proofreader_ray.ops.join", "_BROADCAST_MAX_BYTES"),
-    ("ocr_proofreader_ray.ops.selection", "_DRIVER_SELECT_MAX_ROWS"),
-    ("ocr_proofreader_ray.pipelines.dedup", "_BANDS_DRIVER_MAX"),
-    ("ocr_proofreader_ray.pipelines.dedup", "_PAIRS_DRIVER_MAX"),
-    ("ocr_proofreader_ray.pipelines.dedup", "_UNION_FIND_MAX_PAIRS"),
-]
+# the package's one size gate: every choice between a driver plan and a
+# distributed plan compares its bytes with it (tests/test_gates.py keeps
+# it the only one)
+_EXCHANGE_GATES = [("ocr_proofreader_ray.ops.agg", "_DRIVER_MAX_BYTES")]
 
 
 @pytest.fixture
 def all_exchange(monkeypatch):
-    """Every size gate at 0, so each merge, broadcast and driver fast path
-    takes its exchange (at-scale) plan even on tiny inputs."""
+    """The size gate at 0, so each merge, broadcast and driver fast path
+    takes its distributed (at-scale) plan even on tiny inputs."""
     import importlib
 
     for module, name in _EXCHANGE_GATES:

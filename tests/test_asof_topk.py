@@ -108,6 +108,58 @@ def test_grouped_top_k_keeps_null_group(ray_session):
     assert rows == [("a", 1), ("a", 2), ("~", 4), ("~", 5)]
 
 
+def test_head_keeps_int64_values_exact():
+    """A null in an int64 column must not round its other values through
+    float64: ids above 2^53 keep their low bits, in the group key and in
+    a value column."""
+    from ocr_proofreader_ray.ops.agg import _head
+
+    big = 2 ** 53 + 1
+    tab = pa.table({
+        "user_id": pa.array([big, None, big], pa.int64()),
+        "ts": pa.array([1, 2, 3], pa.int64()),
+        "v": pa.array([big + 2, None, big], pa.int64()),
+    })
+    out = _head(tab, ["user_id"], [("ts", "descending")], 1)
+    assert sorted(out.to_pylist(), key=lambda r: r["ts"]) == [
+        {"user_id": None, "ts": 2, "v": None},
+        {"user_id": big, "ts": 3, "v": big},
+    ]
+    assert out.schema == tab.schema
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_head_rows_and_group_order_match_pandas_head(seed):
+    """``_head`` keeps the rows a pandas ``groupby(dropna=False).head(k)``
+    keeps after the sort, in the same order within each group."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from ocr_proofreader_ray.ops.agg import _head
+
+    rng = np.random.default_rng(seed)
+    n = 300
+    tab = pa.table({
+        "g": pa.array([None if x == 0 else f"g{x}"
+                       for x in rng.integers(0, 6, n)], pa.string()),
+        "h": pa.array(rng.integers(0, 2, n), pa.int64()),
+        "v": pa.array(rng.integers(0, 20, n), pa.int64()),
+        "i": pa.array(np.arange(n), pa.int64()),
+    })
+    order = [("v", "descending"), ("i", "ascending")]
+    df = tab.take(pc.sort_indices(tab, sort_keys=order)).to_pandas()
+    want = df.groupby(["g", "h"], sort=False, dropna=False).head(3)
+    got = _head(tab, ["g", "h"], order, 3).to_pandas()
+
+    def per_group(d):
+        out = {}
+        for g, h, i in zip(d["g"], d["h"], d["i"]):
+            out.setdefault((g, h), []).append(i)
+        return out
+
+    assert per_group(got) == per_group(want)
+
+
 def test_asof_join_rejects_column_collision(ray_session):
     import ray.data
 

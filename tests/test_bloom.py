@@ -44,7 +44,7 @@ def test_distributed_build_and_prefiltered_join_exactness(ray_session,
     resolves false positives)."""
     import ray.data
 
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.ops.join import prefilter, shuffle_join
 
     def make_left():
@@ -67,7 +67,7 @@ def test_distributed_build_and_prefiltered_join_exactness(ray_session,
 
     plain = shuffle_join(make_left(), make_right(),
                          on=("k",), right_on=("k2",)).take_all()
-    monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)  # the Bloom plan
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)  # the Bloom plan
     right = make_right()
     bloomed = shuffle_join(prefilter(make_left(), right, on="k", keys_on="k2"),
                            right, on=("k",), right_on=("k2",)).take_all()
@@ -87,11 +87,11 @@ def test_prefilter_keeps_every_present_key(ray_session, monkeypatch, bound,
     nothing."""
     import ray.data
 
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.ops.join import prefilter
 
     if bound == "bloom":
-        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     vals = list(range(200)) + [None]
     if kind == "str":
         vals = [None if v is None else f"k\u00e9{v}" for v in vals]

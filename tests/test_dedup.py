@@ -35,15 +35,15 @@ def _as_set(recs):
 
 # the two plans of ops.join: broadcast (exact prefilter, broadcast joins)
 # and exchange (Bloom prefilter, hash-exchange joins), forced by the one
-# broadcast bound
+# driver bound
 _PLANS = ["broadcast", "exchange"]
 
 
 def _force_plan(monkeypatch, plan):
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
 
     if plan == "exchange":
-        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
 
 
 def test_stable_hashes_are_process_independent():
@@ -91,7 +91,7 @@ def test_simhash_near_duplicates_close():
 def test_minhash_lsh_pipeline_finds_planted_dups(ray_session, monkeypatch):
     import ray.data
 
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines.dedup import (
         _band_rows,
         _candidate_pairs,
@@ -109,8 +109,8 @@ def test_minhash_lsh_pipeline_finds_planted_dups(ray_session, monkeypatch):
         {"doc_id": 4, "text": base},  # exact dup of 1
     ]
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
-    for bound in (join._BROADCAST_MAX_BYTES, 0):  # broadcast, exchange
-        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
+    for bound in (agg._DRIVER_MAX_BYTES, 0):  # broadcast, exchange
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", bound)
         pairs = _verify_pairs(ds, _candidate_pairs(_band_rows(ds, 3)),
                               _shingle_elements(3), thr_num=500_000,
                               thr_den=1_000_000).take_all()
@@ -406,11 +406,11 @@ def test_label_propagation_matches_union_find(ray_session, monkeypatch):
         "doc_b": pa.array([max(e) for e in edges], pa.int64()),
     })
 
-    import ocr_proofreader_ray.pipelines.dedup as dd
+    import ocr_proofreader_ray.ops.agg as agg
 
-    uf = dedup_clusters(pairs)                       # driver union-find
-    # threshold 0 forces the distributed path through the public switch
-    monkeypatch.setattr(dd, "_UNION_FIND_MAX_PAIRS", 0)
+    uf = dedup_clusters(pairs)                       # driver kernel
+    # bound 0 forces the distributed path through the public switch
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     lp = dedup_clusters(pairs)
     assert uf.column("doc_id").to_pylist() == lp.column("doc_id").to_pylist()
     assert uf.column("rep_id").to_pylist() == lp.column("rep_id").to_pylist()
@@ -428,7 +428,7 @@ def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
     verified pairs as the exact key-set path — FPs only waste explode work."""
     import ray.data
 
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines.dedup import (
         _band_rows,
         _candidate_pairs,
@@ -447,8 +447,8 @@ def test_cand_elements_bloom_path_identical(ray_session, monkeypatch):
     pairs = _candidate_pairs(_band_rows(ds, 3))
 
     results = []
-    for bound in (join._BROADCAST_MAX_BYTES, 0):  # exact, then forced Bloom
-        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
+    for bound in (agg._DRIVER_MAX_BYTES, 0):  # exact, then forced Bloom
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", bound)
         out = _verify_pairs(ds, pairs, _shingle_elements(3),
                             thr_num=500_000, thr_den=1_000_000)
         results.append(_as_set(out.take_all()))
@@ -488,7 +488,7 @@ def test_segment_dedup_ray_final_path(ray_session, monkeypatch):
 
     sf = "/root/testdata/sf0.001"
     driver = dmod.q_segment_dedup(sf).to_pandas()
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     ray_final = dmod.q_segment_dedup(sf)
     assert hasattr(ray_final, "to_pandas") and not isinstance(
         ray_final, pa.Table)
@@ -508,6 +508,7 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
     import ray.data
 
     import ocr_proofreader_ray.ops.agg as agg
+    import ocr_proofreader_ray.ops.exchange as ex
     import ocr_proofreader_ray.pipelines.dedup as dd
 
     base = " ".join(f"tok{i % 40}x{i % 7}" for i in range(120))
@@ -516,14 +517,29 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
              for d in range(5, 40)]
     ds = ray.data.from_arrow(pa.Table.from_pylist(rows))
 
-    # three-way pin across both size gates: the bands-driver fast path
-    # (default at this size), the exchange + driver pair merge, and the
-    # fully distributed exchange + exchange pair merge must emit one set
-    small = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
-    monkeypatch.setattr(dd, "_BANDS_DRIVER_MAX", 0)
-    mid = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
-    big = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
+    # three-way pin across the bound: the bands-driver fast path (default
+    # at this size), the exchange + driver pair merge (a bound under the
+    # band rows' bytes but over the pair partials'), and the fully
+    # distributed exchange + exchange pair merge must emit one set
+    calls = []
+
+    def spy(name):
+        def run(ds, keys, fn):
+            calls.append(name)
+            return ex.exchange(ds, keys, fn)
+        return run
+
+    monkeypatch.setattr(dd, "exchange", spy("bands"))
+    monkeypatch.setattr(agg, "exchange", spy("pairs"))
+    bands = dd._band_rows(ds, 3).materialize()
+    small = dd._candidate_pairs(bands).to_pandas()
+    assert calls == []
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", bands.size_bytes() - 1)
+    mid = dd._candidate_pairs(bands).to_pandas()
+    assert calls == ["bands"]
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
+    big = dd._candidate_pairs(bands).to_pandas()
+    assert calls == ["bands", "bands", "pairs"]
 
     canon = lambda df: sorted(map(tuple, df[["doc_a", "doc_b"]].to_numpy()))
     assert canon(small) == canon(mid) == canon(big)
@@ -534,10 +550,12 @@ def test_candidate_pairs_ray_exchange_branch_equivalent(ray_session,
 def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
         ray_session, monkeypatch):
     """A dup-dense input has few band rows but many pairs: once the pair
-    bound of its buckets exceeds _PAIRS_DRIVER_MAX, the bucket-key
-    exchange runs instead of the driver expansion, with the same pairs."""
+    bound of its buckets (16 B a pair) exceeds _DRIVER_MAX_BYTES while the
+    band rows still fit it, the bucket-key exchange runs instead of the
+    driver expansion, with the same pairs."""
     import ray.data
 
+    import ocr_proofreader_ray.ops.agg as agg
     import ocr_proofreader_ray.ops.exchange as ex
     import ocr_proofreader_ray.pipelines.dedup as dd
 
@@ -555,8 +573,12 @@ def test_candidate_pairs_bands_fast_path_bounded_by_pair_count(
         return ex.exchange(ds, key_cols, fn)
 
     monkeypatch.setattr(dd, "exchange", spy)
-    monkeypatch.setattr(dd, "_PAIRS_DRIVER_MAX", 100)
-    got = dd._candidate_pairs(dd._band_rows(ds, 3)).to_pandas()
+    # the bands fit; the 30 identical docs' 32 shared buckets bound
+    # 32 x C(30, 2) pairs, which do not
+    bands = dd._band_rows(ds, 3).materialize()
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", bands.size_bytes())
+    assert 16 * 32 * (30 * 29 // 2) > bands.size_bytes()
+    got = dd._candidate_pairs(bands).to_pandas()
 
     assert ["band_id", "band_key"] in keys
     canon = lambda df: sorted(map(tuple, df[["doc_a", "doc_b"]].to_numpy()))

@@ -62,6 +62,30 @@ def test_arrow_blocks_executes_a_lazy_plan_once(ray_session,
     assert count_executions.n == 1
 
 
+def test_arrow_blocks_of_a_materialized_dataset_builds_no_dataset(
+        ray_session, count_executions, monkeypatch):
+    """Gathering an executed MaterializedDataset reads its blocks as they
+    are: ``materialize()`` on it would copy its plan and build two
+    Datasets, each a blocking call to Ray Data's stats actor."""
+    from ray.data.dataset import Dataset
+
+    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+
+    ds = _lazy_lineitem().materialize()
+    built = []
+    real = Dataset.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "__init__", init)
+    rows = sum(t.num_rows for t in _arrow_blocks(ds))
+    assert rows == ds.count()
+    assert built == []
+    assert count_executions.n == 1  # the materialize above
+
+
 def test_grouped_agg_executes_once(ray_session, count_executions):
     from ocr_proofreader_ray.ops.agg import grouped_agg
 

@@ -178,7 +178,7 @@ def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
     ds = _blocks(tab) if tab.num_rows else ray.data.from_arrow(tab)
     want = grouped_agg(ds, keys, aggs)
     # bound 0: any partial row takes the exchange merge
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     got = _arrow_blocks(grouped_agg(ds, keys, aggs, as_dataset=True))
     if not want.num_rows:
         assert got == []

@@ -285,12 +285,12 @@ def test_whale_cap_change_invalidates_resume(ray_session, pages_dir, tmp_path):
 def test_dictionary_exchange_branch_matches_driver(ray_session, pages_dir,
                                                    tmp_path, monkeypatch):
     """VERDICT r04 #7: force the above-gate hash-exchange dictionary merge
-    (the >_DRIVER_MERGE_MAX_ROWS crawl path) and pin its dictionary file
+    (the >_DRIVER_MAX_BYTES crawl path) and pin its dictionary file
     byte-identical to the default driver-combiner branch."""
     import ocr_proofreader_ray.ops.agg as agg
 
     _run(pages_dir, str(tmp_path / "driver"))
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     _run(pages_dir, str(tmp_path / "exchange"))
 
     key = [("lang", "ascending"), ("token", "ascending")]
@@ -358,7 +358,7 @@ def test_null_lang_never_enters_dictionary(ray_session, tmp_path,
     from ocr_proofreader_ray.pipelines.extraction import build_dictionary
 
     if plan == "exchange":
-        monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     _write_token_counts(str(tmp_path))
     path = build_dictionary(ExtractionConfig(work_dir=str(tmp_path)))
     assert pq.read_table(path).to_pylist() == [

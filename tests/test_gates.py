@@ -1,6 +1,7 @@
-"""Every size gate in the package is one that ``conftest.all_exchange``
-forces, so no plan runs only at a scale the tests never reach; and only
-``ops/`` builds Bloom filters."""
+"""The package has one size gate, ``ops.agg._DRIVER_MAX_BYTES``, which
+``conftest.all_exchange`` forces, so no plan runs only at a scale the
+tests never reach; no pipeline module holds a gate; and only ``ops/``
+builds Bloom filters."""
 
 import ast
 import os
@@ -25,8 +26,7 @@ def _modules():
                     yield rel.removesuffix(".__init__"), ast.parse(fh.read())
 
 
-def test_every_gate_is_forced_by_all_exchange():
-    gates = set()
+def _gates():
     for module, tree in _modules():
         for node in tree.body:
             targets = (node.targets if isinstance(node, ast.Assign)
@@ -36,10 +36,21 @@ def test_every_gate_is_forced_by_all_exchange():
                 if (isinstance(target, ast.Name)
                         and ("MAX" in target.id or "THRESHOLD" in target.id)
                         and target.id not in _NOT_GATES):
-                    gates.add((module, target.id))
+                    yield module, target.id
+
+
+def test_every_gate_is_forced_by_all_exchange():
+    gates = set(_gates())
     assert gates == set(_EXCHANGE_GATES), (
         "a size gate must be in conftest._EXCHANGE_GATES so the oracle and "
         "golden gates run its other plan")
+    assert _EXCHANGE_GATES == [("ocr_proofreader_ray.ops.agg",
+                                "_DRIVER_MAX_BYTES")]
+
+
+def test_no_pipeline_module_holds_a_gate():
+    assert not [g for g in _gates()
+                if g[0].startswith("ocr_proofreader_ray.pipelines.")]
 
 
 def test_pipelines_do_not_build_bloom_filters():

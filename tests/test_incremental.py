@@ -147,13 +147,13 @@ def test_disjoint_increment_all_kept(ray_session, tmp_path):
 
 
 def test_bloom_touch_path_equals_broadcast(ray_session, tmp_path, monkeypatch):
-    from ocr_proofreader_ray.ops import join
+    from ocr_proofreader_ray.ops import agg
 
     old, new = _fixture()
     results = {}
-    for label, bound in [("broadcast", join._BROADCAST_MAX_BYTES),
+    for label, bound in [("broadcast", agg._DRIVER_MAX_BYTES),
                          ("bloom", 0)]:
-        monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", bound)
+        monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", bound)
         work = str(tmp_path / label)
         bootstrap_index(_docs(old), work)
         kept_old = _docs([r for r in old if r[0] != 11])
@@ -243,7 +243,7 @@ def test_exact_increment_exchange_plan_matches_driver(ray_session, tmp_path,
 
     import pyarrow.parquet as pq
 
-    from ocr_proofreader_ray.ops import agg, join
+    from ocr_proofreader_ray.ops import agg
     from ocr_proofreader_ray.pipelines.incremental import (
         _EXACT_INDEX_SUBDIR,
         bootstrap_exact_index,
@@ -264,8 +264,7 @@ def test_exact_increment_exchange_plan_matches_driver(ray_session, tmp_path,
                            batch.column("h2").to_pylist())))
 
     driver = run(str(tmp_path / "driver"))
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
-    monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     assert run(str(tmp_path / "exchange")) == driver
     assert driver[:3] == ([21, 23, 31], 3, 2)
     assert len(driver[3]) == 3

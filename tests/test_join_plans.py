@@ -134,3 +134,71 @@ def test_latest_event_gathers_nothing_above_the_bounds(ray_session,
     df = rel.q_latest_event(SF).to_pandas()
     assert calls == []
     assert len(df) > 0 and df["user_id"].is_unique
+
+
+def test_urgent_order_revenue_gathers_its_orders_once(ray_session,
+                                                      monkeypatch):
+    """Under the bound the filtered orders reach the driver once, for the
+    broadcast join; no key prefilter gathers them a second time."""
+    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.pipelines.relational as rel
+
+    gathers = []
+    real_gather = j._arrow_blocks
+
+    def gather(ds):
+        blocks = real_gather(ds)
+        gathers.append(sum(b.num_rows for b in blocks))
+        return blocks
+
+    monkeypatch.setattr(j, "_arrow_blocks", gather)
+    out = rel.q_urgent_order_revenue(SF)
+    assert out.column("n_items")[0].as_py() > 0
+    assert len(gathers) == 1 and gathers[0] > 0
+
+
+# run in its own Ray session with a 160 MiB object store: a 96 MB broadcast
+# still pinned after its join leaves no room for a second one, which Ray
+# then allocates in a fallback file outside the store's shared arena
+_PIN_SCRIPT = """
+import gc, sys
+import numpy as np, pyarrow as pa, ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=160 << 20)
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ocr_proofreader_ray.ops.join import broadcast_join
+
+def arena(ref):
+    addr = ray.get(ref).column(0).chunk(0).buffers()[1].address
+    for line in open("/proc/self/maps"):
+        lo, hi = (int(v, 16) for v in line.split()[0].split("-"))
+        if lo <= addr < hi:
+            return line.split()[5]
+
+n = 6_000_000
+ref = ray.put(pa.table({"rk": np.arange(n), "w": np.arange(n)}))
+first = arena(ref)
+left = ray.data.from_arrow(pa.table({"k": [1, 5, n - 1]}))
+rows = broadcast_join(left, ref, ["k"], ["rk"]).take_all()
+assert sorted(r["w"] for r in rows) == [1, 5, n - 1]
+del ref, left
+gc.collect()
+second = arena(ray.put(pa.table({"rk": np.arange(n), "w": np.arange(n)})))
+ray.shutdown()
+print(first == second)
+"""
+
+
+def test_finished_broadcast_join_pins_nothing():
+    """A worker keeps no fetched broadcast: a fetched Arrow table is a
+    zero-copy view of its object, so a worker that kept it would pin the
+    object after the join and its driver ref are gone.  Then a second
+    broadcast of the same size no longer fits the store's arena."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(PKG)
+    out = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], cwd=repo,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[-1] == "True"

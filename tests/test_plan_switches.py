@@ -26,7 +26,7 @@ def test_heavy_hitters_ray_final_matches_driver(ray_session, monkeypatch):
 
     driver = _canon(ta.q_heavy_hitters(SF))
     driver_bg = _canon(ta.q_bigram_heavy_hitters(SF))
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     forced = _canon(ta.q_heavy_hitters(SF))
     forced_bg = _canon(ta.q_bigram_heavy_hitters(SF))
     pd.testing.assert_frame_equal(driver, forced, check_dtype=False,
@@ -38,13 +38,13 @@ def test_heavy_hitters_ray_final_matches_driver(ray_session, monkeypatch):
 
 def test_customer_join_shuffle_fallback_matches_broadcast(ray_session,
                                                           monkeypatch):
-    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.ops.agg as agg
     import ocr_proofreader_ray.pipelines.relational as rel
 
     nation_b = _canon(rel.q_nation_revenue(SF))
     rank_b = _canon(rel.q_rank_in_segment(SF))
     prio_b = _canon(rel.q_order_priority_revenue(SF))
-    monkeypatch.setattr(j, "_BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     nation_s = _canon(rel.q_nation_revenue(SF))
     rank_s = _canon(rel.q_rank_in_segment(SF))
     prio_s = _canon(rel.q_order_priority_revenue(SF))
@@ -142,7 +142,7 @@ def test_heavy_hitters_null_lang_stratum(ray_session, tmp_path, monkeypatch):
     bg = _canon(ta.q_bigram_heavy_hitters(str(tmp_path)))
     assert uni["lang"].isna().any()   # NULL stratum present
     assert bg["lang"].isna().any()
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     pd.testing.assert_frame_equal(uni, _canon(ta.q_heavy_hitters(str(tmp_path))),
                                   check_dtype=False, check_exact=True)
     pd.testing.assert_frame_equal(bg, _canon(ta.q_bigram_heavy_hitters(str(tmp_path))),
@@ -154,14 +154,14 @@ def test_semi_anti_shuffle_fallback_matches_broadcast(ray_session,
     """shuffle_semi_anti (the fact-sized-key-side plan: both sides
     hash-partition, per-partition is_in) must select exactly the rows the
     broadcast key-set plan selects, for all four gated queries."""
-    import ocr_proofreader_ray.ops.join as j
+    import ocr_proofreader_ray.ops.agg as agg
     import ocr_proofreader_ray.pipelines.relational as rel
 
     with_b = _canon(rel.q_customers_with_orders(SF))
     without_b = _canon(rel.q_customers_without_orders(SF))
     inter_b = _canon(rel.q_intersect_custkeys(SF))
     exc_b = _canon(rel.q_except_custkeys(SF))
-    monkeypatch.setattr(j, "_BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     with_s = _canon(rel.q_customers_with_orders(SF))
     without_s = _canon(rel.q_customers_without_orders(SF))
     inter_s = _canon(rel.q_intersect_custkeys(SF))

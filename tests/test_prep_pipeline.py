@@ -74,7 +74,6 @@ def test_prep_source_cap_exchange_plan_matches_driver(ray_session,
     through an exchange too (no driver gather); lineage and final corpus
     must equal the driver plan's."""
     import ocr_proofreader_ray.ops.agg as agg
-    import ocr_proofreader_ray.ops.join as join
 
     final = "/tmp/opr_llm_prep/sf0.001/final/documents.parquet"
 
@@ -84,8 +83,7 @@ def test_prep_source_cap_exchange_plan_matches_driver(ray_session,
 
     driver = q_llm_prep_corpus(SF, resume=False)
     driver_ids = final_ids()
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
-    monkeypatch.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     exchange = q_llm_prep_corpus(SF, resume=False)
     assert exchange.equals(driver)
     assert final_ids() == driver_ids

@@ -33,6 +33,28 @@ def test_small_table_read_fuses_with_its_first_map(ray_session):
     assert int(tasks) == 1
 
 
+def test_pandas_written_table_reads_without_schema_metadata(ray_session):
+    """The sf tables were written from pandas: their ``pandas`` schema
+    metadata must reach neither a block nor the planned schema (it makes
+    Ray fail to hash the schemas and run a full unification), and every
+    column keeps its Parquet type."""
+    import ray
+
+    from ocr_proofreader_ray.ops.io import read_parquet
+
+    path = f"{SF}/lineitem.parquet"
+    want = pq.read_schema(path)
+    assert want.metadata and b"pandas" in want.metadata
+    for columns in (None, ["l_orderkey", "l_shipdate"]):
+        ds = read_parquet(path, columns=columns)
+        planned = ds.schema().base_schema
+        block = ray.get(ds.materialize().to_arrow_refs())[0]
+        names = columns or want.names
+        typed = pa.schema([want.field(c) for c in names])
+        assert not planned.metadata and not block.schema.metadata
+        assert planned == typed and block.schema == typed
+
+
 def _write_big(tmp_path) -> str:
     path = str(tmp_path / "big.parquet")
     rng = np.random.default_rng(0)

@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ocr_proofreader_ray.ops import selection
+from ocr_proofreader_ray.ops import agg
 from ocr_proofreader_ray.ops.join import range_count_join
 from ocr_proofreader_ray.ops.selection import grouped_kth_smallest
 
@@ -40,7 +40,7 @@ def test_grouped_kth_driver_vs_bisect_equal(ray_session, monkeypatch):
 
     want = _ranks_oracle(df, ranks_for)
     got_driver = grouped_kth_smallest(_ds(t), "g", "v", ranks_for)
-    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     got_bisect = grouped_kth_smallest(_ds(t), "g", "v", ranks_for)
     assert got_driver == want
     assert got_bisect == want
@@ -57,7 +57,7 @@ def test_grouped_kth_duplicate_values(ray_session, monkeypatch):
 
     want = {"x": (10, [1, 1, 2, 5, 5, 5, 9, 9])}
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks_for) == want
-    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", ranks_for) == want
 
 
@@ -67,7 +67,7 @@ def test_grouped_kth_negative_and_single(ray_session, monkeypatch):
         "v": pa.array([-7, -3, 42], pa.int64()),
     })
     want = {"a": (2, [-7, -3]), "b": (1, [42])}
-    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
 
 
@@ -80,7 +80,7 @@ def test_grouped_kth_nan_group_key_is_null_group(ray_session, monkeypatch):
     })
     want = {1.5: (2, [2, 4]), None: (3, [6, 7, 8])}
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
-    monkeypatch.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     assert grouped_kth_smallest(_ds(t, 2), "g", "v", _all_ranks) == want
 
 

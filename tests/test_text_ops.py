@@ -219,7 +219,7 @@ def test_source_cap_paths_equivalent(ray_session, monkeypatch):
         return df.sort_values(["source", "doc_id"]).reset_index(drop=True)
 
     a = canon(q_source_cap(sf))
-    monkeypatch.setattr(agg, "_DRIVER_MERGE_MAX_ROWS", 0)
+    monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
     b = canon(q_source_cap(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # every source holds at most the cap, with the lowest doc_ids kept
@@ -230,11 +230,12 @@ def test_source_cap_paths_equivalent(ray_session, monkeypatch):
 def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
                                                         monkeypatch):
     """The broadcast and shuffle-join plans of q_typicality_buckets' count
-    join must produce identical per-doc scores and terciles (both exact;
+    join, and the driver and bisection plans of its tercile selection,
+    must produce identical per-doc scores and terciles (both exact;
     oracle-pinned in test_relational_oracle.py)."""
     import pandas as pd
 
-    from ocr_proofreader_ray.ops import join, selection
+    from ocr_proofreader_ray.ops import agg, join, selection
     from ocr_proofreader_ray.pipelines.text_analysis import (
         q_typicality_buckets,
     )
@@ -245,16 +246,37 @@ def test_typicality_broadcast_and_join_paths_equivalent(ray_session,
         df = r.to_pandas() if not isinstance(r, pd.DataFrame) else r
         return df.sort_values(["doc_id"]).reset_index(drop=True)
 
-    a = canon(q_typicality_buckets(sf))
+    broadcast_bytes = []
+    real_gathered = join._gathered
+
+    def gathered(ds):
+        ds, table = real_gathered(ds)
+        broadcast_bytes.append(ds.size_bytes())
+        return ds, table
+
     with monkeypatch.context() as m:
-        m.setattr(join, "_BROADCAST_MAX_BYTES", 0)
+        m.setattr(join, "_gathered", gathered)
+        a = canon(q_typicality_buckets(sf))
+    with monkeypatch.context() as m:
+        m.setattr(agg, "_DRIVER_MAX_BYTES", 0)
         b = canon(q_typicality_buckets(sf))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     # distributed bisection selection must find the identical thresholds
-    # (and so identical terciles) as the driver gather
+    # (and so identical terciles) as the driver gather: a bound at the
+    # count table's bytes keeps the count join a broadcast and bisects
+    # the larger (lang, score) selection input
+    bisected = []
+    real_bisect = selection._kth_bisect
+
+    def bisect(*args):
+        bisected.append(args)
+        return real_bisect(*args)
+
     with monkeypatch.context() as m:
-        m.setattr(selection, "_DRIVER_SELECT_MAX_ROWS", 0)
+        m.setattr(agg, "_DRIVER_MAX_BYTES", max(broadcast_bytes))
+        m.setattr(selection, "_kth_bisect", bisect)
         c = canon(q_typicality_buckets(sf))
+    assert bisected
     pd.testing.assert_frame_equal(a, c, check_dtype=False)
     # terciles split each language into near-equal thirds (exact order
     # statistics: sizes differ by at most the tie mass at the cut)
