@@ -3,9 +3,10 @@
 Role at 100 TB: ``broadcast_semi_anti`` ships an exact key set to every
 worker — fine for dimension keys, unpayable when the key side has 10^9
 rows.  A Bloom filter is the classic fallback: fixed-size bit array (a few
-MiB regardless of key count), built DISTRIBUTED (each map task ORs its
-batch's bits into a partial array; the driver ORs the partials — a
-classic commutative reduce), broadcast once via ``ray.put``.
+MiB regardless of key count), built DISTRIBUTED (each batch sets its
+keys' bits in a partial filter in a worker; ``ops.agg.grouped_sketch``
+ORs the partials on the driver — a classic commutative reduce),
+broadcast once via ``ray.put``.
 
 Correctness contract: membership tests have false positives (rate ~fpp)
 and NO false negatives, so a Bloom test alone is a PREFILTER, never an
@@ -17,15 +18,17 @@ shuffled volume changes.  Pipeline modules reach it only through
 ``prefilter``.
 
 Hashing: double hashing h_i(x) = h1(x) + i*h2(x) (Kirsch-Mitzenstein,
-public knowledge) over a splitmix64-mixed key — vectorized uint64 numpy,
-process-independent (no Python hash()).
+public knowledge) over the exchange's key hash, splitmix64-mixed —
+vectorized uint64 numpy, process-independent (no Python hash()).  Equal
+values hash equally whatever their Arrow encoding (a dictionary array
+hashes as its values), so no encoding turns a member into a false
+negative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -38,25 +41,21 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _key_hash64(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Deterministic uint64 hash of a key column (int fast path; polars
-    seeded xxhash for strings — stable within one job, same contract as
-    ops/exchange.py::partition_ids)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if pa.types.is_integer(col.type):
-        filled = pc.fill_null(col.cast(pa.int64()), pa.scalar(0, pa.int64()))
-        return _mix64(filled.to_numpy(zero_copy_only=False).astype(np.uint64))
-    import polars as pl
+    """Deterministic uint64 hash of a key column: the exchange's partition
+    hash (``ops.exchange._column_hash``: a dictionary array hashes as its
+    values, a null as one key), splitmix64-mixed."""
+    # imported here: ``functions`` modules import no Ray at module level
+    from ocr_proofreader_ray.ops.exchange import _column_hash
 
-    return pl.Series(col).hash(seed=0).to_numpy().astype(np.uint64)
+    return _mix64(_column_hash(col))
 
 
 class BloomFilter:
     """m-bit / k-hash Bloom filter over 64-bit key hashes.
 
     Serializes as (m, k, packed bits) — cloudpickle-friendly for a single
-    ``ray.put`` broadcast.  ``partial_bits`` + ``merge`` support the
-    distributed OR-reduce build.
+    ``ray.put`` broadcast.  ``merge`` ORs two filters of one size: the
+    fold of the distributed build.
     """
 
     def __init__(self, n_keys: int, fpp: float = 0.01):
@@ -102,34 +101,17 @@ class BloomFilter:
         return self
 
 
-def build_bloom(ds, col: str, n_keys_estimate: int,
-                fpp: float = 0.01) -> BloomFilter:
-    """Distributed Bloom build: one partial filter per batch, OR-reduced.
+def build_bloom(ds, col: str, n_keys_estimate: int) -> BloomFilter:
+    """Distributed Bloom build: one partial filter per batch, OR-merged by
+    ``ops.agg.grouped_sketch`` — total driver work is n_blocks × m/8 bytes,
+    never the keys themselves.  ``n_keys_estimate`` sizes the array
+    (overestimate is safe, just wastes bits)."""
+    from ocr_proofreader_ray.ops.agg import grouped_sketch
 
-    Each map task emits its packed partial bit array (fixed ~m/8 bytes);
-    the driver ORs them — total driver work is n_blocks × m/8 bytes, never
-    the keys themselves.  ``n_keys_estimate`` sizes the array (overestimate
-    is safe, just wastes bits)."""
-    import ray
+    def build(rows: pa.Table) -> BloomFilter:
+        f = BloomFilter(n_keys_estimate)
+        f.add_column(rows.column(col))
+        return f
 
-    proto = BloomFilter(n_keys_estimate, fpp)
-    m, k = proto.m, proto.k
-
-    def partial(b: pa.Table) -> pa.Table:
-        f = BloomFilter.__new__(BloomFilter)
-        f.m, f.k = m, k
-        f.bits = np.zeros(m // 8, dtype=np.uint8)
-        f.add_column(b.column(col))
-        return pa.table({"bits": pa.array([f.bits.tobytes()], pa.binary())})
-
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    # _arrow_blocks drops empty blocks — an empty input block can pass
-    # through map_batches UNTRANSFORMED (no "bits" column; seen with a
-    # materialized filtered input feeding the build)
-    for blk in _arrow_blocks(parts):
-        for payload in blk.column("bits").to_pylist():
-            np.bitwise_or(proto.bits, np.frombuffer(payload, dtype=np.uint8),
-                          out=proto.bits)
-    return proto
+    merged = grouped_sketch(ds, None, build, BloomFilter.merge)
+    return merged[None] if merged else BloomFilter(n_keys_estimate)

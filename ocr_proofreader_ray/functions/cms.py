@@ -7,9 +7,10 @@ bloom.py).  Estimates are min over rows — never an UNDERestimate, biased
 up by at most ~N/width with probability 1-(1/2)^depth.
 
 Mergeability is the scale property: sketches add elementwise, so each
-map_batches task emits one fixed-size partial (depth*width*8 bytes) and
-the driver sums them — the exact (lang, token) partial-count table grows
-with vocabulary (fine at sf, GBs at 10^12 docs); the sketch does not.
+batch builds one fixed-size partial (depth*width*8 bytes) in a worker and
+``ops.agg.grouped_sketch`` sums them on the driver, one block at a time
+— the exact (lang, token) partial-count table grows with vocabulary
+(fine at sf, GBs at 10^12 docs); the sketch does not.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Standard HLL (Flajolet et al. 2007) with the classic small-range linear
 counting correction.  Registers are a numpy uint8 array → trivially
 mergeable (elementwise max), which makes the distributed plan the ideal
-combiner shape: each batch folds its keys into a 2^p-byte sketch, sketches
-merge associatively anywhere (partial per block → per node → driver), and
-NO key ever shuffles.  Fully deterministic: same seedless splitmix64 hash as
-the engine's other key hashing.
+combiner shape: each batch folds its keys into a 2^p-byte sketch in a
+worker, ``ops.agg.grouped_sketch`` merges the sketches on the driver
+(the merge is associative and commutative, so any order gives the same
+registers), and NO key ever shuffles.  Fully deterministic: same
+seedless splitmix64 hash as the engine's other key hashing.
 """
 
 from __future__ import annotations

@@ -11,14 +11,17 @@ Structure: a stack of compactors; items at level i carry weight 2^i.
 When a level overflows its capacity (k shrinking geometrically with
 distance from the top level, floor 2), it sorts and keeps every other
 item (alternating offset), pushing the survivors one level up.  Sketches
-MERGE by concatenating level-wise and re-compacting — the map_batches
-partial/driver-merge pattern used by the Bloom/CMS/HLL sketches here.
+MERGE by concatenating level-wise and re-compacting: each batch builds a
+sketch per group in a worker and ``ops.agg.grouped_sketch`` merges them
+on the driver, block by block in ``to_arrow_refs()`` order — the same
+fold the Bloom/CMS/HLL sketches here use.
 
 Rank error: |est_rank - true_rank| <= eps * n with eps ~ 1.7/k at the
 default c = 2/3 capacity decay (single-digit-per-mille at k = 400).
 Compaction offsets alternate deterministically per compactor, so a fixed
-feed order gives identical output; across partition orders the estimate
-moves within the error bound (pinned by tests against exact ranks).
+feed order (the fold's block order) gives identical output; across
+partition orders the estimate moves within the error bound (pinned by
+tests against exact ranks).
 """
 
 from __future__ import annotations

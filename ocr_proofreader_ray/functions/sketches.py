@@ -62,15 +62,6 @@ class MinHasher:
             m = self.a[:, None] * x[None, :] + self.b[:, None]  # uint64 wrap
         return m.min(axis=1)
 
-    def band_keys(self, sig: np.ndarray, bands: int = 16) -> list[int]:
-        """Split the signature into bands; one stable 64-bit key per band."""
-        rows = len(sig) // bands
-        keys = []
-        for b in range(bands):
-            band = sig[b * rows:(b + 1) * rows]
-            keys.append(stable_hash64(",".join(str(int(v)) for v in band)))
-        return keys
-
 
 def simhash64(token_counts: dict[str, int]) -> int:
     """Charikar 64-bit SimHash over weighted tokens (vectorized)."""

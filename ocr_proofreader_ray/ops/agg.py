@@ -45,9 +45,18 @@ sorted results.
 
 Supported agg fns: ``sum`` / ``min`` / ``max`` / ``count`` (count of rows).
 Means are derived by callers from sum+count (exact-integer trick).
+
+A partial that is not an Arrow row — an HLL, KLL, Count-Min or Bloom
+sketch, PCA's moment sums — goes through ``grouped_sketch(ds, key, build,
+merge)``: ``build`` runs per batch and ``key`` group in the workers, the
+objects travel pickled (the one place the package pickles), and the
+driver folds them block by block, in the order a gather reads them.
+Callers say only what to build and how two partials merge.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -302,3 +311,54 @@ def top_k(
     merged = pa.concat_tables(tables, promote_options="default")
     idx = pc.sort_indices(merged, sort_keys=sort_keys)
     return merged.take(idx[:k]).combine_chunks()
+
+
+def grouped_sketch(ds: "ray.data.Dataset", key: str | None, build,
+                   merge) -> dict:
+    """Fold a mergeable partial (a sketch, moment sums) per ``key`` value.
+
+    In the workers each batch splits into its ``key`` groups (the whole
+    batch is one group when ``key`` is None; a null key is a group, as in
+    ``_head``) and ``build(rows)`` runs once per group on the group's
+    Arrow rows.  The built objects travel pickled, one row per group, so
+    only ``n_blocks x n_groups`` partials leave the map stage.  The
+    driver fetches the partial blocks one at a time, in
+    ``to_arrow_refs()`` order (the order ``_arrow_blocks`` gathers), and
+    folds each group's partials in that order with ``merge(acc, partial)
+    -> acc`` (which may update ``acc`` in place), so a fold whose result
+    depends on its feed order (KLL compaction) sees the blocks in the
+    order a gather would.  Driver memory is one partial block plus one
+    merged object per group.
+
+    Returns ``{key value: merged object}`` (``{None: ...}`` when ``key``
+    is None); a group with no rows, or an empty input, is absent."""
+    def partial(b: pa.Table) -> pa.Table:
+        if key is None:
+            groups = [b] if b.num_rows else []
+            keys = pa.nulls(len(groups))
+        else:
+            enc = pc.dictionary_encode(b.column(key).combine_chunks())
+            codes = pc.fill_null(enc.indices, -1).to_numpy(
+                zero_copy_only=False)
+            uniq = np.unique(codes)
+            keys = enc.dictionary.take(
+                pa.array(uniq, pa.int32(), mask=uniq < 0))
+            groups = [b.filter(codes == c) for c in uniq]
+        return pa.table({
+            "key": keys,
+            "partial": pa.array([pickle.dumps(build(g)) for g in groups],
+                                pa.binary())})
+
+    parts = ds.map_batches(partial, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    merged: dict = {}
+    for ref in materialized(parts).to_arrow_refs():
+        blk = ray.get(ref)
+        # an empty input block can pass through map_batches untransformed
+        if not len(blk):
+            continue
+        for k, payload in zip(blk.column("key").to_pylist(),
+                              blk.column("partial").to_pylist()):
+            obj = pickle.loads(payload)
+            merged[k] = merge(merged[k], obj) if k in merged else obj
+    return merged

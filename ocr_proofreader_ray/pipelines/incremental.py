@@ -272,6 +272,31 @@ def _midpoint_doc_id(sf_dir: str) -> int:
     return (int(span["lo"]) + int(span["hi"])) // 2
 
 
+def _split_at(docs: "ray.data.Dataset", cut: int) -> tuple:
+    """``docs`` split on doc_id at ``cut``: the retained snapshot
+    (doc_id <= cut) and the crawl increment (doc_id > cut)."""
+    def below(b: pa.Table) -> pa.Table:
+        return b.filter(pc.less_equal(b.column("doc_id"), cut))
+
+    def above(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater(b.column("doc_id"), cut))
+
+    return tuple(docs.map_batches(fn, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+                 for fn in (below, above))
+
+
+def _tag_phase(phase: str):
+    """Batch fn: a batch's doc_ids with the snapshot ``phase`` that
+    admitted them."""
+    def fn(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": b.column("doc_id"),
+            "phase": pa.array([phase] * b.num_rows, pa.string()),
+        })
+    return fn
+
+
 @register("q_dedup_incremental")  # sketch-based incremental plan: rows-only
 def q_dedup_incremental(sf_dir: str):
     """Cross-snapshot dedup demonstration over the documents table: the
@@ -287,14 +312,7 @@ def q_dedup_incremental(sf_dir: str):
         # id-only read: the min/max split point must not pay a text scan
         cut = _midpoint_doc_id(sf_dir)
 
-    def below(b: pa.Table) -> pa.Table:
-        return b.filter(pc.less_equal(b.column("doc_id"), cut))
-
-    def above(b: pa.Table) -> pa.Table:
-        return b.filter(pc.greater(b.column("doc_id"), cut))
-
-    old = docs.map_batches(below, batch_format="pyarrow", zero_copy_batch=True)
-    new = docs.map_batches(above, batch_format="pyarrow", zero_copy_batch=True)
+    old, new = _split_at(docs, cut)
 
     work_dir = os.path.join(
         "/tmp/opr_incremental", os.path.basename(os.path.normpath(sf_dir)))
@@ -316,16 +334,8 @@ def q_dedup_incremental(sf_dir: str):
 
     # stream the (corpus-sized) keep list out as a Dataset — only the
     # increment's keep ids (increment-sized by assumption) sit on the driver
-    def tag(phase: str):
-        def fn(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": b.column("doc_id"),
-                "phase": pa.array([phase] * b.num_rows, pa.string()),
-            })
-        return fn
-
     old_part = kept_old.select_columns(["doc_id"]).map_batches(
-        tag("bootstrap"), batch_format="pyarrow", zero_copy_batch=True)
+        _tag_phase("bootstrap"), batch_format="pyarrow", zero_copy_batch=True)
     new_part = ray.data.from_arrow(pa.table({
         "doc_id": res["keep_ids"],
         "phase": pa.array(["inc-1"] * len(res["keep_ids"]), pa.string()),
@@ -497,18 +507,9 @@ def q_dedup_exact_incremental(sf_dir: str):
     docs = t(sf_dir, "documents", ["doc_id", "text"])
     cut = _midpoint_doc_id(sf_dir)
 
-    def below(b: pa.Table) -> pa.Table:
-        return b.filter(pc.less_equal(b.column("doc_id"), cut))
-
-    def above(b: pa.Table) -> pa.Table:
-        return b.filter(pc.greater(b.column("doc_id"), cut))
-
-    old = docs.map_batches(below, batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
     # materialized: the increment is both counted (within-drop lineage)
     # and hashed — unmaterialized it would re-run the filter per consumer
-    new = docs.map_batches(above, batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
+    old, new = (half.materialize() for half in _split_at(docs, cut))
 
     work_dir = os.path.join(
         "/tmp/opr_exact_incremental",
@@ -518,16 +519,9 @@ def q_dedup_exact_incremental(sf_dir: str):
     boot = bootstrap_exact_index(old, work_dir)
     res = dedup_exact_increment(new, work_dir, "inc-1")
 
-    def tag(phase: str):
-        def fn(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": b.column("doc_id"),
-                "phase": pa.array([phase] * b.num_rows, pa.string()),
-            })
-        return fn
-
     old_part = boot["keep"].select_columns(["doc_id"]).map_batches(
-        tag("bootstrap"), batch_format="pyarrow", zero_copy_batch=True)
-    new_part = res["keep"].map_batches(tag("inc-1"), batch_format="pyarrow",
+        _tag_phase("bootstrap"), batch_format="pyarrow", zero_copy_batch=True)
+    new_part = res["keep"].map_batches(_tag_phase("inc-1"),
+                                       batch_format="pyarrow",
                                        zero_copy_batch=True)
     return old_part.union(new_part)

@@ -27,26 +27,26 @@ import pyarrow.compute as pc
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, semi_anti
 from ocr_proofreader_ray.pipelines.registry import register
-from ocr_proofreader_ray.pipelines.relational import t
+from ocr_proofreader_ray.pipelines.relational import _stale, t
+from ocr_proofreader_ray.state.manifest import fingerprint_files
 
 
 def _run_stage(work: str, stage: str, parent_fp: str, build_ds) -> tuple:
     """Checkpointed stage execution: the stage's output directory carries a
-    marker holding the FINGERPRINT CHAIN (source parquet size+mtime folded
-    through every upstream stage name).  A fresh marker means the written
-    parquet is the deterministic output of the same inputs — the stage is
-    skipped WITHOUT building its dataset (``build_ds`` is a thunk, so a
-    resumed run pays nothing for completed stages, the same
-    checkpoint-resume contract as the extraction flagship)."""
+    marker holding the FINGERPRINT CHAIN (source parquet path, size and
+    mtime in ns folded through every upstream stage name).  A fresh marker
+    means the written parquet is the deterministic output of the same
+    inputs — the stage is skipped WITHOUT building its dataset
+    (``build_ds`` is a thunk, so a resumed run pays nothing for completed
+    stages, the same checkpoint-resume contract as the extraction
+    flagship)."""
     import hashlib
 
     fp = hashlib.sha256(f"{parent_fp}|{stage}".encode()).hexdigest()[:32]
     out = os.path.join(work, stage)
     marker = os.path.join(out, "_ok")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read().strip() == fp:
-                return out, fp, True
+    if not _stale(marker, fp):
+        return out, fp, True
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(out, exist_ok=True)
     build_ds().write_parquet(os.path.join(out, "documents.parquet"))
@@ -71,7 +71,6 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
     tests).  The registered default is a FRESH run so driver/bench
     timings measure real compute, not the skip path."""
     from ocr_proofreader_ray.pipelines.dedup import q_dedup_clusters
-    from ocr_proofreader_ray.pipelines.relational import _source_fingerprint
     from ocr_proofreader_ray.pipelines.text_analysis import (
         _corpus_probes,
         mixture_pick,
@@ -83,7 +82,7 @@ def q_llm_prep_corpus(sf_dir: str, resume: bool = False):
     if not resume:
         shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work, exist_ok=True)
-    src_fp = _source_fingerprint(f"{sf_dir}/documents.parquet")
+    src_fp = fingerprint_files([f"{sf_dir}/documents.parquet"])
 
     docs = t(sf_dir, "documents")
     n_in = docs.count()

@@ -25,9 +25,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ocr_proofreader_ray.functions import hll
 from ocr_proofreader_ray.ops.agg import (
-    _arrow_blocks,
     grouped_agg,
+    grouped_sketch,
     grouped_top_k,
     top_k,
 )
@@ -40,6 +41,7 @@ from ocr_proofreader_ray.ops.join import (
     shuffle_join,
 )
 from ocr_proofreader_ray.pipelines.registry import register
+from ocr_proofreader_ray.state.manifest import fingerprint_files
 
 
 def t(sf_dir: str, name: str, columns: list[str] | None = None) -> "ray.data.Dataset":
@@ -242,42 +244,31 @@ def q_distinct_segments(sf_dir: str):
                        [(None, "count", "n")]).select(["c_mktsegment"])
 
 
+def _hll_users(rows: pa.Table) -> np.ndarray:
+    """HLL registers of the rows' non-null user_ids."""
+    regs = hll.empty_registers()
+    users = pc.drop_null(rows.column("user_id"))
+    hll.add_int_keys(regs, users.to_numpy().astype(np.uint64))
+    return regs
+
+
 @register("q_approx_distinct_users")  # sketch: rows-only driver check
 def q_approx_distinct_users(sf_dir: str):
     """HLL approximate count-distinct per event_type — the scale path for
     B6 when exact pair-dedup would itself be a huge shuffle.  Each batch
-    folds its user_ids into one 4 KiB sketch per event_type; sketches merge
-    by elementwise max on the driver.  NOTHING shuffles — the network moves
+    folds its user_ids into one 4 KiB sketch per event_type (a null
+    event_type is a group; a null user_id is no user); sketches merge by
+    elementwise max on the driver.  NOTHING shuffles — the network moves
     n_blocks x n_types x 4 KiB regardless of input size.  Accuracy ~1.6%
     (asserted vs exact in tests/test_hll.py)."""
-    from ocr_proofreader_ray.functions import hll
-
     ds = t(sf_dir, "events", ["event_type", "user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        users = b.column("user_id").to_numpy(zero_copy_only=False)
-        types = b.column("event_type").to_numpy(zero_copy_only=False)
-        out_t, out_r = [], []
-        for et in np.unique(types):
-            regs = hll.empty_registers()
-            hll.add_int_keys(regs, users[types == et].astype(np.uint64))
-            out_t.append(str(et))
-            out_r.append(regs.tobytes())
-        return pa.table({"event_type": pa.array(out_t, pa.string()),
-                         "registers": pa.array(out_r, pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    merged: dict[str, np.ndarray] = {}
-    for tbl in _arrow_blocks(parts):
-        for et, regs in zip(tbl.column("event_type").to_pylist(),
-                            tbl.column("registers").to_pylist()):
-            arr = np.frombuffer(regs, dtype=np.uint8)
-            merged[et] = hll.merge(merged[et], arr) if et in merged else arr
-    rows = sorted((et, int(round(hll.estimate(regs))))
-                  for et, regs in merged.items())
+    merged = grouped_sketch(ds, "event_type", _hll_users, hll.merge)
+    types = sorted(merged, key=lambda v: (v is None, v or ""))
     return pa.table({
-        "event_type": pa.array([r[0] for r in rows], pa.string()),
-        "approx_users": pa.array([r[1] for r in rows], pa.int64()),
+        "event_type": pa.array(types, pa.string()),
+        "approx_users": pa.array(
+            [int(round(hll.estimate(merged[et]))) for et in types],
+            pa.int64()),
     })
 
 
@@ -983,41 +974,15 @@ def q_value_quantiles_approx(sf_dir: str):
     p50/p90/p99.  Rank error <= ~1.7/k of n (k=400 → ~0.4%), pinned by
     tests against exact ranks; n_events is exact (sketch n merges by
     addition)."""
-    import pickle
-
     from ocr_proofreader_ray.functions.kll import KLLSketch
     ds = t(sf_dir, "events", ["event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        # Arrow-native group collapse (VERDICT r04 nit: the old batch-wide
-        # to_pandas() + pandas groupby was the one full-batch pandas
-        # conversion outside map_groups kernels): dictionary-encode the
-        # type column, slice the value array per code with numpy masks.
-        # Null event_type stays a stratum (code -1), the SQL NULL group.
-        enc = pc.dictionary_encode(b.column("event_type").combine_chunks())
-        codes = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False)
-        vals = b.column("value").to_numpy(zero_copy_only=False)
-        dict_vals = enc.dictionary.to_pylist()
-        types, payloads = [], []
-        for code in np.unique(codes):
-            sk = KLLSketch(k=400)
-            sk.add_batch(vals[codes == code])
-            types.append(None if code < 0 else dict_vals[code])
-            payloads.append(pickle.dumps(sk))
-        return pa.table({"event_type": pa.array(types, pa.string()),
-                         "payload": pa.array(payloads, pa.binary())})
+    def build(rows: pa.Table) -> KLLSketch:
+        sk = KLLSketch(k=400)
+        sk.add_batch(rows.column("value").to_numpy())
+        return sk
 
-    merged: dict[str, object] = {}
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    for blk in _arrow_blocks(parts):
-        for etype, payload in zip(blk.column("event_type").to_pylist(),
-                                  blk.column("payload").to_pylist()):
-            sk = pickle.loads(payload)
-            if etype in merged:
-                merged[etype].merge(sk)
-            else:
-                merged[etype] = sk
+    merged = grouped_sketch(ds, "event_type", build, KLLSketch.merge)
 
     out = {"event_type": [], "n_events": [], "p50": [], "p90": [], "p99": []}
     for etype in sorted(merged, key=lambda v: (v is None, v or "")):
@@ -1896,24 +1861,17 @@ def q_latest_event(sf_dir: str):
                          as_dataset=True)
 
 
-def _source_fingerprint(path: str) -> str:
-    """(size, mtime) fingerprint of a source parquet — cache keys for
-    derived /tmp artifacts must invalidate when the driver regenerates
-    testdata between rounds."""
-    import os as _os
-
-    st = _os.stat(path)
-    return f"{st.st_size}:{int(st.st_mtime)}"
-
-
 def _stale(marker: str, fingerprint: str) -> bool:
+    """True unless ``marker`` holds ``fingerprint``: a derived export is
+    keyed on its source's ``state.manifest.fingerprint_files`` (path, size
+    and mtime in ns), so a same-size rewrite within one second rebuilds
+    it."""
     import os as _os
 
     if not _os.path.exists(marker):
         return True
     with open(marker) as f:
         return f.read().strip() != fingerprint
-
 
 
 @register(
@@ -1937,7 +1895,7 @@ def q_csv_source_roundtrip(sf_dir: str):
     out = os.path.join("/tmp/opr_csv_src",
                        os.path.basename(os.path.normpath(sf_dir)))
     marker = os.path.join(out, "_done")
-    fp = _source_fingerprint(f"{sf_dir}/customer.parquet")
+    fp = fingerprint_files([f"{sf_dir}/customer.parquet"])
     if _stale(marker, fp):
         shutil.rmtree(out, ignore_errors=True)
         os.makedirs(out, exist_ok=True)
@@ -1984,7 +1942,7 @@ def q_json_source_roundtrip(sf_dir: str):
     out = os.path.join("/tmp/opr_json_src",
                        os.path.basename(os.path.normpath(sf_dir)))
     marker = os.path.join(out, "_done")
-    fp = _source_fingerprint(f"{sf_dir}/supplier.parquet")
+    fp = fingerprint_files([f"{sf_dir}/supplier.parquet"])
     if _stale(marker, fp):
         shutil.rmtree(out, ignore_errors=True)
         os.makedirs(out, exist_ok=True)
@@ -2369,7 +2327,7 @@ def q_partition_pruned_read(sf_dir: str):
     root = os.path.join("/tmp/opr_part_events",
                         os.path.basename(os.path.normpath(sf_dir)))
     marker = os.path.join(root, "_done")
-    fp = _source_fingerprint(f"{sf_dir}/events.parquet")
+    fp = fingerprint_files([f"{sf_dir}/events.parquet"])
     if _stale(marker, fp):
         shutil.rmtree(root, ignore_errors=True)
         os.makedirs(root, exist_ok=True)
@@ -2403,34 +2361,16 @@ def q_approx_overlap_users(sf_dir: str):
     plan for set overlap across corpus-sized key sets.  Exact overlap for
     the same inputs is the semi-join plan; the test pins the estimate
     within HLL error of exact."""
-    from ocr_proofreader_ray.functions import hll
-
-    ds = t(sf_dir, "events", ["event_type", "user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        users = b.column("user_id").to_numpy(zero_copy_only=False)
-        types = b.column("event_type").to_numpy(zero_copy_only=False)
-        out = []
-        for et in ("click", "purchase"):
-            regs = hll.empty_registers()
-            hll.add_int_keys(regs, users[types == et].astype(np.uint64))
-            out.append(regs.tobytes())
-        return pa.table({"which": pa.array(["click", "purchase"]),
-                         "registers": pa.array(out, pa.binary())})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    merged = {"click": hll.empty_registers(),
-              "purchase": hll.empty_registers()}
-    for blk in _arrow_blocks(parts):
-        for which, regs in zip(blk.column("which").to_pylist(),
-                               blk.column("registers").to_pylist()):
-            merged[which] = hll.merge(
-                merged[which], np.frombuffer(regs, np.uint8))
-    union = hll.merge(merged["click"], merged["purchase"])
-    est_a = hll.estimate(merged["click"])
-    est_b = hll.estimate(merged["purchase"])
-    est_u = hll.estimate(union)
+    which = pa.array(["click", "purchase"])
+    ds = t(sf_dir, "events", ["event_type", "user_id"]).map_batches(
+        lambda b: b.filter(pc.is_in(b.column("event_type"), value_set=which)),
+        batch_format="pyarrow", zero_copy_batch=True)
+    merged = grouped_sketch(ds, "event_type", _hll_users, hll.merge)
+    click, purchase = (merged.get(et, hll.empty_registers())
+                       for et in ("click", "purchase"))
+    est_a = hll.estimate(click)
+    est_b = hll.estimate(purchase)
+    est_u = hll.estimate(hll.merge(click, purchase))
     return pa.table({
         "clicked_est": pa.array([int(round(est_a))], pa.int64()),
         "purchased_est": pa.array([int(round(est_b))], pa.int64()),

@@ -21,7 +21,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, top_k
+from ocr_proofreader_ray.ops.agg import (
+    _arrow_blocks,
+    grouped_agg,
+    grouped_sketch,
+    top_k,
+)
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
@@ -429,60 +434,29 @@ def q_embedding_pca(sf_dir: str, n_components: int = _PCA_COMPONENTS):
     Scale plan: the ONLY corpus-sized work is two streaming passes.
     Pass 1 accumulates exact-integer moment sums per block (elements
     quantized to milliunits in float64 first — the repo contract that
-    makes distributed sums order-invariant): n, S1[d], S2[d,d].  Partials
-    tree-reduce (a second map_batches pass sums ~1024 partial rows per
-    call) so the driver sees O(blocks/1024) rows of d(d+1) ints at any
-    corpus size.  The driver forms cov = S2/n − μμᵀ in float64
-    (single-threaded, deterministic), takes eigh's top components with a
-    fixed sign convention (largest-|x| coordinate positive) snapped to a
-    fixed binary grid, and pass 2
-    projects every vector against the broadcast W — one numpy matmul per
-    batch.  d is the embedding dim (64): driver state is d², never corpus.
+    makes distributed sums order-invariant): n, S1[d], S2[d,d].  The
+    partials add up on the driver one block at a time
+    (``ops.agg.grouped_sketch``), so it holds d(d+1) ints per block in
+    flight at any corpus size.  The driver forms cov = S2/n − μμᵀ in
+    float64 (single-threaded, deterministic), takes eigh's top components
+    with a fixed sign convention (largest-|x| coordinate positive) snapped
+    to a fixed binary grid, and pass 2 projects every vector against the
+    broadcast W — one numpy matmul per batch.  d is the embedding dim (64): driver state is d², never corpus.
     """
     ds = t(sf_dir, "embeddings", ["vec_id", "embedding"])
     ds = ds.materialize()  # two passes: moments + projection
-    # dim from the first non-empty cached block: ``take(1)`` would be one
-    # more execution
-    dim = next(len(blk.column("embedding")[0])
-               for blk in map(ray.get, ds.to_arrow_refs()) if blk.num_rows)
 
-    def moments(b: pa.Table) -> pa.Table:
+    def moments(b: pa.Table) -> tuple:
         mat = _batch_matrix(b).astype(np.float64)
         q = np.floor(mat * _PCA_QUANT + 0.5).astype(np.int64)
-        return pa.table({
-            "n": pa.array([b.num_rows], pa.int64()),
-            "s1": pa.array([q.sum(axis=0).tolist()],
-                           pa.list_(pa.int64())),
-            "s2": pa.array([(q.T @ q).reshape(-1).tolist()],
-                           pa.list_(pa.int64())),
-        })
+        return b.num_rows, q.sum(axis=0), q.T @ q
 
-    def reduce_partials(b: pa.Table) -> pa.Table:
-        n = int(np.asarray(b.column("n")).sum())
-        s1 = np.zeros(dim, np.int64)
-        s2 = np.zeros(dim * dim, np.int64)
-        for row_s1, row_s2 in zip(b.column("s1").to_pylist(),
-                                  b.column("s2").to_pylist()):
-            s1 += np.asarray(row_s1, np.int64)
-            s2 += np.asarray(row_s2, np.int64)
-        return pa.table({
-            "n": pa.array([n], pa.int64()),
-            "s1": pa.array([s1.tolist()], pa.list_(pa.int64())),
-            "s2": pa.array([s2.tolist()], pa.list_(pa.int64())),
-        })
+    def add(acc: tuple, part: tuple) -> tuple:
+        return tuple(a + p for a, p in zip(acc, part))
 
-    partials = ds.map_batches(moments, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    reduced = partials.map_batches(reduce_partials, batch_format="pyarrow",
-                                   batch_size=1024)
-    final = reduce_partials(pa.concat_tables(
-        _arrow_blocks(reduced), promote_options="default"))
-    n = int(final.column("n")[0].as_py())
-    s1 = np.asarray(final.column("s1")[0].as_py(), np.float64)
-    s2 = np.asarray(final.column("s2")[0].as_py(),
-                    np.float64).reshape(dim, dim)
-    mu = s1 / n
-    cov = s2 / n - np.outer(mu, mu)
+    n, s1, s2 = grouped_sketch(ds, None, moments, add)[None]
+    mu = s1.astype(np.float64) / n
+    cov = s2.astype(np.float64) / n - np.outer(mu, mu)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:n_components]
     w = evecs[:, order].T.copy()  # (k, d)

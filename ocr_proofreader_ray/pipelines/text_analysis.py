@@ -18,6 +18,7 @@ import ray.data
 from ocr_proofreader_ray.functions.sketches import stable_hash64
 from ocr_proofreader_ray.ops.agg import (
     grouped_agg,
+    grouped_sketch,
     grouped_sum_top_k,
     grouped_top_k,
 )
@@ -474,10 +475,6 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
     import numpy as np
 
     from ocr_proofreader_ray.functions.cms import CountMinSketch
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
-
-    proto = CountMinSketch()
-    width, depth = proto.width, proto.depth
 
     ds = t(sf_dir, "documents", ["lang", "text"])
 
@@ -490,57 +487,39 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
                          if isinstance(joined, pa.ChunkedArray) else joined
                          ).hash(seed=0).to_numpy().astype(np.uint64)
 
-    def partial(b: pa.Table) -> pa.Table:
+    def build(b: pa.Table) -> tuple:
+        """This batch's CMS and its local candidates, the top
+        ``cand_per_lang`` tokens per lang by local count, as an ordered
+        set of (lang, tok)."""
         counts = _explode_token_counts(b)
-        # one fixed-size sketch partial for this batch
-        sk = CountMinSketch(width, depth)
+        sk = CountMinSketch()
         sk.add(_key_hashes(counts.column("lang"), counts.column("tok")),
                counts.column("cnt").to_numpy(zero_copy_only=False))
-        # local candidates: top cand_per_lang per lang by local count
         df = counts.to_pandas()
         cand = (df.sort_values(["lang", "cnt", "tok"],
                                ascending=[True, False, True])
                 .groupby("lang", sort=False).head(cand_per_lang))
-        n = len(cand)
-        return pa.table({
-            "kind": pa.array([0] * n + [1], pa.int8()),
-            "lang": pa.array(list(cand["lang"]) + [""], pa.string()),
-            "tok": pa.array(list(cand["tok"]) + [""], pa.string()),
-            "payload": pa.array([None] * n + [sk.counts.tobytes()],
-                                pa.binary()),
-        })
+        return sk, dict.fromkeys(zip(cand["lang"], cand["tok"]))
 
-    blocks = _arrow_blocks(ds.map_batches(partial, batch_format="pyarrow",
-                                          zero_copy_batch=True))
-    sketch = CountMinSketch(width, depth)
-    cand_langs: list[str] = []
-    cand_toks: list[str] = []
-    seen: set[tuple[str, str]] = set()
-    for blk in blocks:
-        kinds = blk.column("kind").to_pylist()
-        langs_ = blk.column("lang").to_pylist()
-        toks_ = blk.column("tok").to_pylist()
-        payloads = blk.column("payload").to_pylist()
-        for kind, lang, tok, payload in zip(kinds, langs_, toks_, payloads):
-            if kind == 1:
-                part = np.frombuffer(payload, dtype=np.uint64).reshape(
-                    depth, width)
-                sketch.counts += part
-            elif (lang, tok) not in seen:
-                seen.add((lang, tok))
-                cand_langs.append(lang)
-                cand_toks.append(tok)
+    def merge(acc: tuple, part: tuple) -> tuple:
+        # a dict keeps first-seen order: new candidates append, seen stay
+        acc[0].merge(part[0])
+        acc[1].update(part[1])
+        return acc
 
-    if not cand_langs:
+    sketch, cands = grouped_sketch(ds, None, build, merge).get(
+        None, (None, {}))
+    if not cands:
         return pa.table({"lang": pa.array([], pa.string()),
                          "tok": pa.array([], pa.string()),
                          "est": pa.array([], pa.int64())})
     # the candidates hash in a worker task, like the sketch partials: the
     # driver never imports polars
+    cand_langs = pa.array([lang for lang, _tok in cands])
+    cand_toks = pa.array([tok for _lang, tok in cands])
     est = sketch.estimate(ray.get(ray.remote(_key_hashes).remote(
-        pa.array(cand_langs), pa.array(cand_toks))))
-    full = pa.table({"lang": pa.array(cand_langs),
-                     "tok": pa.array(cand_toks),
+        cand_langs, cand_toks)))
+    full = pa.table({"lang": cand_langs, "tok": cand_toks,
                      "est": pa.array(est, pa.int64())})
     parts = []
     for lang in pc.unique(full.column("lang")).to_pylist():

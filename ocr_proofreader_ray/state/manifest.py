@@ -68,7 +68,7 @@ class Manifest:
             return False
 
     def record_done(self, chunk_id: int, fingerprint: str, files: list[str],
-                    counters: dict, wall_sec: float, extra: dict | None = None) -> None:
+                    counters: dict, wall_sec: float) -> None:
         rec = {
             "chunk_id": chunk_id,
             "status": "done",
@@ -78,8 +78,6 @@ class Manifest:
             "wall_sec": round(wall_sec, 3),
             "recorded_at": time.time(),
         }
-        if extra:
-            rec.update(extra)
         tmp = self._path(chunk_id) + ".tmp"
         with open(tmp, "w") as f:
             json.dump(rec, f, indent=1)

@@ -29,6 +29,19 @@ def test_bloom_string_keys():
     assert f.contains_column(other).mean() < 0.05
 
 
+def test_bloom_probes_dictionary_keys_as_their_values():
+    """A key hashes as the exchange hashes it: a dictionary array probes
+    as its values, so a dictionary-encoded key side or probe side never
+    turns a member into a false negative."""
+    keys = pa.array([f"user-{i}" for i in range(1000)])
+    f = BloomFilter(1000)
+    f.add_column(keys)
+    assert f.contains_column(keys.dictionary_encode()).all()
+    g = BloomFilter(1000)
+    g.add_column(keys.dictionary_encode())
+    assert g.contains_column(keys).all()
+
+
 def test_bloom_merge_is_union():
     a, b = BloomFilter(100, 0.01), BloomFilter(100, 0.01)
     a.add_column(pa.array([1, 2, 3], pa.int64()))

@@ -1,7 +1,7 @@
 """The package has one size gate, ``ops.agg._DRIVER_MAX_BYTES``, which
 ``conftest.all_exchange`` forces, so no plan runs only at a scale the
-tests never reach; no pipeline module holds a gate; and only ``ops/``
-builds Bloom filters."""
+tests never reach; no pipeline module holds a gate; only ``ops/``
+builds Bloom filters; and only ``ops.agg`` pickles partials."""
 
 import ast
 import os
@@ -53,18 +53,28 @@ def test_no_pipeline_module_holds_a_gate():
                 if g[0].startswith("ocr_proofreader_ray.pipelines.")]
 
 
+def _imports(tree):
+    """Every module name an import statement in ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+
+
 def test_pipelines_do_not_build_bloom_filters():
     """Pipelines filter by a key set through ``ops.join.prefilter``, which
     picks the exact broadcast or a Bloom filter by the one broadcast
     bound."""
-    stray = []
-    for module, tree in _modules():
-        if not module.startswith("ocr_proofreader_ray.pipelines."):
-            continue
-        for node in ast.walk(tree):
-            names = ([node.module] if isinstance(node, ast.ImportFrom)
-                     else [a.name for a in node.names]
-                     if isinstance(node, ast.Import) else [])
-            stray += [(module, n) for n in names
-                      if n and n.endswith("functions.bloom")]
-    assert not stray
+    assert not [(module, n) for module, tree in _modules()
+                if module.startswith("ocr_proofreader_ray.pipelines.")
+                for n in _imports(tree) if n.endswith("functions.bloom")]
+
+
+def test_only_ops_agg_pickles():
+    """Per-batch partials (sketches, moment sums) travel between workers
+    and the driver only through ``ops.agg.grouped_sketch``: no other
+    module serializes its own."""
+    assert not [(module, n) for module, tree in _modules()
+                if module != "ocr_proofreader_ray.ops.agg"
+                for n in _imports(tree) if n.endswith("pickle")]

@@ -1,6 +1,8 @@
 """HyperLogLog sketch (documented approximate extension, SURVEY.md §2.C)."""
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from ocr_proofreader_ray.functions import hll
@@ -70,3 +72,41 @@ def test_overlap_estimate_within_hll_error(ray_session):
     est = got.column("overlap_est")[0].as_py()
     # inclusion-exclusion compounds the ~1.6% HLL error of three sketches
     assert abs(est - exact) <= max(10, 0.1 * exact)
+
+
+def _events(tmp_path, parts):
+    """An events table of one file per (event_type, user_id) part, read
+    as one block per file."""
+    root = tmp_path / "events.parquet"
+    root.mkdir()
+    for i, (types, users) in enumerate(parts):
+        pq.write_table(pa.table({"event_type": pa.array(types, pa.string()),
+                                 "user_id": pa.array(users, pa.int64())}),
+                       root / f"part-{i}.parquet")
+    return str(tmp_path)
+
+
+def test_approx_distinct_users_keeps_null_event_type(ray_session, tmp_path):
+    """A null event_type is a group of its own, named None and sorted
+    last, and its sketches merge across blocks like any other."""
+    from ocr_proofreader_ray.pipelines.relational import (
+        q_approx_distinct_users,
+    )
+
+    sf = _events(tmp_path, [(["view", None, "click"], [1, 2, 3]),
+                            ([None, "view"], [4, 5])])
+    assert q_approx_distinct_users(sf).to_pylist() == [
+        {"event_type": "click", "approx_users": 1},
+        {"event_type": "view", "approx_users": 2},
+        {"event_type": None, "approx_users": 2}]
+
+
+def test_approx_distinct_users_ignores_null_user_id(ray_session, tmp_path):
+    from ocr_proofreader_ray.pipelines.relational import (
+        q_approx_distinct_users,
+    )
+
+    sf = _events(tmp_path, [(["click", "click"], [1, None]),
+                            (["click"], [2])])
+    assert q_approx_distinct_users(sf).to_pylist() == [
+        {"event_type": "click", "approx_users": 2}]

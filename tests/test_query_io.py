@@ -144,3 +144,40 @@ def test_keyless_grouped_agg_equals_ray_aggregate(ray_session, empty):
                         Count(alias_name="n"))
     assert got.to_pylist() == [want]
     assert (want["n"] == 0) == empty
+
+
+def test_source_export_rebuilds_after_a_same_size_same_second_rewrite(
+        ray_session, tmp_path):
+    """A derived export (here the CSV round trip's) is keyed on its source's
+    path, size and mtime in ns: a rewrite that keeps the file size within
+    the same second still rebuilds it."""
+    import shutil
+
+    from ocr_proofreader_ray.pipelines.relational import (
+        q_csv_source_roundtrip,
+    )
+
+    src = tmp_path / "customer.parquet"
+    second = 1_700_000_000 * 10**9
+
+    def rewrite(bal: float, ns: int) -> int:
+        # uncompressed, plain-encoded, fixed-width: a new value keeps the
+        # file size
+        pq.write_table(pa.table({"c_mktsegment": ["AUTO"],
+                                 "c_acctbal": [bal]}),
+                       src, compression="none", use_dictionary=False)
+        os.utime(src, ns=(second + ns, second + ns))
+        return src.stat().st_size
+
+    def cents() -> list:
+        return q_csv_source_roundtrip(str(tmp_path)).column(
+            "bal_cents").to_pylist()
+
+    try:
+        size = rewrite(1.25, 100_000_000)
+        assert cents() == [125]
+        assert rewrite(2.5, 900_000_000) == size
+        assert cents() == [250]
+    finally:
+        shutil.rmtree(os.path.join("/tmp/opr_csv_src", tmp_path.name),
+                      ignore_errors=True)
