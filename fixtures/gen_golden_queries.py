@@ -63,11 +63,9 @@ def canonicalize(result) -> pa.Table:
     elif isinstance(result, pa.Table):
         tbl = result
     else:  # ray.data.Dataset
-        from ocr_proofreader_ray.ops.agg import _arrow_blocks
+        from ocr_proofreader_ray.ops.agg import gather
 
-        blocks = _arrow_blocks(result.materialize())
-        tbl = (pa.concat_tables(blocks, promote_options="default")
-               if blocks else pa.table({}))
+        tbl = gather(result) or pa.table({})
     tbl = tbl.select(sorted(tbl.column_names)).combine_chunks()
     rows = tbl.to_pylist()
 

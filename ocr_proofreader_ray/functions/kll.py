@@ -13,7 +13,7 @@ distance from the top level, floor 2), it sorts and keeps every other
 item (alternating offset), pushing the survivors one level up.  Sketches
 MERGE by concatenating level-wise and re-compacting: each batch builds a
 sketch per group in a worker and ``ops.agg.grouped_sketch`` merges them
-on the driver, block by block in ``to_arrow_refs()`` order — the same
+on the driver, block by block in ``ops.agg.gather``'s order — the same
 fold the Bloom/CMS/HLL sketches here use.
 
 Rank error: |est_rank - true_rank| <= eps * n with eps ~ 1.7/k at the

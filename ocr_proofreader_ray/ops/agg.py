@@ -52,6 +52,10 @@ merge)``: ``build`` runs per batch and ``key`` group in the workers, the
 objects travel pickled (the one place the package pickles), and the
 driver folds them block by block, in the order a gather reads them.
 Callers say only what to build and how two partials merge.
+
+Blocks are Arrow only (no module asks Ray for pandas batches), and every
+plan drains to the driver through ``gather``: callers write
+``gather(ds) or <typed empty>``.
 """
 
 from __future__ import annotations
@@ -87,47 +91,33 @@ def materialized(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     return ds.materialize()
 
 
-def _arrow_blocks(ds: "ray.data.Dataset") -> list[pa.Table]:
-    """Gather a (small) dataset's non-empty blocks to the driver as Arrow
-    tables — the one way query code drains a plan.
+def _block_refs(ds: "ray.data.Dataset"):
+    """Refs of ``ds``'s blocks that hold rows (by their metadata), in
+    order, from one execution."""
+    for bundle in materialized(ds).iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                yield ref
 
-    The plan is materialized first: on a lazy plan, ``to_arrow_refs``
-    executes it and then reads its schema through a second ``limit=1``
-    execution, and an upstream all-to-all (shuffle join, sort) cannot stop
-    early, so that probe re-runs the whole upstream (measured 2x the join
-    per aggregate).  A materialized dataset is read as it is.
 
-    ``to_arrow_refs`` passes pandas blocks through unconverted (seen when an
-    upstream ``map_groups(batch_format="pandas")`` emitted only empty frames
-    and the empty blocks skipped later Arrow stages), so convert here."""
-    import pandas as pd
+def gather(ds: "ray.data.Dataset") -> pa.Table | None:
+    """The rows of ``ds`` on the driver as one Arrow table, or None when it
+    has none — the one way query code drains a plan.
 
-    out = []
-    for blk in ray.get(materialized(ds).to_arrow_refs()):
-        if isinstance(blk, pd.DataFrame):
-            if len(blk):
-                out.append(pa.Table.from_pandas(blk, preserve_index=False))
-        elif blk.num_rows:
-            out.append(blk)
-    return out
+    The plan runs once and no schema is read.  ``to_arrow_refs`` reads
+    one through a second ``limit=1`` execution on a lazy plan, which
+    re-runs an upstream all-to-all (shuffle join, sort) in full (measured
+    2x the join per aggregate), and on one whose blocks are all empty."""
+    tables = ray.get(list(_block_refs(ds)))
+    if not tables:
+        return None
+    return pa.concat_tables(tables, promote_options="default")
 
 
 def _empty_like(ds: "ray.data.Dataset") -> pa.Table:
-    """Empty Arrow table matching a dataset's schema (Arrow or pandas-block)."""
+    """Empty Arrow table of a dataset's schema."""
     schema = ds.schema()
-    base = getattr(schema, "base_schema", schema)
-    if isinstance(base, pa.Schema):
-        return base.empty_table()
-    # PandasBlockSchema: ``types`` may hold numpy dtypes or Arrow DataTypes
-    fields = []
-    for n, typ in zip(schema.names, schema.types):
-        if not isinstance(typ, pa.DataType):
-            try:
-                typ = pa.from_numpy_dtype(typ)
-            except (pa.ArrowNotImplementedError, TypeError):
-                typ = pa.string()  # object dtype and friends
-        fields.append((n, typ))
-    return pa.schema(fields).empty_table()
+    return getattr(schema, "base_schema", schema).empty_table()
 
 
 def _partial_specs(aggs: list[tuple[str | None, str, str]]):
@@ -158,16 +148,13 @@ def _merge(parts: "ray.data.Dataset", keys: list[str], fn, empty,
     there are no partial rows."""
     parts = materialized(parts)
     if parts.size_bytes() <= _DRIVER_MAX_BYTES:
-        tables = _arrow_blocks(parts)
-        out = (fn(pa.concat_tables(tables, promote_options="default"))
-               if tables else empty())
+        rows = gather(parts)
+        out = empty() if rows is None else fn(rows)
         return ray.data.from_arrow(out) if as_dataset else out
     merged = exchange(parts, keys, fn)
     if as_dataset:
         return merged
-    tables = _arrow_blocks(merged)
-    return (pa.concat_tables(tables, promote_options="default")
-            if tables else empty())
+    return gather(merged) or empty()
 
 
 def grouped_agg(
@@ -207,6 +194,19 @@ def grouped_agg(
                   as_dataset)
 
 
+def run_starts(rows: pa.Table, cols: list[str]) -> np.ndarray:
+    """Bool mask of the rows of ``rows``, sorted on ``cols``, that open a
+    run of equal ``cols`` values.  A null is a value: null keys form one
+    run of their own."""
+    starts = np.zeros(rows.num_rows, bool)
+    starts[:1] = True
+    for c in cols:
+        codes = pc.fill_null(pc.dictionary_encode(
+            rows.column(c).combine_chunks()).indices, -1).to_numpy()
+        starts[1:] |= codes[1:] != codes[:-1]
+    return starts
+
+
 def _head(rows: pa.Table, group_cols: list[str],
           sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
     """The first ``k`` rows of each group in ``sort_keys`` order, group by
@@ -216,12 +216,7 @@ def _head(rows: pa.Table, group_cols: list[str],
     rows = rows.take(pc.sort_indices(
         rows, sort_keys=[(c, "ascending") for c in group_cols] + sort_keys))
     n = rows.num_rows
-    new_group = np.zeros(n, bool)
-    new_group[:1] = True
-    for c in group_cols:
-        codes = pc.fill_null(pc.dictionary_encode(
-            rows.column(c).combine_chunks()).indices, -1).to_numpy()
-        new_group[1:] |= codes[1:] != codes[:-1]
+    new_group = run_starts(rows, group_cols)
     # each row's position in its group run
     starts = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
     return rows.filter(np.arange(n) - starts < k).combine_chunks()
@@ -305,10 +300,7 @@ def top_k(
         return b.take(idx[:k])
 
     parts = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    tables = _arrow_blocks(parts)
-    if not tables:
-        return _empty_like(ds)
-    merged = pa.concat_tables(tables, promote_options="default")
+    merged = gather(parts) or _empty_like(ds)
     idx = pc.sort_indices(merged, sort_keys=sort_keys)
     return merged.take(idx[:k]).combine_chunks()
 
@@ -322,13 +314,12 @@ def grouped_sketch(ds: "ray.data.Dataset", key: str | None, build,
     ``_head``) and ``build(rows)`` runs once per group on the group's
     Arrow rows.  The built objects travel pickled, one row per group, so
     only ``n_blocks x n_groups`` partials leave the map stage.  The
-    driver fetches the partial blocks one at a time, in
-    ``to_arrow_refs()`` order (the order ``_arrow_blocks`` gathers), and
-    folds each group's partials in that order with ``merge(acc, partial)
-    -> acc`` (which may update ``acc`` in place), so a fold whose result
-    depends on its feed order (KLL compaction) sees the blocks in the
-    order a gather would.  Driver memory is one partial block plus one
-    merged object per group.
+    driver fetches the partial blocks one at a time, in the order
+    ``gather`` reads them, and folds each group's partials in that order
+    with ``merge(acc, partial) -> acc`` (which may update ``acc`` in
+    place), so a fold whose result depends on its feed order (KLL
+    compaction) sees the blocks in the order a gather would.  Driver
+    memory is one partial block plus one merged object per group.
 
     Returns ``{key value: merged object}`` (``{None: ...}`` when ``key``
     is None); a group with no rows, or an empty input, is absent."""
@@ -352,11 +343,8 @@ def grouped_sketch(ds: "ray.data.Dataset", key: str | None, build,
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
     merged: dict = {}
-    for ref in materialized(parts).to_arrow_refs():
+    for ref in _block_refs(parts):
         blk = ray.get(ref)
-        # an empty input block can pass through map_batches untransformed
-        if not len(blk):
-            continue
         for k, payload in zip(blk.column("key").to_pylist(),
                               blk.column("partial").to_pylist()):
             obj = pickle.loads(payload)

@@ -3,9 +3,13 @@
 ``exchange(ds, keys, fn)`` hash-partitions ``ds`` on ``keys`` and runs
 ``fn`` once per partition; ``co_exchange`` does the same for two inputs at
 once, so each partition holds both sides' rows of its keys.  Every
-grouping on a hashed key (joins, windows, per-bucket pair generation,
-distributed aggregate finals) goes through these two calls, so the
-partition hash and the partition count are decided here and nowhere else.
+grouping of rows by key in ``pipelines/`` (joins, windows, per-bucket
+pair generation, per-range sequence packing, distributed aggregate
+finals) goes through these two calls, so the partition hash and the
+partition count are decided here and nowhere else; only ``ops/sort.py``'s
+range exchange groups rows itself.  A partition holds many keys: ``fn``
+sorts its rows and cuts the key runs (``ops.agg.run_starts``) when it
+needs one call per key.
 
 Physical plan: one map tags every row with an int64 partition id, then ONE
 ``groupby(id).map_groups`` sort shuffle routes each partition to a task.

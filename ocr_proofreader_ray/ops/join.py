@@ -47,7 +47,7 @@ import ray.data
 
 from ocr_proofreader_ray.functions.bloom import BloomFilter, build_bloom
 from ocr_proofreader_ray.ops import agg
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, _empty_like, materialized
+from ocr_proofreader_ray.ops.agg import _empty_like, gather, materialized
 from ocr_proofreader_ray.ops.exchange import co_exchange, with_schema
 
 
@@ -104,9 +104,7 @@ def _gathered(ds: "ray.data.Dataset") -> tuple["ray.data.Dataset",
     ds = materialized(ds)
     if ds.size_bytes() > agg._DRIVER_MAX_BYTES:
         return ds, None
-    blocks = _arrow_blocks(ds)
-    return ds, (pa.concat_tables(blocks, promote_options="default")
-                if blocks else _empty_like(ds))
+    return ds, gather(ds) or _empty_like(ds)
 
 
 def _distinct_keys(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":

@@ -23,7 +23,7 @@ import traceback
 import pyarrow as pa
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import _arrow_blocks
+from ocr_proofreader_ray.ops.agg import gather
 
 _QUAR_COLS = ("__bad", "__row_json", "__error", "__error_type")
 # the quarantine table split_quarantine returns
@@ -106,7 +106,4 @@ def split_quarantine(tagged: "ray.data.Dataset"):
         lambda b: b.filter(b.column("__bad"))
                    .select(["__row_json", "__error", "__error_type"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    bad = pa.concat_tables(
-        _arrow_blocks(bad_ds) or [_QUAR_SCHEMA.empty_table()],
-        promote_options="default")
-    return good, bad
+    return good, gather(bad_ds) or _QUAR_SCHEMA.empty_table()

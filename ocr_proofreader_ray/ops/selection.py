@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray
 
 from ocr_proofreader_ray.ops import agg
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+from ocr_proofreader_ray.ops.agg import gather, grouped_agg
 
 
 def grouped_kth_smallest(
@@ -64,11 +64,10 @@ def _fold_nan_keys(t: pa.Table, group_col: str) -> pa.Table:
 
 
 def _kth_driver(ds, group_col: str, value_col: str, ranks_for) -> dict:
-    tables = _arrow_blocks(ds)
-    if not tables:
+    t = gather(ds)
+    if t is None:
         return {}
-    t = _fold_nan_keys(pa.concat_tables(tables, promote_options="default"),
-                       group_col)
+    t = _fold_nan_keys(t, group_col)
     # Arrow group collapse (VERDICT r04 nit: was a pandas groupby crossing):
     # dictionary-encode the group column, slice values per code; a null
     # (or NaN) group keys as None, same contract as the pandas dropna=False

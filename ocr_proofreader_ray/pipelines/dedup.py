@@ -42,7 +42,7 @@ from ocr_proofreader_ray.functions.sketches import (
     stable_hash64,
 )
 from ocr_proofreader_ray.ops import agg
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, materialized
+from ocr_proofreader_ray.ops.agg import gather, grouped_agg, materialized
 from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, join, prefilter
 from ocr_proofreader_ray.pipelines.registry import register
@@ -265,12 +265,11 @@ def _candidate_pairs(bands: "ray.data.Dataset",
 
     bands = materialized(bands)
     if bands.size_bytes() <= agg._DRIVER_MAX_BYTES:
-        blocks = _arrow_blocks(bands)
-        if not blocks:
+        rows = gather(bands)
+        if rows is None:
             return ray.data.from_arrow(pa.table({
                 "doc_a": pa.array([], pa.int64()),
                 "doc_b": pa.array([], pa.int64())}))
-        rows = pa.concat_tables(blocks, promote_options="default")
         u = (rows.group_by(bucket_cols)
              .aggregate([("doc_id", "count_distinct")])
              .column("doc_id_count_distinct").to_numpy())
@@ -723,6 +722,12 @@ def _emb_scheme(corpus_size: int | None,
     return bits, tables
 
 
+def _emb_matrix(col: pa.ListArray, n: int) -> np.ndarray:
+    """The ``n`` embeddings of a list array as float64 rows."""
+    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    return flat.reshape(n, len(flat) // max(n, 1))
+
+
 def _emb_planes(dim: int, tables: int, bits: int) -> np.ndarray:
     rng = np.random.RandomState(0xE1B)
     return rng.standard_normal((tables, bits, dim))
@@ -744,7 +749,7 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
     found in several tables dedup exactly on (vec_a, vec_b) keeping the
     identical cos_milli.
 
-    Cost note: the bucket groupby shuffles each embedding ``tables`` times
+    Cost note: the bucket exchange moves each embedding ``tables`` times
     (the standard multi-table LSH duplication) — the scheme quantifies
     exactly what each width buys in recall vs shuffle volume.
     """
@@ -755,29 +760,14 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
     emb_bits, emb_tables = scheme
 
     def to_buckets(b: pa.Table) -> pa.Table:
-        if len(b) == 0:
-            # empty block: offsets has a single element — return the empty
-            # output shape instead of indexing offsets[1]
-            return pa.table({
-                "vec_id": pa.array([], pa.int64()),
-                "label": b.column("label"),
-                "embedding": b.column("embedding"),
-                "table_id": pa.array([], pa.int32()),
-                "bucket": pa.array([], pa.int64()),
-            })
-        col = b.column("embedding")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        offsets = col.offsets.to_numpy(zero_copy_only=False)
-        dim = int(offsets[1] - offsets[0])
-        mat = flat.reshape(len(b), dim)
-        planes = _emb_planes(dim, emb_tables, emb_bits)
+        n = len(b)
+        col = b.column("embedding").combine_chunks()
+        mat = _emb_matrix(col, n)
+        planes = _emb_planes(mat.shape[1], emb_tables, emb_bits)
         proj = np.einsum("nd,lkd->nlk", mat, planes)
         bits = proj > 0
         weights = np.int64(1) << np.arange(emb_bits, dtype=np.int64)
         buckets = (bits * weights[None, None, :]).sum(axis=2).astype(np.int64)
-        n = len(b)
         row_idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), emb_tables))
         return pa.table({
             "vec_id": b.column("vec_id").take(row_idx),
@@ -788,31 +778,41 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
             "bucket": pa.array(buckets.reshape(-1)),
         })
 
+    # materialized, so the exchange sizes its partitions from the expanded
+    # rows (``emb_tables`` copies of each embedding), not the read's bytes
     bucketed = emb.map_batches(to_buckets, batch_format="pyarrow",
-                               zero_copy_batch=True)
+                               zero_copy_batch=True).materialize()
+    keys = ["label", "table_id", "bucket"]
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.asarray(g["vec_id"].tolist(), dtype=np.int64)
-        mat = np.asarray([np.asarray(v, dtype=np.float64)
-                          for v in g["embedding"].tolist()])
-        order = np.argsort(ids)
-        ids, mat = ids[order], mat[order]
-        norms = np.sqrt((mat * mat).sum(axis=1))
-        norms[norms == 0] = 1.0
-        unit = mat / norms[:, None]
-        cos = unit @ unit.T
-        keep = np.triu(cos >= threshold, k=1)
-        # the same vec_id can appear once per table; mask self-pairs
-        keep &= ids[:, None] != ids[None, :]
-        ai, bi = np.where(keep)
-        return pd.DataFrame({
-            "vec_a": ids[ai],
-            "vec_b": ids[bi],
-            "cos_milli": np.floor(cos[ai, bi] * 1000 + 0.5).astype(np.int64),
-        })
+    def bucket_pairs(rows: pa.Table) -> pa.Table:
+        rows = rows.take(pc.sort_indices(rows, sort_keys=[
+            (c, "ascending") for c in keys + ["vec_id"]]))
+        ids = rows.column("vec_id").to_numpy()
+        mat = _emb_matrix(rows.column("embedding").combine_chunks(), len(ids))
+        starts = np.flatnonzero(agg.run_starts(rows, keys))
+        empty = np.zeros(0, np.int64)
+        vec_a, vec_b, cos_milli = [empty], [empty], [empty]
+        # one cosine matrix per bucket, its rows in vec_id order
+        for lo, hi in zip(starts, np.append(starts[1:], len(ids))):
+            g_ids = ids[lo:hi]
+            g = mat[lo:hi]
+            norms = np.sqrt((g * g).sum(axis=1))
+            norms[norms == 0] = 1.0
+            unit = g / norms[:, None]
+            cos = unit @ unit.T
+            keep = np.triu(cos >= threshold, k=1)
+            # the same vec_id can appear once per table; mask self-pairs
+            keep &= g_ids[:, None] != g_ids[None, :]
+            ai, bi = np.where(keep)
+            vec_a.append(g_ids[ai])
+            vec_b.append(g_ids[bi])
+            cos_milli.append(
+                np.floor(cos[ai, bi] * 1000 + 0.5).astype(np.int64))
+        return pa.table({"vec_a": np.concatenate(vec_a),
+                         "vec_b": np.concatenate(vec_b),
+                         "cos_milli": np.concatenate(cos_milli)})
 
-    pairs = bucketed.groupby(["label", "table_id", "bucket"]).map_groups(
-        bucket_pairs, batch_format="pandas")
+    pairs = exchange(bucketed, keys, bucket_pairs)
     # a true pair appears in ~all tables → dedup on (vec_a, vec_b); cos_milli
     # is identical across tables (same float inputs), Min keeps schema honest
     return grouped_agg(pairs, ["vec_a", "vec_b"],
@@ -904,9 +904,7 @@ def _clusters_label_propagation(pairs: "ray.data.Dataset",
     else:
         raise RuntimeError(f"connected components did not converge in "
                            f"{max_rounds} rounds")
-    out = pa.concat_tables(
-        [blk.select(["node", "label"]) for blk in _arrow_blocks(labels_ds)],
-        promote_options="default")
+    out = gather(labels_ds).select(["node", "label"])
     idx = pc.sort_indices(out, sort_keys=[("node", "ascending")])
     out = out.take(idx)
     return pa.table({"doc_id": out.column("node"),
@@ -960,9 +958,7 @@ def dedup_clusters(pairs) -> pa.Table:
     pairs = materialized(pairs)
     if 16 * pairs.count() > agg._DRIVER_MAX_BYTES:
         return _clusters_label_propagation(pairs)
-    blocks = _arrow_blocks(pairs)
-    pairs = (pa.concat_tables(blocks, promote_options="default")
-             if blocks else _PAIRS_SCHEMA.empty_table())
+    pairs = gather(pairs) or _PAIRS_SCHEMA.empty_table()
     return _min_labels(np.asarray(pairs.column("doc_a"), np.int64),
                        np.asarray(pairs.column("doc_b"), np.int64))
 

@@ -47,7 +47,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg, materialized
+from ocr_proofreader_ray.ops.agg import gather, grouped_agg, materialized
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.ops.join import (
     broadcast_semi_anti,
@@ -174,20 +174,17 @@ def dedup_increment(
             }
         new_bands = _band_rows(new_docs, shingle_n).materialize()
 
-        new_ids = pa.concat_tables(
-            _arrow_blocks(new_docs.select_columns(["doc_id"])),
-            promote_options="default",
-        ).column("doc_id").combine_chunks().unique()
+        new_ids = gather(new_docs.select_columns(["doc_id"])
+                         ).column("doc_id").combine_chunks().unique()
         new_id_set = set(new_ids.to_pylist())
 
         # 2. touched index buckets: the new band-key set is increment-sized
         # (32 keys/doc); over-selection from a cross-band key collision only
         # admits old rows whose old-old pairs are filtered out below
-        new_keys = pa.concat_tables(
-            _arrow_blocks(new_bands.select_columns(["band_key"]))
+        new_keys = (
+            gather(new_bands.select_columns(["band_key"]))
             # docs with an empty shingle set band to no rows
-            or [pa.table({"band_key": pa.array([], pa.int64())})],
-            promote_options="default",
+            or pa.table({"band_key": pa.array([], pa.int64())})
         ).column("band_key").combine_chunks().unique()
     _t_pairs0 = time.perf_counter()
     # an index batch written before the band rows lost their partition

@@ -1685,7 +1685,7 @@ def q_price_quartiles(sf_dir: str):
     vals = grouped_kth_smallest(
         ds, "l_returnflag", "cents",
         lambda n: [-(-n * q // 100) for q in (25, 50, 75)])
-    flags = sorted(vals)
+    flags = sorted(vals, key=lambda f: (f is None, f))  # NULL last
     return pa.table({
         "l_returnflag": pa.array(flags, pa.string()),
         "p25_cents": pa.array([vals[f][1][0] for f in flags], pa.int64()),
@@ -2013,7 +2013,7 @@ def q_price_percentiles_cont(sf_dir: str):
                                  math.ceil((n - 1) * q) + 1)})
 
     vals = grouped_kth_smallest(ds, "l_returnflag", "cents", ranks_for)
-    flags = sorted(vals)
+    flags = sorted(vals, key=lambda f: (f is None, f))  # NULL last
     cols: dict = {"l_returnflag": pa.array(flags, pa.string())}
     for q, name in zip(qs, ("p25", "p50", "p75")):
         out = []
@@ -2063,6 +2063,8 @@ def q_winsorized_prices(sf_dir: str):
     li = t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
 
     def prep(b: pa.Table) -> pa.Table:
+        # the SQL join USING (l_returnflag) drops null flags
+        b = b.filter(pc.is_valid(b.column("l_returnflag")))
         return pa.table({
             "l_returnflag": b.column("l_returnflag"),
             "c": to_units(b.column("l_extendedprice"), 100),
@@ -2427,6 +2429,8 @@ def q_price_mad(sf_dir: str):
     li = t(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
 
     def prep(b: pa.Table) -> pa.Table:
+        # the SQL join USING (l_returnflag) drops null flags
+        b = b.filter(pc.is_valid(b.column("l_returnflag")))
         return pa.table({
             "l_returnflag": b.column("l_returnflag"),
             "c": to_units(b.column("l_extendedprice"), 100),
@@ -2585,6 +2589,8 @@ def q_minmax_scaled(sf_dir: str):
            ["l_orderkey", "l_linenumber", "l_returnflag", "l_extendedprice"])
 
     def prep(b: pa.Table) -> pa.Table:
+        # the SQL join USING (l_returnflag) drops null flags
+        b = b.filter(pc.is_valid(b.column("l_returnflag")))
         return pa.table({
             "l_orderkey": b.column("l_orderkey"),
             "l_linenumber": b.column("l_linenumber"),

@@ -22,7 +22,7 @@ import ray
 import ray.data
 
 from ocr_proofreader_ray.ops.agg import (
-    _arrow_blocks,
+    gather,
     grouped_agg,
     grouped_sketch,
     top_k,
@@ -169,10 +169,8 @@ def _train_centroids(sf_dir: str, n_cells: int) -> np.ndarray:
             h = ids_np * np.uint64(0x9E3779B97F4A7C15)  # bijective mix
         return b.filter(pa.array(h <= thresh))
 
-    sample_tab = pa.concat_tables(
-        _arrow_blocks(emb_all.map_batches(hash_sample, batch_format="pyarrow",
-                                          zero_copy_batch=True)),
-        promote_options="default")
+    sample_tab = gather(emb_all.map_batches(hash_sample, batch_format="pyarrow",
+                                            zero_copy_batch=True))
     ids = sample_tab.column("vec_id").to_numpy(zero_copy_only=False)
     sample = np.asarray(sample_tab.column("embedding").to_pylist(),
                         dtype=np.float64)

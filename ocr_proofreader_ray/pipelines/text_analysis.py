@@ -21,7 +21,9 @@ from ocr_proofreader_ray.ops.agg import (
     grouped_sketch,
     grouped_sum_top_k,
     grouped_top_k,
+    run_starts,
 )
+from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.join import join
 from ocr_proofreader_ray.pipelines.registry import register
 from ocr_proofreader_ray.pipelines.relational import t
@@ -966,9 +968,6 @@ def q_pack_sequences(sf_dir: str, budget: int = 256, group_docs: int = 512):
     ``group_docs`` rows regardless of corpus size — not a hot-path Python
     loop over the corpus.  Output: one row per pack with fill stats
     (determinism + coverage + budget invariants pinned by pytest)."""
-    import numpy as np
-    import pandas as pd
-
     ds = t(sf_dir, "documents", ["doc_id", "text"])
 
     def prep(b: pa.Table) -> pa.Table:
@@ -983,38 +982,42 @@ def q_pack_sequences(sf_dir: str, budget: int = 256, group_docs: int = 512):
             "grp": pc.divide(b.column("doc_id"), group_docs),
         })
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        # doc_id tiebreak: within-group row order off Ray's groupby depends
-        # on block arrival order, so ties must break on a total order or
-        # FFD packs differently run-to-run
-        g = g.sort_values(["tokens", "doc_id"], ascending=[False, True])
-        toks = g["tokens"].to_numpy()
-        grp = int(g["grp"].iloc[0])
-        bins: list[int] = []  # remaining capacity per bin
-        assign = np.empty(len(toks), dtype=np.int64)
+    def pack(rows: pa.Table) -> pa.Table:
+        # doc_id tiebreak: row order inside a partition depends on block
+        # arrival order, so ties must break on a total order or FFD packs
+        # differently run-to-run
+        rows = rows.take(pc.sort_indices(rows, sort_keys=[
+            ("grp", "ascending"), ("tokens", "descending"),
+            ("doc_id", "ascending")]))
+        toks = rows.column("tokens").to_numpy()
+        starts = run_starts(rows, ["grp"])
+        # each doc's pack: its range's first pack id plus its FFD bin
+        pack_id = rows.column("grp").to_numpy() * group_docs
         for i, tk in enumerate(toks):
+            if starts[i]:
+                bins: list[int] = []  # remaining capacity per bin
             for b_i, cap in enumerate(bins):
                 if tk <= cap:
                     bins[b_i] = cap - tk
-                    assign[i] = b_i
                     break
             else:
-                assign[i] = len(bins)
+                b_i = len(bins)
                 bins.append(max(0, budget - int(tk)))
-        out = pd.DataFrame({"bin": assign, "tokens": toks})
-        agg = out.groupby("bin").agg(n_docs=("tokens", "size"),
-                                     total_tokens=("tokens", "sum"))
-        agg = agg.reset_index()
-        return pd.DataFrame({
-            "pack_id": grp * group_docs + agg["bin"],
-            "n_docs": agg["n_docs"].astype("int64"),
-            "total_tokens": agg["total_tokens"].astype("int64"),
-            "fill_frac": agg["total_tokens"] / float(budget),
-            "overflow": agg["total_tokens"] > budget,
+            pack_id[i] += b_i
+        packs = pa.table({"pack_id": pack_id, "tokens": toks}).group_by(
+            "pack_id").aggregate([("tokens", "count"), ("tokens", "sum")])
+        total = packs.column("tokens_sum")
+        return pa.table({
+            "pack_id": packs.column("pack_id"),
+            "n_docs": packs.column("tokens_count"),
+            "total_tokens": total,
+            "fill_frac": pc.divide(pc.cast(total, pa.float64()),
+                                   float(budget)),
+            "overflow": pc.greater(total, budget),
         })
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.groupby("grp").map_groups(pack, batch_format="pandas")
+    return exchange(ds, ["grp"], pack)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,32 @@ def test_embedding_neardup_pairs(ray_session, tmp_path):
     assert keys == {(0, 1)}
 
 
+def test_embedding_null_label_is_a_group(ray_session, tmp_path):
+    """Rows with a null label pair among themselves, as one group, and
+    never with a labelled row; the input spans two files."""
+    import pyarrow.parquet as pq
+
+    from ocr_proofreader_ray.pipelines.dedup import q_dedup_embedding
+
+    rng = np.random.RandomState(5)
+    base = rng.standard_normal(16).astype(np.float32)
+    vecs = [base + 1e-4 * rng.standard_normal(16).astype(np.float32)
+            for _ in range(6)]
+    emb = tmp_path / "embeddings.parquet"
+    emb.mkdir()
+    for part, ids, labels in (("a", [0, 1, 2], [0, None, 0]),
+                              ("b", [3, 4, 5], [None, 0, 1])):
+        pq.write_table(pa.table({
+            "vec_id": pa.array(ids, pa.int64()),
+            "embedding": pa.array([vecs[i].tolist() for i in ids],
+                                  pa.list_(pa.float32())),
+            "label": pa.array(labels, pa.int32()),
+        }), str(emb / f"{part}.parquet"))
+    pairs = q_dedup_embedding(str(tmp_path)).take_all()
+    assert sorted((p["vec_a"], p["vec_b"]) for p in pairs) == [
+        (0, 2), (0, 4), (1, 3), (2, 4)]
+
+
 def test_embedding_scheme_two_widths_agree(ray_session, tmp_path):
     """VERDICT r02 #2: the planted near-dup pair must be recalled at both
     the narrow (8-bit) and wide (16-bit) hyperplane bucketing, and the

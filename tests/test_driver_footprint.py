@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pyarrow as pa
+import pytest
+
 from fixtures.gen_golden_queries import SF_DIR as SF
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,24 +55,45 @@ def _lazy_lineitem():
         lambda b: b, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def test_arrow_blocks_executes_a_lazy_plan_once(ray_session,
-                                                count_executions):
+def test_gather_executes_a_lazy_plan_once(ray_session, count_executions):
     # to_arrow_refs alone would run the plan, then a limit=1 schema probe
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
 
-    rows = sum(t.num_rows for t in _arrow_blocks(_lazy_lineitem()))
+    rows = gather(_lazy_lineitem()).num_rows
     assert rows > 0
     assert count_executions.n == 1
 
 
-def test_arrow_blocks_of_a_materialized_dataset_builds_no_dataset(
+@pytest.mark.parametrize("drain", ["gather", "grouped_sketch"])
+def test_empty_result_runs_no_schema_probe(ray_session, count_executions,
+                                           drain):
+    """A plan whose blocks are all empty drains in one execution: block
+    metadata says they hold no rows, so nothing reads a schema through a
+    ``limit=1`` execution (``to_arrow_refs`` does, when no block carries
+    one)."""
+    import ray.data
+
+    from ocr_proofreader_ray.ops.agg import gather, grouped_sketch
+
+    ds = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+    if drain == "gather":
+        # from_arrow alone is already executed; the map makes a plan
+        assert gather(ds.map_batches(lambda b: b,
+                                     batch_format="pyarrow")) is None
+    else:
+        assert grouped_sketch(ds, None, len, lambda a, b: a + b) == {}
+    assert count_executions.n == 1
+    assert count_executions.limit_dags == 0
+
+
+def test_gather_of_a_materialized_dataset_builds_no_dataset(
         ray_session, count_executions, monkeypatch):
     """Gathering an executed MaterializedDataset reads its blocks as they
     are: ``materialize()`` on it would copy its plan and build two
     Datasets, each a blocking call to Ray Data's stats actor."""
     from ray.data.dataset import Dataset
 
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
 
     ds = _lazy_lineitem().materialize()
     built = []
@@ -80,7 +104,7 @@ def test_arrow_blocks_of_a_materialized_dataset_builds_no_dataset(
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Dataset, "__init__", init)
-    rows = sum(t.num_rows for t in _arrow_blocks(ds))
+    rows = gather(ds).num_rows
     assert rows == ds.count()
     assert built == []
     assert count_executions.n == 1  # the materialize above

@@ -51,7 +51,7 @@ def _key_tuples(tab: pa.Table, keys: list[str]) -> list[tuple]:
 def test_exchange_routes_each_key_to_one_call(ray_session, case):
     import uuid
 
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
     from ocr_proofreader_ray.ops.exchange import exchange
 
     keys, tab = _KEY_CASES[case]
@@ -62,7 +62,7 @@ def test_exchange_routes_each_key_to_one_call(ray_session, case):
             "call", pa.array([uuid.uuid4().hex] * n)).append_column(
             "seen", pa.array([",".join(rows.column_names)] * n))
 
-    out = pa.concat_tables(_arrow_blocks(exchange(_blocks(tab), keys, fn)))
+    out = gather(exchange(_blocks(tab), keys, fn))
     # fn saw ds's own columns, never the partition column
     assert set(out.column("seen").to_pylist()) == {",".join(tab.column_names)}
     calls: dict = {}
@@ -88,7 +88,7 @@ def test_exchange_rejects_reserved_partition_column(ray_session):
 @pytest.mark.parametrize("case", sorted(_KEY_CASES))
 def test_co_exchange_meets_both_sides_with_typed_empty_sides(ray_session,
                                                              case):
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
     from ocr_proofreader_ray.ops.exchange import co_exchange
 
     keys, tab = _KEY_CASES[case]
@@ -111,8 +111,8 @@ def test_co_exchange_meets_both_sides_with_typed_empty_sides(ray_session,
             "right_keys": [json.dumps(sorted(rk, key=repr))],
         })
 
-    out = pa.concat_tables(_arrow_blocks(
-        co_exchange(_blocks(tab), _blocks(right, 2), keys, rkeys, fn)))
+    out = gather(
+        co_exchange(_blocks(tab), _blocks(right, 2), keys, rkeys, fn))
     assert sum(out.column("n_left").to_pylist()) == tab.num_rows
     assert sum(out.column("n_right").to_pylist()) == right.num_rows
     # a right key's partition holds that key's left rows too
@@ -172,18 +172,17 @@ def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
     import ray.data
 
     from ocr_proofreader_ray.ops import agg
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks, grouped_agg
+    from ocr_proofreader_ray.ops.agg import gather, grouped_agg
 
     keys, aggs, tab = _AGG_CASES[case]
     ds = _blocks(tab) if tab.num_rows else ray.data.from_arrow(tab)
     want = grouped_agg(ds, keys, aggs)
     # bound 0: any partial row takes the exchange merge
     monkeypatch.setattr(agg, "_DRIVER_MAX_BYTES", 0)
-    got = _arrow_blocks(grouped_agg(ds, keys, aggs, as_dataset=True))
+    got = gather(grouped_agg(ds, keys, aggs, as_dataset=True))
     if not want.num_rows:
-        assert got == []
+        assert got is None
         return
-    got = pa.concat_tables(got)
     assert got.schema == want.schema
     order = [(c, "ascending") for c in keys]
     assert got.sort_by(order).to_pylist() == want.sort_by(order).to_pylist()
@@ -193,13 +192,11 @@ def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
 # guard: rows are hash-partitioned only in ops/exchange.py
 # ---------------------------------------------------------------------------
 
-# groupings on a real, low-cardinality key, plus the range exchange of the
-# global sort; everything else partitions through ops.exchange
+# the hash exchange and the range exchange of the global sort; everything
+# else partitions through ops.exchange
 _MAP_GROUPS_ALLOWED = {
     ("ops/exchange.py", None),
     ("ops/sort.py", None),
-    ("pipelines/text_analysis.py", "q_pack_sequences"),
-    ("pipelines/dedup.py", "q_dedup_embedding"),
 }
 
 
@@ -276,7 +273,7 @@ def test_num_partitions_sized_from_source_bytes(ray_session, monkeypatch):
     import math
 
     from ocr_proofreader_ray.ops import exchange as ex
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
     from ocr_proofreader_ray.pipelines.relational import t
 
     read = t(SF_DIR, "lineitem", ["l_orderkey", "l_quantity"])
@@ -285,9 +282,9 @@ def test_num_partitions_sized_from_source_bytes(ray_session, monkeypatch):
     assert mapped.input_files() == [] and mat.input_files() == []
 
     def sums(ds):
-        out = pa.concat_tables(_arrow_blocks(ex.exchange(
+        out = gather(ex.exchange(
             ds, ["l_orderkey"], lambda rows: rows.group_by("l_orderkey")
-            .aggregate([("l_quantity", "sum")]))))
+            .aggregate([("l_quantity", "sum")])))
         return sorted(zip(*out.to_pydict().values()))
 
     want = sums(mapped)

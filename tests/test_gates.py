@@ -1,7 +1,8 @@
 """The package has one size gate, ``ops.agg._DRIVER_MAX_BYTES``, which
 ``conftest.all_exchange`` forces, so no plan runs only at a scale the
 tests never reach; no pipeline module holds a gate; only ``ops/``
-builds Bloom filters; and only ``ops.agg`` pickles partials."""
+builds Bloom filters; only ``ops.agg`` pickles partials or reads block
+refs; and every block is Arrow."""
 
 import ast
 import os
@@ -78,3 +79,29 @@ def test_only_ops_agg_pickles():
     assert not [(module, n) for module, tree in _modules()
                 if module != "ocr_proofreader_ray.ops.agg"
                 for n in _imports(tree) if n.endswith("pickle")]
+
+
+def _calls(tree):
+    return (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+def test_no_module_makes_pandas_blocks():
+    """Arrow is the only block format: no map or grouping of the package
+    asks Ray for pandas batches, whose output blocks stay pandas."""
+    assert not [module for module, tree in _modules()
+                for call in _calls(tree) for kw in call.keywords
+                if kw.arg == "batch_format"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value == "pandas"]
+
+
+def test_only_ops_agg_reads_block_refs():
+    """Plans drain to the driver only through ``ops.agg.gather`` (and
+    ``grouped_sketch``'s fold), which run a plan once and never probe
+    its schema."""
+    assert not [(module, call.func.attr) for module, tree in _modules()
+                if module != "ocr_proofreader_ray.ops.agg"
+                for call in _calls(tree)
+                if isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("to_arrow_refs",
+                                       "iter_internal_ref_bundles")]

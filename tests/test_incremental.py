@@ -26,10 +26,10 @@ def _docs(rows):
 
 def _keep_ids(res) -> list[int]:
     """Sorted doc ids of an exact increment's kept Dataset."""
-    from ocr_proofreader_ray.ops.agg import _arrow_blocks
+    from ocr_proofreader_ray.ops.agg import gather
 
-    return sorted(i for b in _arrow_blocks(res["keep"])
-                  for i in b.column("doc_id").to_pylist())
+    keep = gather(res["keep"])
+    return [] if keep is None else sorted(keep.column("doc_id").to_pylist())
 
 
 def _fixture():

@@ -74,15 +74,15 @@ def test_minhash_verification_ships_its_set_table_once(ray_session,
 
     puts = _count_puts(monkeypatch, "els")
     gathers = []
-    real_gather = j._arrow_blocks
+    real_gather = j.gather
 
     def gather(ds):
-        blocks = real_gather(ds)
-        if any("els" in b.column_names for b in blocks):
-            gathers.append(sum(b.num_rows for b in blocks))
-        return blocks
+        rows = real_gather(ds)
+        if rows is not None and "els" in rows.column_names:
+            gathers.append(rows.num_rows)
+        return rows
 
-    monkeypatch.setattr(j, "_arrow_blocks", gather)
+    monkeypatch.setattr(j, "gather", gather)
     out = dedup.q_dedup_minhash(SF)
     rows = out.num_rows if isinstance(out, pa.Table) else out.count()
     assert rows > 0
@@ -127,10 +127,9 @@ def test_latest_event_gathers_nothing_above_the_bounds(ray_session,
 
     def refuse(ds):
         calls.append(ds)
-        return []
 
-    monkeypatch.setattr(agg, "_arrow_blocks", refuse)
-    monkeypatch.setattr(j, "_arrow_blocks", refuse)
+    monkeypatch.setattr(agg, "gather", refuse)
+    monkeypatch.setattr(j, "gather", refuse)
     df = rel.q_latest_event(SF).to_pandas()
     assert calls == []
     assert len(df) > 0 and df["user_id"].is_unique
@@ -144,14 +143,14 @@ def test_urgent_order_revenue_gathers_its_orders_once(ray_session,
     import ocr_proofreader_ray.pipelines.relational as rel
 
     gathers = []
-    real_gather = j._arrow_blocks
+    real_gather = j.gather
 
     def gather(ds):
-        blocks = real_gather(ds)
-        gathers.append(sum(b.num_rows for b in blocks))
-        return blocks
+        rows = real_gather(ds)
+        gathers.append(0 if rows is None else rows.num_rows)
+        return rows
 
-    monkeypatch.setattr(j, "_arrow_blocks", gather)
+    monkeypatch.setattr(j, "gather", gather)
     out = rel.q_urgent_order_revenue(SF)
     assert out.column("n_items")[0].as_py() > 0
     assert len(gathers) == 1 and gathers[0] > 0

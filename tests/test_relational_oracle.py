@@ -108,6 +108,50 @@ def test_count_distinct_users_null_event_type(ray_session, tmp_path):
                                   check_exact=True)
 
 
+# rows each query's SQL returns over the null-flag lineitem below
+_NULL_FLAG_ROWS = {
+    "q_price_quartiles": 3, "q_price_percentiles_cont": 3,
+    "q_price_mad": 2, "q_winsorized_prices": 2, "q_minmax_scaled": 5,
+}
+
+
+@pytest.mark.parametrize("plan", ["default", "all_exchange"])
+@pytest.mark.parametrize("name", sorted(_NULL_FLAG_ROWS))
+def test_order_statistics_null_returnflag(ray_session, tmp_path, request,
+                                          name, plan):
+    """A null ``l_returnflag`` follows each query's SQL: the ``GROUP BY``
+    queries keep a null group (sorting the group keys raised
+    ``TypeError`` on it), and the ``JOIN ... USING (l_returnflag)``
+    queries drop the null-flag rows, as the join does.  ``all_exchange``
+    runs the bisection plan of the order statistics."""
+    import pyarrow.parquet as pq
+
+    if plan == "all_exchange":
+        request.getfixturevalue("all_exchange")
+    lineitem = tmp_path / "lineitem.parquet"
+    lineitem.mkdir()
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([1, 1, 2, 3], pa.int64()),
+        "l_linenumber": pa.array([1, 2, 1, 1], pa.int64()),
+        "l_returnflag": pa.array(["A", None, "R", "A"]),
+        "l_extendedprice": pa.array([10.0, 20.5, 30.25, 40.0]),
+    }), str(lineitem / "a.parquet"))
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([4, 5, 5, 6], pa.int64()),
+        "l_linenumber": pa.array([1, 1, 2, 1], pa.int64()),
+        "l_returnflag": pa.array([None, "R", None, "A"]),
+        "l_extendedprice": pa.array([15.0, 25.0, 35.5, 45.75]),
+    }), str(lineitem / "b.parquet"))
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW lineitem AS SELECT * FROM "
+              f"read_parquet('{lineitem}/*.parquet')")
+    got = canon(to_pandas(QUERIES[name](str(tmp_path))))
+    want = canon(c.sql(ORACLES[name]).df())
+    assert len(want) == _NULL_FLAG_ROWS[name]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+
+
 @pytest.mark.parametrize("plan", ["default", "all_exchange"])
 def test_rank_in_segment_null_segment(ray_session, tmp_path, request, plan):
     """A null market segment is its own ranking partition, as in SQL; Ray's
