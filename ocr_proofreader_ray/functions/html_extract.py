@@ -1,8 +1,9 @@
 """Main-content extraction from HTML via DOM-heuristic text-density scoring.
 
 Implements SURVEY.md §2 A3 ("HTML boilerplate strip via DOM-heuristic
-text-density scoring", BASELINE.json north_star).  Built on stdlib
-``html.parser`` only (no lxml/bs4 in this environment).
+text-density scoring", BASELINE.json north_star).  Built on the standard
+library only (no lxml/bs4 in this environment): a regex tokenizer, checked
+against a stdlib ``html.parser`` reference kept under ``tests/``.
 
 Algorithm (text-density family — cf. Arc90 Readability / CETD, public
 knowledge):
@@ -25,8 +26,6 @@ The function is pure: ``bytes -> str``.
 """
 
 from __future__ import annotations
-
-from html.parser import HTMLParser
 
 # Subtrees whose text is boilerplate by construction — dropped at parse time.
 DROP_TAGS = frozenset(
@@ -101,93 +100,6 @@ def _roll_up(stack: list, i: int, link_depth: int) -> int:
     return link_depth
 
 
-class _TreeBuilder(HTMLParser):
-    """Tolerant tree builder: ignores stray end tags, auto-closes at EOF,
-    prunes DROP_TAGS subtrees during parsing."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("#root", 0)
-        self.stack: list[_Node] = [self.root]
-        self._order = 0
-        self._drop_depth = 0  # >0 → inside a dropped subtree
-        self._link_depth = 0
-        self._finalized = False
-
-    def handle_starttag(self, tag: str, attrs) -> None:
-        if self._drop_depth:
-            if tag in DROP_TAGS or tag not in VOID_TAGS:
-                # nested non-void inside a dropped subtree deepens the drop
-                if tag not in VOID_TAGS:
-                    self._drop_depth += 1
-            return
-        if tag in DROP_TAGS:
-            self._drop_depth = 1
-            return
-        self._order += 1
-        node = _Node(tag, self._order)
-        self.stack[-1].children.append(node)
-        if tag not in VOID_TAGS:
-            self.stack.append(node)
-            if tag == "a":
-                self._link_depth += 1
-        else:
-            self.stack[-1].tc += 1
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        if self._drop_depth:
-            return
-        if tag in DROP_TAGS:
-            return
-        self._order += 1
-        self.stack[-1].children.append(_Node(tag, self._order))
-        self.stack[-1].tc += 1
-
-    def handle_endtag(self, tag: str) -> None:
-        if self._drop_depth:
-            if tag in DROP_TAGS or tag not in VOID_TAGS:
-                self._drop_depth -= 1
-            return
-        # close up to the nearest matching open tag; ignore stray end tags
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                self._link_depth = _roll_up(self.stack, i, self._link_depth)
-                return
-
-    def handle_data(self, data: str) -> None:
-        if self._drop_depth or not data:
-            return
-        top = self.stack[-1]
-        top.children.append(data)
-        n = len(data.strip())
-        top.tl += n
-        if self._link_depth:
-            top.ll += n
-
-    def finalize(self) -> None:
-        """Auto-close everything still open (idempotent) so root carries
-        complete subtree totals."""
-        if not self._finalized:
-            self._finalized = True
-            self._link_depth = _roll_up(self.stack, 1, self._link_depth)
-
-
-def parse_html_stdlib(html: bytes | str) -> _Node:
-    """Reference parser on stdlib ``html.parser`` — kept for cross-checking
-    the fast tokenizer (tests assert both produce identical trees/text)."""
-    if isinstance(html, (bytes, bytearray, memoryview)):
-        html = bytes(html).decode("utf-8", errors="replace")
-    builder = _TreeBuilder()
-    try:
-        builder.feed(html)
-        builder.close()
-    except Exception:
-        # html.parser is robust, but never let one page kill a batch
-        pass
-    builder.finalize()
-    return builder.root
-
-
 # --------------------------------------------------------------------------
 # fast tokenizer: the hot path
 # --------------------------------------------------------------------------
@@ -198,7 +110,8 @@ def parse_html_stdlib(html: bytes | str) -> _Node:
 # elements (script/style), start/end/self-closing tags, entity-bearing text
 # — and feeds the same tolerant tree-building rules.  Measured ~3x faster.
 # Equivalence contract (the tested one): EXTRACTED TEXT of the winning
-# candidate is byte-identical to parse_html_stdlib over every generated
+# candidate is byte-identical to the html.parser reference
+# (tests/html_reference.py) over every generated
 # fixture page including the malformed cases.  The parse TREES may differ
 # on inputs outside that contract: textarea/title are treated as raw text
 # (RCDATA, per the HTML spec) while html.parser parses tags inside them,
@@ -224,9 +137,9 @@ _RAW_CLOSE = {
 
 def parse_html(html: bytes | str) -> _Node:
     """Fast parse of HTML bytes (UTF-8, errors replaced) into the same
-    pruned mini-DOM as ``parse_html_stdlib``.
+    pruned mini-DOM as the html.parser reference (``tests/``).
 
-    The tolerant tree-building rules of ``_TreeBuilder`` are INLINED here
+    The tolerant tree-building rules are INLINED here
     — two bound-method dispatches per tag were ~11% of parse time at ~86
     tags/page; equivalence with the stdlib builder is pinned by the golden
     corpus and the fast-vs-stdlib tree tests."""

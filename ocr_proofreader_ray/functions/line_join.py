@@ -48,11 +48,6 @@ def join_paragraph_tokens(lines: list[str],
     return out
 
 
-def join_paragraph(lines: list[str], dictionary: Container[str]) -> str:
-    """Reflow one paragraph's hard-wrapped lines into a single logical line."""
-    return " ".join(join_paragraph_tokens(lines, dictionary))
-
-
 def join_lines_tokens(text: str,
                       dictionary: Container[str]) -> list[list[str]]:
     """Split ``text`` on blank lines and reflow each paragraph to its TOKEN

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ocr_proofreader_ray.functions.line_join import (
-    join_lines,
-    join_lines_tokens,
-)
+from ocr_proofreader_ray.functions.line_join import join_lines_tokens
 
 
 class _EveryWord:
@@ -33,11 +30,6 @@ class _EveryWord:
 
 
 _EVERY_WORD = _EveryWord()
-
-
-def naive_unwrap(text: str) -> list[str]:
-    """Paragraph reflow with unconditional hyphen-join (no dictionary)."""
-    return join_lines(text, _EVERY_WORD)
 
 
 def dict_tokens(text: str) -> list[str]:

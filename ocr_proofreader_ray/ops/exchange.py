@@ -1,15 +1,27 @@
-"""The one hash exchange: rows that share a key meet in one task.
+"""The one exchange: rows that share a key meet in one task.
 
-``exchange(ds, keys, fn)`` hash-partitions ``ds`` on ``keys`` and runs
-``fn`` once per partition; ``co_exchange`` does the same for two inputs at
-once, so each partition holds both sides' rows of its keys.  Every
-grouping of rows by key in ``pipelines/`` (joins, windows, per-bucket
-pair generation, per-range sequence packing, distributed aggregate
-finals) goes through these two calls, so the partition hash and the
-partition count are decided here and nowhere else; only ``ops/sort.py``'s
-range exchange groups rows itself.  A partition holds many keys: ``fn``
-sorts its rows and cuts the key runs (``ops.agg.run_starts``) when it
-needs one call per key.
+``exchange(ds, keys, fn)`` partitions ``ds`` on ``keys`` and runs ``fn``
+once per partition; ``co_exchange`` does the same for two inputs at once,
+so each partition holds both sides' rows of its keys.  Every grouping of
+rows by key in the package (joins, windows, per-bucket pair generation,
+per-range sequence packing, distributed aggregate finals, the global
+sort's ranges) goes through these two calls, so the partition function
+and the partition count are decided here and nowhere else.  A partition
+holds many keys: ``fn`` sorts its rows and cuts the key runs
+(``ops.agg.run_starts``) when it needs one call per key.
+
+Two routings share the one physical plan:
+
+- hash (the default): ``partition_ids`` hashes the keys into
+  ``num_partitions`` partitions.  Integers take a multiplicative hash in
+  numpy (null maps to 0) and every other type polars' seeded xxhash, so a
+  null or non-ASCII key is an ordinary key.  Equal values hash equally on
+  both sides of a ``co_exchange`` whatever their integer width.  The hash
+  is stable across worker processes for a fixed polars version; nothing
+  persists it, because both sides of an exchange hash inside one job.
+- range (``bounds=``, one key column): ``range_ids`` gives a row the
+  index of its key range among sorted boundaries, ``len(bounds) + 1``
+  partitions — ``ops/sort.py``'s sample-based global sort.
 
 Physical plan: one map tags every row with an int64 partition id, then ONE
 ``groupby(id).map_groups`` sort shuffle routes each partition to a task.
@@ -17,13 +29,6 @@ Ray's sort-based groupby is only ever asked to order that int column: its
 sampled sort boundaries split multi-byte UTF-8 string keys and cannot
 order a null key at all, so grouping on the key itself breaks on exactly
 the keys a crawl carries.
-
-``partition_ids`` hashes integers with a multiplicative hash in numpy
-(null maps to 0) and every other type with polars' seeded xxhash, so a
-null or non-ASCII key is an ordinary key.  Equal values hash equally on
-both sides of a ``co_exchange`` whatever their integer width.  The hash is
-stable across worker processes for a fixed polars version; nothing
-persists it, because both sides of an exchange hash inside one job.
 """
 
 from __future__ import annotations
@@ -108,6 +113,39 @@ def partition_ids(table: pa.Table, keys: list[str], n: int) -> pa.Array:
     return pa.array(((h >> np.uint64(40)) % np.uint64(n)).astype(np.int64))
 
 
+def range_ids(bounds: np.ndarray, col: pa.Array | pa.ChunkedArray
+              ) -> np.ndarray:
+    """Key range per row of a non-null int or string column against a
+    small sorted boundary array (object dtype for strings):
+    ``np.searchsorted(bounds, col, side='right')``, in [0, len(bounds)].
+
+    Int keys take the numpy fast path.  String keys run a VECTORIZED
+    branchless binary search — log2(len(bounds)) Arrow string compares,
+    each row against its own gathered boundary — so per-batch memory stays
+    O(batch bytes), independent of the longest string in the batch (a
+    fixed-width numpy unicode array costs max_len x rows x 4 bytes)."""
+    if pa.types.is_integer(col.type):
+        return np.searchsorted(
+            bounds.astype(np.int64),
+            np.asarray(pc.cast(col, pa.int64())), side="right")
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    n = len(col)
+    lo = np.zeros(n, np.int64)
+    hi = np.full(n, len(bounds), np.int64)
+    # first index i with bounds[i] > key == count of bounds <= key
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        per_row = pa.array(
+            bounds[np.minimum(mid, len(bounds) - 1)].tolist(), pa.string())
+        gt = np.asarray(pc.greater(per_row, col))  # bounds[mid] > key
+        hi = np.where(active & gt, mid, hi)
+        lo = np.where(active & ~gt, mid + 1, lo)
+
+
 def _plain(out: pa.Table) -> pa.Table:
     """``out`` without schema metadata: a ``Table.from_pandas`` result
     carries a metadata dict, which makes Ray's per-block schema dedup fail
@@ -119,18 +157,32 @@ def exchange(
     ds: "ray.data.Dataset",
     keys: list[str],
     fn,
+    bounds: np.ndarray | None = None,
 ) -> "ray.data.Dataset":
-    """Hash-partition ``ds`` on ``keys``; ``fn(rows) -> pa.Table`` runs once
-    per partition, on all rows of every key hashed there, as an Arrow table
-    in ``ds``'s own columns.  One partition may hold many keys."""
+    """Partition ``ds`` on ``keys``; ``fn(rows) -> pa.Table`` runs once per
+    partition, on all rows of every key routed there, as an Arrow table in
+    ``ds``'s own columns.  One partition may hold many keys.
+
+    Rows are hash-partitioned, or with ``bounds`` (sorted boundaries of
+    the single key column) range-partitioned: partition i holds the keys
+    in [bounds[i-1], bounds[i])."""
     keys = list(keys)
-    n = num_partitions(ds)
+    if bounds is None:
+        n = num_partitions(ds)
+
+        def route(b: pa.Table) -> pa.Array:
+            return partition_ids(b, keys, n)
+    else:
+        (key,) = keys
+
+        def route(b: pa.Table) -> pa.Array:
+            return pa.array(range_ids(bounds, b.column(key)), pa.int64())
 
     def tag(b: pa.Table) -> pa.Table:
         if _PART in b.column_names:
             raise ValueError(f"exchange: input carries reserved column "
                              f"{_PART!r} — rename upstream")
-        return b.append_column(_PART, partition_ids(b, keys, n))
+        return b.append_column(_PART, route(b))
 
     def run(g: pa.Table) -> pa.Table:
         return _plain(fn(g.drop_columns([_PART])))

@@ -943,8 +943,8 @@ def q_revenue_pivot(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# B10 — deterministic systematic sample (seeded random_sample is covered in
-# tests; the oracle-checked variant uses a modulo filter so SQL can agree)
+# B10 — deterministic systematic sample: a modulo filter on the key, so
+# the rows are the same at any parallelism and SQL can agree
 # ---------------------------------------------------------------------------
 
 @register(

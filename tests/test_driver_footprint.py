@@ -137,11 +137,11 @@ def test_price_quartiles_executions(ray_session, count_executions):
 
 
 def test_ordered_orders_sorts_without_a_probe(ray_session, count_executions):
-    # materialize the packed keys, the key sample, the range assignment,
-    # the range histogram and the drain of the sorted ranges; the reserved
-    # column check reads the materialized schema, so no limit=1 probe
+    # materialize the packed keys, the key sample, the range histogram and
+    # the drain of the range exchange; the reserved column check reads the
+    # materialized schema, so no limit=1 probe
     from ocr_proofreader_ray.pipelines.relational import q_ordered_orders
 
     assert len(q_ordered_orders(SF).take_all()) > 0
-    assert count_executions.n == 5
+    assert count_executions.n == 4
     assert count_executions.limit_dags == 0

@@ -1,12 +1,14 @@
-"""The one hash exchange (``ops/exchange.py``): every key's rows meet in
-one call, on awkward keys too; ``grouped_agg``'s exchange merge built on
-it equals the driver merge; and no other module partitions rows."""
+"""The one exchange (``ops/exchange.py``): every key's rows meet in one
+call, on awkward keys too, and with range routing every key range does;
+``grouped_agg``'s exchange merge built on it equals the driver merge; and
+no other module partitions rows."""
 
 import ast
 import datetime
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -73,6 +75,39 @@ def test_exchange_routes_each_key_to_one_call(ray_session, case):
     # together the calls saw exactly the input rows
     got = out.select(tab.column_names).sort_by("v")
     assert got.to_pylist() == tab.sort_by("v").to_pylist()
+
+
+@pytest.mark.parametrize("keys,bounds", [
+    ([9, -4, 0, 7, 3, 3, 12, -4, 5, 1],
+     np.array([0, 3, 10], np.int64)),
+    (["é", "日本", "e", "ß", "😀", "a", "日本", "zz", "é", "b"],
+     np.array(["b", "ß", "日本"], dtype=object)),
+], ids=["int", "string_multibyte"])
+def test_range_exchange_routes_each_range_to_one_call(ray_session, keys,
+                                                      bounds):
+    """With ``bounds``, partition i holds exactly the keys in
+    [bounds[i-1], bounds[i]) — one call per nonempty range."""
+    import uuid
+
+    from ocr_proofreader_ray.ops.agg import gather
+    from ocr_proofreader_ray.ops.exchange import exchange
+
+    tab = pa.table({"k": keys, "v": pa.array(range(len(keys)), pa.int64())})
+
+    def fn(rows: pa.Table) -> pa.Table:
+        return rows.append_column(
+            "call", pa.array([uuid.uuid4().hex] * rows.num_rows))
+
+    out = gather(exchange(_blocks(tab), ["k"], fn, bounds=bounds))
+    want = np.searchsorted(bounds, np.array(keys, dtype=object), "right")
+    ranges: dict = {}
+    for v, call in zip(out.column("v").to_pylist(),
+                       out.column("call").to_pylist()):
+        ranges.setdefault(call, set()).add(int(want[v]))
+    assert all(len(r) == 1 for r in ranges.values()), ranges
+    assert len(ranges) == len(set(want.tolist()))
+    got = out.select(tab.column_names).sort_by("v")
+    assert got.to_pylist() == tab.to_pylist()
 
 
 def test_exchange_rejects_reserved_partition_column(ray_session):
@@ -189,14 +224,13 @@ def test_grouped_agg_distributed_final_equals_driver(ray_session, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# guard: rows are hash-partitioned only in ops/exchange.py
+# guard: rows are partitioned only in ops/exchange.py
 # ---------------------------------------------------------------------------
 
-# the hash exchange and the range exchange of the global sort; everything
-# else partitions through ops.exchange
+# the one exchange (hash and range routing); everything else partitions
+# through it
 _MAP_GROUPS_ALLOWED = {
     ("ops/exchange.py", None),
-    ("ops/sort.py", None),
 }
 
 

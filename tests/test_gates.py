@@ -2,7 +2,8 @@
 ``conftest.all_exchange`` forces, so no plan runs only at a scale the
 tests never reach; no pipeline module holds a gate; only ``ops/``
 builds Bloom filters; only ``ops.agg`` pickles partials or reads block
-refs; and every block is Arrow."""
+refs; every block is Arrow; and every package module has a caller
+outside ``tests/``."""
 
 import ast
 import os
@@ -17,14 +18,15 @@ PKG = os.path.join(REPO, "ocr_proofreader_ray")
 _NOT_GATES = {"_SAMPLE_MAX", "_SIM_MAX_HAMMING", "_IVF_TRAIN_MAX"}
 
 
-def _modules():
-    for root, _dirs, files in os.walk(PKG):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(root, name)
-                rel = os.path.relpath(path, REPO)[:-3].replace(os.sep, ".")
-                with open(path) as fh:
-                    yield rel.removesuffix(".__init__"), ast.parse(fh.read())
+def _modules(root=PKG):
+    """(dotted module name, AST) of every ``.py`` file under ``root``."""
+    paths = ([root] if root.endswith(".py") else
+             [os.path.join(d, name) for d, _dirs, files in os.walk(root)
+              for name in sorted(files) if name.endswith(".py")])
+    for path in paths:
+        rel = os.path.relpath(path, REPO)[:-3].replace(os.sep, ".")
+        with open(path) as fh:
+            yield rel.removesuffix(".__init__"), ast.parse(fh.read())
 
 
 def _gates():
@@ -55,10 +57,12 @@ def test_no_pipeline_module_holds_a_gate():
 
 
 def _imports(tree):
-    """Every module name an import statement in ``tree`` names."""
+    """Every module name an import statement in ``tree`` names;
+    ``from p import m`` names both ``p`` and ``p.m``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:
             yield node.module
+            yield from (f"{node.module}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Import):
             yield from (a.name for a in node.names)
 
@@ -105,3 +109,30 @@ def test_only_ops_agg_reads_block_refs():
                 if isinstance(call.func, ast.Attribute)
                 and call.func.attr in ("to_arrow_refs",
                                        "iter_internal_ref_bundles")]
+
+
+# what runs the package: the package itself, the job entrypoint, the
+# benchmark, the bench CLI, the driver entry and the fixture generators
+_CALLERS = ("ocr_proofreader_ray", "jobs", "perfbench", "fixtures",
+            "bench.py", "__ray_entry__.py")
+
+# package modules that only tests import, each with why it stays
+_TEST_ONLY_ALLOWED = {
+    "ocr_proofreader_ray.ops.quarantine": "Direction 5",
+}
+
+
+def test_every_package_module_has_a_caller_outside_tests():
+    """A module that only ``tests/`` imports is code production never
+    runs: wire it in or delete it (a test reference lives under
+    ``tests/``)."""
+    imported = {name for root in _CALLERS
+                for module, tree in _modules(os.path.join(REPO, root))
+                for name in _imports(tree) if name != module}
+    modules = {module for module, _tree in _modules()
+               if not module.endswith(".__main__")}
+    modules -= {m.rpartition(".")[0] for m in modules}  # package __init__s
+    assert set(_TEST_ONLY_ALLOWED) <= modules
+    orphans = sorted(modules - imported - set(_TEST_ONLY_ALLOWED))
+    assert not orphans, (
+        f"package modules imported only from tests/: {orphans}")

@@ -87,11 +87,11 @@ def test_fast_parser_matches_stdlib_reference():
     comment to EOF per the HTML5 spec in the fast path, while html.parser
     keeps it as text — not covered here.)"""
     from fixtures.gen_pages import render_shard
+    from html_reference import parse_html_stdlib
     from ocr_proofreader_ray.functions.html_extract import (
         _best_candidate,
         node_text,
         parse_html,
-        parse_html_stdlib,
     )
 
     def text_via(parser, h):

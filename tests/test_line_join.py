@@ -1,6 +1,9 @@
 """Unit tests mirroring the reference's line-joining tests (SURVEY.md §5)."""
 
-from ocr_proofreader_ray.functions.line_join import join_lines, join_paragraph
+from ocr_proofreader_ray.functions.line_join import (
+    join_lines,
+    join_paragraph_tokens,
+)
 
 
 DICT = {"example", "text", "words", "reflow", "into", "one", "line", "well",
@@ -28,11 +31,13 @@ def test_blank_line_is_paragraph_boundary():
 
 
 def test_dangling_hyphen_at_paragraph_end():
-    assert join_paragraph(["words exam-"], DICT) == "words exam-"
+    assert " ".join(join_paragraph_tokens(["words exam-"], DICT)) == (
+        "words exam-")
 
 
 def test_double_hyphen_not_a_wrap():
-    assert join_paragraph(["words --", "reflow"], DICT) == "words -- reflow"
+    assert " ".join(join_paragraph_tokens(["words --", "reflow"], DICT)) == (
+        "words -- reflow")
 
 
 def test_multiple_wraps_in_one_paragraph():

@@ -1,41 +1,9 @@
-"""B10 — sampling: deterministic hash sample + systematic sample.
-
-(Ray's own ``random_sample(fraction, seed=)`` was observed to return
-DIFFERENT rows on two identical seeded executions — the seed mixes with
-execution-dependent state — so the engine provides ``ops.sample.
-seeded_sample``, reproducible by construction.)
+"""B10 — systematic sample: ``q_systematic_sample`` keeps exactly the rows
+of a modulo filter on the key, so the sample is deterministic at any
+parallelism.  (Ray's own ``random_sample(fraction, seed=)`` was observed to
+return DIFFERENT rows on two identical seeded executions — the seed mixes
+with execution-dependent state.)
 """
-
-import ray.data
-
-from ocr_proofreader_ray.ops.sample import seeded_sample
-
-
-def _lineitem():
-    return ray.data.read_parquet("/root/testdata/sf0.001/lineitem.parquet",
-                                 columns=["l_orderkey", "l_linenumber"])
-
-
-def test_seeded_sample_reproducible_and_parallelism_independent(ray_session):
-    a = sorted((r["l_orderkey"], r["l_linenumber"])
-               for r in seeded_sample(_lineitem(), "l_orderkey", 0.1).take_all())
-    b = sorted((r["l_orderkey"], r["l_linenumber"])
-               for r in seeded_sample(_lineitem(), "l_orderkey", 0.1).take_all())
-    assert a == b and len(a) > 0
-    n = _lineitem().count()
-    assert 0.02 * n < len(a) < 0.3 * n  # Bernoulli-ish rate over ~1.5k keys
-
-    # different seed -> different (deterministic) subset
-    c = sorted((r["l_orderkey"], r["l_linenumber"])
-               for r in seeded_sample(_lineitem(), "l_orderkey", 0.1,
-                                      seed=7).take_all())
-    assert c != a
-
-    # key-coherent: all rows of a kept orderkey are kept together
-    kept_keys = {k for k, _ in a}
-    all_rows = [(r["l_orderkey"], r["l_linenumber"])
-                for r in _lineitem().take_all()]
-    assert sorted(x for x in all_rows if x[0] in kept_keys) == a
 
 
 def test_systematic_sample_matches_direct_filter(ray_session):

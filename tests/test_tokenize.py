@@ -1,13 +1,18 @@
 """Unit tests for the dictionary-build tokenizer (SURVEY.md §2 A4)."""
 
-from ocr_proofreader_ray.functions.tokenize import count_tokens, dict_tokens, naive_unwrap
+from ocr_proofreader_ray.functions.line_join import join_lines
+from ocr_proofreader_ray.functions.tokenize import (
+    _EVERY_WORD,
+    count_tokens,
+    dict_tokens,
+)
 
 
 def test_naive_unwrap_always_joins_hyphen():
-    assert naive_unwrap("exam-\nple text") == ["example text"]
+    assert join_lines("exam-\nple text", _EVERY_WORD) == ["example text"]
     # compounds are also joined here (dictionary-free pass); the junk merge
     # is filtered later by min_count
-    assert naive_unwrap("well-\nknown") == ["wellknown"]
+    assert join_lines("well-\nknown", _EVERY_WORD) == ["wellknown"]
 
 
 def test_dict_tokens_lowercase_alpha_only():
@@ -91,5 +96,5 @@ def _golden_texts() -> list[str]:
 def test_pass1_reflow_matches_reference():
     for text in _golden_texts():
         assert dict_tokens(text) == _reference_dict_tokens(text), text
-        assert naive_unwrap(text) == [
+        assert join_lines(text, _EVERY_WORD) == [
             " ".join(p) for p in _reference_unwrap(text)], text
