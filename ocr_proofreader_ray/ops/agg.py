@@ -46,6 +46,14 @@ sorted results.
 Supported agg fns: ``sum`` / ``min`` / ``max`` / ``count`` (count of rows).
 Means are derived by callers from sum+count (exact-integer trick).
 
+One key-run rule.  ``run_starts`` (which rows of a key-sorted table open
+a run of equal keys) and ``_head`` (the first k rows of each group) are
+the only code that cuts rows into key groups: windows, sessions, gap
+fills, blocking buckets and per-group heads all sort their rows and cut
+them here.  A null key is a value: null keys form one group and sort
+last, like SQL's default ``NULLS LAST``.  Top-k is ``grouped_top_k``
+with no group columns.
+
 A partial that is not an Arrow row — an HLL, KLL, Count-Min or Bloom
 sketch, PCA's moment sums — goes through ``grouped_sketch(ds, key, build,
 merge)``: ``build`` runs per batch and ``key`` group in the workers, the
@@ -237,7 +245,9 @@ def grouped_top_k(
     (``_merge``: on the driver, or per partition of an exchange on
     ``group_cols``).  Returns a Table, or a Dataset with
     ``as_dataset=True``.  ``sort_keys`` must totally order rows within a
-    group for deterministic output.
+    group for deterministic output.  With no ``group_cols`` it is a
+    plain top-k: ``Dataset.sort().limit(k)`` would range-partition every
+    row to keep k of them.
     """
     def head(rows: pa.Table) -> pa.Table:
         return _head(rows, group_cols, sort_keys, k)
@@ -280,29 +290,6 @@ def grouped_sum_top_k(
                            zero_copy_batch=True)
     return _merge(parts, [group_col], rank,
                   lambda: rank(_empty_like(ds).select(cols)), False)
-
-
-def top_k(
-    ds: "ray.data.Dataset",
-    sort_keys: list[tuple[str, str]],
-    k: int,
-) -> pa.Table:
-    """Distributed top-k without a global sort.
-
-    ``Dataset.sort().limit(k)`` range-partitions EVERY row to produce k of
-    them.  Here each block keeps its local top-k (pyarrow sort of one block),
-    and the driver merges ``n_blocks x k`` survivors — tiny at any input
-    scale.  ``sort_keys``: [(col, "ascending"|"descending"), ...]; ties must
-    be broken by the key list itself for deterministic output.
-    """
-    def local(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=sort_keys)
-        return b.take(idx[:k])
-
-    parts = ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    merged = gather(parts) or _empty_like(ds)
-    idx = pc.sort_indices(merged, sort_keys=sort_keys)
-    return merged.take(idx[:k]).combine_chunks()
 
 
 def grouped_sketch(ds: "ray.data.Dataset", key: str | None, build,

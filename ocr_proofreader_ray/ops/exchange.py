@@ -146,13 +146,6 @@ def range_ids(bounds: np.ndarray, col: pa.Array | pa.ChunkedArray
         lo = np.where(active & ~gt, mid + 1, lo)
 
 
-def _plain(out: pa.Table) -> pa.Table:
-    """``out`` without schema metadata: a ``Table.from_pandas`` result
-    carries a metadata dict, which makes Ray's per-block schema dedup fail
-    ("Failed to hash the schemas") and fall back to a full unification."""
-    return out.replace_schema_metadata(None)
-
-
 def exchange(
     ds: "ray.data.Dataset",
     keys: list[str],
@@ -185,7 +178,7 @@ def exchange(
         return b.append_column(_PART, route(b))
 
     def run(g: pa.Table) -> pa.Table:
-        return _plain(fn(g.drop_columns([_PART])))
+        return fn(g.drop_columns([_PART]))
 
     return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
             .groupby(_PART).map_groups(run, batch_format="pyarrow"))
@@ -244,8 +237,8 @@ def co_exchange(
         is_left = pc.equal(g.column(_SIDE), pa.scalar(0, pa.int8()))
         lrows = g.filter(is_left).select(lnames)
         rrows = g.filter(pc.invert(is_left)).select(rnames)
-        return _plain(fn(lrows.rename_columns(lschema.names),
-                         rrows.rename_columns(rschema.names)))
+        return fn(lrows.rename_columns(lschema.names),
+                  rrows.rename_columns(rschema.names))
 
     lt = left.map_batches(tag(0, lschema, rschema, list(left_keys)),
                           batch_format="pyarrow", zero_copy_batch=True)

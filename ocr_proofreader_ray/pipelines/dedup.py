@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -42,7 +41,12 @@ from ocr_proofreader_ray.functions.sketches import (
     stable_hash64,
 )
 from ocr_proofreader_ray.ops import agg
-from ocr_proofreader_ray.ops.agg import gather, grouped_agg, materialized
+from ocr_proofreader_ray.ops.agg import (
+    gather,
+    grouped_agg,
+    materialized,
+    run_starts,
+)
 from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, join, prefilter
 from ocr_proofreader_ray.pipelines.registry import register
@@ -553,16 +557,21 @@ def simhash_hamming_pairs(docs: "ray.data.Dataset | None" = None,
     bands = fps.map_batches(to_bands, batch_format="pyarrow", zero_copy_batch=True)
 
     def part_pairs(rows: pa.Table) -> pa.Table:
-        # one call per partition, pandas groupby inside for its buckets
-        g = rows.to_pandas()
-        dup = g[g.duplicated(["band_id", "band_bits"], keep=False)]
+        # one call per partition: sort on (bucket, doc) and cut the buckets
+        bucket = ["band_id", "band_bits"]
+        rows = rows.take(pc.sort_indices(
+            rows, [(c, "ascending") for c in bucket + ["doc_id"]]))
+        cuts = np.append(np.flatnonzero(run_starts(rows, bucket)),
+                         rows.num_rows)
+        all_ids = rows.column("doc_id").to_numpy()
+        all_sims = rows.column("simhash").to_numpy().view(np.uint64)
         out = {"doc_a": [], "doc_b": [], "hamming": []}
-        for _, grp in dup.groupby(["band_id", "band_bits"], sort=False):
-            # a doc emits exactly one row per band_id → ids are distinct here
-            ids = grp["doc_id"].to_numpy()
-            sims = grp["simhash"].to_numpy().astype(np.int64).view(np.uint64)
-            order = np.argsort(ids)
-            ids, sims = ids[order], sims[order]
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            if end - start < 2:
+                continue
+            # a doc emits exactly one row per band_id → ids are distinct
+            # here, and sorted ascending
+            ids, sims = all_ids[start:end], all_sims[start:end]
             # collapse identical fingerprints: the XOR matrix runs over
             # DISTINCT fingerprints; members stay sorted asc per group
             # (stable argsort of the asc-sorted ids)
@@ -602,8 +611,7 @@ def simhash_hamming_pairs(docs: "ray.data.Dataset | None" = None,
                 out["doc_a"].extend(lo.tolist())
                 out["doc_b"].extend(hi.tolist())
                 out["hamming"].extend([int(h[i, j])] * len(lo))
-        return pa.Table.from_pandas(pd.DataFrame(out, dtype="int64"),
-                                    preserve_index=False)
+        return pa.table({c: pa.array(v, pa.int64()) for c, v in out.items()})
 
     pairs = exchange(bands, ["band_id", "band_bits"], part_pairs)
     # a pair can match in several bands → dedup, keeping min observed hamming
@@ -1048,8 +1056,9 @@ def q_segment_dedup(sf_dir: str):
     emits 128-bit blake2b segment keys as (h1, h2, doc_id) rows, collapsed
     per batch (a doc of m identical windows ships one row with a count,
     bounding template floods before the exchange).  ONE hash exchange on
-    h1 co-locates identical windows; the per-partition keep rule is a
-    vectorized groupby-transform min; per-doc partial counts then merge
+    h1 co-locates identical windows; each partition sorts its rows and
+    keeps the first doc_id of each window's run (``ops.agg.run_starts``);
+    a null text has no windows.  Per-doc partial counts then merge
     through the combiner engine, so worker state is bounded by its hash
     partition and the driver only sees per-doc aggregates.
 
@@ -1066,6 +1075,8 @@ def q_segment_dedup(sf_dir: str):
         h2s: list[int] = []
         dids: list[int] = []
         for did, txt in zip(ids, texts):
+            if txt is None:
+                continue  # string_split(NULL, ' ') unnests to no row
             toks = txt.split(" ")
             for s in range(0, len(toks), _SEGMENT_TOKENS):
                 d = hashlib.blake2b(
@@ -1087,16 +1098,22 @@ def q_segment_dedup(sf_dir: str):
         })
 
     def keep_in_part(rows: pa.Table) -> pa.Table:
-        g = rows.to_pandas()
-        keep_doc = g.groupby(["h1", "h2"])["doc_id"].transform("min")
-        kept = g["cnt"].where(g["doc_id"].eq(keep_doc), 0)
-        out = pd.DataFrame({
-            "doc_id": g["doc_id"],
-            "n_segments": g["cnt"],
-            "n_kept": kept,
-        })
-        return pa.Table.from_pandas(
-            out.groupby("doc_id", as_index=False).sum(), preserve_index=False)
+        rows = rows.take(pc.sort_indices(rows, [
+            ("h1", "ascending"), ("h2", "ascending"), ("doc_id", "ascending")]))
+        starts = run_starts(rows, ["h1", "h2"])
+        doc = rows.column("doc_id").to_numpy()
+        # a window's keeper is the min doc_id of its run
+        keep_doc = doc[starts][np.cumsum(starts) - 1]
+        cnt = rows.column("cnt").to_numpy()
+        out = pa.table({
+            "doc_id": doc,
+            "n_segments": cnt,
+            "n_kept": np.where(doc == keep_doc, cnt, 0),
+        }).group_by("doc_id").aggregate([("n_segments", "sum"),
+                                         ("n_kept", "sum")])
+        return pa.table({"doc_id": out.column("doc_id"),
+                         "n_segments": out.column("n_segments_sum"),
+                         "n_kept": out.column("n_kept_sum")})
 
     exploded = ds.map_batches(explode, batch_format="pyarrow",
                               zero_copy_batch=True)

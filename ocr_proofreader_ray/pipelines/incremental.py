@@ -90,8 +90,8 @@ def _timed(timings: dict | None, key: str):
         timings[key] = round(time.perf_counter() - t0, 4)
 
 
-def _index_dir(work_dir: str) -> str:
-    d = os.path.join(work_dir, _INDEX_SUBDIR)
+def _index_dir(work_dir: str, subdir: str) -> str:
+    d = os.path.join(work_dir, subdir)
     os.makedirs(d, exist_ok=True)
     return d
 
@@ -99,20 +99,20 @@ def _index_dir(work_dir: str) -> str:
 _INDEX_COLUMNS = ["doc_id", "band_id", "band_key"]
 
 
-def _write_index_batch(work_dir: str, bands: "ray.data.Dataset",
-                       batch_tag: str) -> None:
-    """Write one batch of band rows as new parquet files (append-only: a
-    re-run of a failed increment overwrites its own tag, nothing else)."""
+def _write_index_batch(work_dir: str, subdir: str, rows: "ray.data.Dataset",
+                       columns: list[str], batch_tag: str) -> None:
+    """Write one batch of ``rows``' ``columns`` as new parquet files under
+    ``subdir/batch_tag`` (append-only: a re-run of a failed increment
+    overwrites its own tag, nothing else)."""
     import shutil
 
-    out = os.path.join(_index_dir(work_dir), batch_tag)
+    out = os.path.join(_index_dir(work_dir, subdir), batch_tag)
     if os.path.exists(out):
         shutil.rmtree(out)
     # consolidate files: the default one-file-per-block write fragments a
     # batch into ~30 KB files whose open/footer overhead dominates the
     # increment's index re-read (the r04 bench's slowest-slice stage)
-    bands.select_columns(_INDEX_COLUMNS) \
-        .write_parquet(out, min_rows_per_file=500_000)
+    rows.select_columns(columns).write_parquet(out, min_rows_per_file=500_000)
 
 
 def bootstrap_index(docs: "ray.data.Dataset", work_dir: str,
@@ -142,7 +142,8 @@ def bootstrap_index(docs: "ray.data.Dataset", work_dir: str,
     with _timed(timings, "bootstrap_index_write_sec"):
         if len(drop):
             bands = broadcast_semi_anti(bands, drop, on="doc_id", anti=True)
-        _write_index_batch(work_dir, bands, "bootstrap")
+        _write_index_batch(work_dir, _INDEX_SUBDIR, bands, _INDEX_COLUMNS,
+                           "bootstrap")
     return drop
 
 
@@ -190,7 +191,8 @@ def dedup_increment(
     # an index batch written before the band rows lost their partition
     # column carries a fourth ``part`` column: select the three index
     # columns so old and new batches union with the new band rows
-    index = read_parquet(_index_dir(work_dir), columns=_INDEX_COLUMNS)
+    index = read_parquet(_index_dir(work_dir, _INDEX_SUBDIR),
+                         columns=_INDEX_COLUMNS)
     # a Bloom false positive only admits old rows whose old-old pairs are
     # dropped below — results identical, waste bounded
     touched = prefilter(index, new_keys, on="band_key")
@@ -247,8 +249,9 @@ def dedup_increment(
     # 6. append kept band rows (append-only, re-runnable per tag)
     with _timed(timings, "inc_index_write_sec"):
         _write_index_batch(
-            work_dir, broadcast_semi_anti(new_bands, keep_ids, on="doc_id"),
-            batch_tag)
+            work_dir, _INDEX_SUBDIR,
+            broadcast_semi_anti(new_bands, keep_ids, on="doc_id"),
+            _INDEX_COLUMNS, batch_tag)
     return {
         "keep_ids": keep_ids,
         "n_new": len(new_id_set),
@@ -347,28 +350,10 @@ def q_dedup_incremental(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 _EXACT_INDEX_SUBDIR = "exact_index"
+_EXACT_INDEX_COLUMNS = ["h1", "h2"]
 # beside the index directory, not in it: read_parquet would read any file
 # inside it
 _EXACT_INDEX_STAMP = "exact_index.hash.json"
-
-
-def _exact_index_dir(work_dir: str) -> str:
-    d = os.path.join(work_dir, _EXACT_INDEX_SUBDIR)
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _write_exact_index_batch(work_dir: str, keys: "ray.data.Dataset",
-                             batch_tag: str) -> None:
-    """Append one batch of (h1, h2) key rows (append-only per tag, same
-    re-run contract as the band index)."""
-    import shutil
-
-    out = os.path.join(_exact_index_dir(work_dir), batch_tag)
-    if os.path.exists(out):
-        shutil.rmtree(out)
-    keys.select_columns(["h1", "h2"]).write_parquet(
-        out, min_rows_per_file=500_000)
 
 
 def _exact_hash_stamp() -> dict:
@@ -416,7 +401,8 @@ def bootstrap_exact_index(docs: "ray.data.Dataset", work_dir: str) -> dict:
     keep = grouped_agg(keyed, ["h1", "h2"],
                        [("doc_id", "min", "doc_id")], as_dataset=True,
                        ).materialize()
-    _write_exact_index_batch(work_dir, keep, "bootstrap")
+    _write_index_batch(work_dir, _EXACT_INDEX_SUBDIR, keep,
+                       _EXACT_INDEX_COLUMNS, "bootstrap")
     _write_exact_hash_stamp(work_dir)
     return {"keep": keep}
 
@@ -454,8 +440,9 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
         return {"keep": new_keys, "n_dropped_vs_corpus": 0,
                 "n_dropped_within": 0}
 
-    matched = semi_anti(read_parquet(_exact_index_dir(work_dir)), new_keys,
-                        on="h1").materialize()
+    matched = semi_anti(
+        read_parquet(_index_dir(work_dir, _EXACT_INDEX_SUBDIR)), new_keys,
+        on="h1").materialize()
     # h1/h2 are never null, so no null-key semantics apply
     kept = join(new_keys, matched, ["h1", "h2"], join_type="left anti")
     kept = kept.materialize()
@@ -465,7 +452,8 @@ def dedup_exact_increment(new_docs: "ray.data.Dataset", work_dir: str,
         # (input rows minus distinct keys)
         int(new_docs.count()) - n_new_distinct)
 
-    _write_exact_index_batch(work_dir, kept, batch_tag)
+    _write_index_batch(work_dir, _EXACT_INDEX_SUBDIR, kept,
+                       _EXACT_INDEX_COLUMNS, batch_tag)
     return {"keep": kept, "n_dropped_vs_corpus": n_dropped_vs_corpus,
             "n_dropped_within": n_dropped_within}
 

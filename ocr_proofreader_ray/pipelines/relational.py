@@ -20,7 +20,6 @@ from __future__ import annotations
 from datetime import datetime
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -30,7 +29,7 @@ from ocr_proofreader_ray.ops.agg import (
     grouped_agg,
     grouped_sketch,
     grouped_top_k,
-    top_k,
+    run_starts,
 )
 from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.io import read_parquet
@@ -536,9 +535,9 @@ def q_top_customers(sf_dir: str):
         as_dataset=True,
     )
     # deterministic total order: integer revenue desc, key asc; local top-k
-    # per block + driver merge instead of a global range sort
-    return top_k(agg, [("revenue_cents", "descending"),
-                       ("o_custkey", "ascending")], 10)
+    # per block + one merge instead of a global range sort
+    return grouped_top_k(agg, [], [("revenue_cents", "descending"),
+                                   ("o_custkey", "ascending")], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +729,9 @@ def q_rank_in_segment(sf_dir: str):
     order = [("revenue_cents", "descending"), ("o_custkey", "ascending")]
     top = grouped_top_k(rev, ["segment"], order, 3)
     top = top.take(pc.sort_indices(top, [("segment", "ascending")] + order))
-    seg = top.column("segment").to_pylist()
-    rnk = []
-    for i, s in enumerate(seg):
-        rnk.append(rnk[-1] + 1 if i and s == seg[i - 1] else 1)
+    starts = run_starts(top, ["segment"])
+    pos = np.arange(top.num_rows)
+    rnk = pos - np.flatnonzero(starts)[np.cumsum(starts) - 1] + 1
     return pa.table({
         "segment": top.column("segment"),
         "custkey": top.column("o_custkey"),
@@ -764,25 +762,29 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30):
     a user's events split into sessions at >30-minute gaps.
 
     Users are co-grouped by one hash exchange on user_id (one call per
-    partition, not per user — see the MinHash lesson) and sessionized
-    with vectorized pandas inside the partition: all events of one user
-    land in one partition."""
+    partition, not per user — see the MinHash lesson): all events of one
+    user land in one partition, which sorts them and cuts its users with
+    ``ops.agg.run_starts`` (a null user is one user, as in SQL's
+    ``PARTITION BY``).  A row opens a session when it opens its user or
+    its lag ts is null, or the gap from it is over ``gap_minutes``; a null
+    ts sorts last and opens none (its gap is NULL)."""
     ds = t(sf_dir, "events", ["user_id", "ts"])
     gap = np.timedelta64(gap_minutes * 60, "s")
 
     def sessionize(rows: pa.Table) -> pa.Table:
-        g = rows.to_pandas().sort_values(["user_id", "ts"])
-        same_user = g["user_id"].eq(g["user_id"].shift())
-        small_gap = g["ts"].diff() <= gap
-        new_session = ~(same_user & small_gap)
-        out = (pd.DataFrame({"user_id": g["user_id"],
-                             "new_session": new_session.astype("int64")})
-               .groupby("user_id", sort=False)
-               .agg(n_sessions=("new_session", "sum"),
-                    n_events=("new_session", "size"))
-               .reset_index())
-        out["n_events"] = out["n_events"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        rows = rows.take(pc.sort_indices(
+            rows, [("user_id", "ascending"), ("ts", "ascending")]))
+        ts = rows.column("ts").to_numpy()
+        new = run_starts(rows, ["user_id"])
+        new[1:] |= np.isnat(ts[:-1]) | (ts[1:] - ts[:-1] > gap)
+        out = pa.table({
+            "user_id": rows.column("user_id"),
+            "n_sessions": pa.array(new.astype(np.int64)),
+        }).group_by("user_id").aggregate([("n_sessions", "sum"),
+                                          ([], "count_all")])
+        return pa.table({"user_id": out.column("user_id"),
+                         "n_sessions": out.column("n_sessions_sum"),
+                         "n_events": out.column("count_all")})
 
     return exchange(ds, ["user_id"], sessionize)
 
@@ -1112,8 +1114,9 @@ def q_lead_lag_orders(sf_dir: str):
     Same co-group plan as ``q_user_sessions``: ONE hash exchange on
     custkey, then a vectorized sort + shift inside each partition — all
     rows of one customer land in one partition, so the lag boundary mask
-    is local.  The first order per customer gets a null delta, matching
-    SQL ``lag``."""
+    (``ops.agg.run_starts``; a null custkey is one customer) is local.
+    The first order per customer gets a null delta, matching SQL
+    ``lag``."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -1126,19 +1129,14 @@ def q_lead_lag_orders(sf_dir: str):
         })
 
     def lag_in_part(g: pa.Table) -> pa.Table:
-        # Arrow end-to-end: pandas shift() would emit a nullable Int64
-        # extension column whose <NA> representation hash-differs from a
-        # plain Arrow int64-with-null even when every value matches.
         idx = pc.sort_indices(g, sort_keys=[
             ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
             ("o_orderkey", "ascending")])
         g = g.take(idx)
-        cust = np.asarray(g.column("o_custkey"))
         cents = np.asarray(g.column("cents"))
         delta = np.empty_like(cents)
         delta[1:] = cents[1:] - cents[:-1]
-        first = np.ones(len(cents), dtype=bool)
-        first[1:] = cust[1:] != cust[:-1]
+        first = run_starts(g, ["o_custkey"])
         return pa.table({
             "o_orderkey": g.column("o_orderkey"),
             "o_custkey": g.column("o_custkey"),
@@ -1148,6 +1146,49 @@ def q_lead_lag_orders(sf_dir: str):
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     return exchange(ds, ["o_custkey"], lag_in_part)
+
+
+_PRIORITY_STATUS = ["o_orderpriority", "o_orderstatus"]
+
+
+def _revenue_strata(sf_dir: str, strata: list[list[str]]) -> pa.Table:
+    """Revenue cents and order count of ``orders`` per grouping set in
+    ``strata`` (each a subset of (priority, status); a column outside the
+    set is NULL), as ``GROUP BY ROLLUP``/``CUBE`` return them.
+
+    One distributed pass computes only the FINEST stratum via the combiner
+    engine; every stratum is then re-aggregated from those few rows on the
+    driver (|priorities| x |statuses| rows at any corpus scale) — rolling
+    up partials instead of re-scanning is the whole point of the
+    operator, and integer cents keep every stratum hash-exact."""
+    orders = t(sf_dir, "orders", _PRIORITY_STATUS + ["o_totalprice"])
+
+    def prep(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_orderpriority": b.column("o_orderpriority"),
+            "o_orderstatus": b.column("o_orderstatus"),
+            "cents": to_units(b.column("o_totalprice"), 100),
+        })
+
+    fine = grouped_agg(
+        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        _PRIORITY_STATUS, [
+            ("cents", "sum", "revenue_cents"),
+            (None, "count", "n_orders"),
+        ])
+
+    def roll(keys: list[str]) -> pa.Table:
+        agg = fine.group_by(keys).aggregate(
+            [("revenue_cents", "sum"), ("n_orders", "sum")])
+        cols = {c: (agg.column(c) if c in keys
+                    else pa.nulls(agg.num_rows, pa.string()))
+                for c in _PRIORITY_STATUS}
+        cols["revenue_cents"] = pc.cast(agg.column("revenue_cents_sum"),
+                                        pa.int64())
+        cols["n_orders"] = pc.cast(agg.column("n_orders_sum"), pa.int64())
+        return pa.table(cols)
+
+    return pa.concat_tables([roll(keys) for keys in strata])
 
 
 @register(
@@ -1163,57 +1204,9 @@ def q_lead_lag_orders(sf_dir: str):
 )
 def q_rollup_revenue(sf_dir: str):
     """ROLLUP hierarchy aggregate (B18): (priority, status), (priority),
-    and grand-total strata in one result.
-
-    One distributed pass computes only the FINEST stratum via the combiner
-    engine; the coarser strata are re-aggregated from those few partial
-    rows on the driver (|priorities| x |statuses| rows at any corpus
-    scale) — rolling up partials instead of re-scanning is the whole point
-    of the operator, and integer cents keep every stratum hash-exact."""
-    orders = t(sf_dir, "orders",
-               ["o_orderpriority", "o_orderstatus", "o_totalprice"])
-
-    def prep(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": b.column("o_orderpriority"),
-            "o_orderstatus": b.column("o_orderstatus"),
-            "cents": to_units(b.column("o_totalprice"), 100),
-        })
-
-    fine = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        ["o_orderpriority", "o_orderstatus"], [
-            ("cents", "sum", "revenue_cents"),
-            (None, "count", "n_orders"),
-        ])
-
-    def roll(tab: pa.Table, keys: list[str]) -> pa.Table:
-        agg = tab.group_by(keys).aggregate(
-            [("revenue_cents", "sum"), ("n_orders", "sum")]) if keys else \
-            pa.table({
-                "revenue_cents_sum":
-                    [pc.sum(tab.column("revenue_cents")).as_py()],
-                "n_orders_sum": [pc.sum(tab.column("n_orders")).as_py()],
-            })
-        n = agg.num_rows
-        null_s = pa.nulls(n, pa.string())
-        return pa.table({
-            "o_orderpriority": (agg.column("o_orderpriority")
-                                if "o_orderpriority" in keys else null_s),
-            "o_orderstatus": (agg.column("o_orderstatus")
-                              if "o_orderstatus" in keys else null_s),
-            "revenue_cents": pc.cast(agg.column("revenue_cents_sum"),
-                                     pa.int64()),
-            "n_orders": pc.cast(agg.column("n_orders_sum"), pa.int64()),
-        })
-
-    full = fine.select(["o_orderpriority", "o_orderstatus",
-                        "revenue_cents", "n_orders"])
-    return pa.concat_tables([
-        full,
-        roll(fine, ["o_orderpriority"]),
-        roll(fine, []),
-    ])
+    and grand-total strata in one result (``_revenue_strata``)."""
+    return _revenue_strata(sf_dir, [_PRIORITY_STATUS, ["o_orderpriority"],
+                                    []])
 
 
 @register(
@@ -1228,58 +1221,10 @@ def q_rollup_revenue(sf_dir: str):
     """,
 )
 def q_cube_revenue(sf_dir: str):
-    """CUBE aggregate (B18): all four strata of (priority, status).
-
-    Same plan as ``q_rollup_revenue`` — one distributed pass for the
-    finest stratum, every coarser stratum re-aggregated from those
-    group-count-bounded partials on the driver; CUBE just adds the
-    (NULL, status) marginal to the rollup's strata."""
-    orders = t(sf_dir, "orders",
-               ["o_orderpriority", "o_orderstatus", "o_totalprice"])
-
-    def prep(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": b.column("o_orderpriority"),
-            "o_orderstatus": b.column("o_orderstatus"),
-            "cents": to_units(b.column("o_totalprice"), 100),
-        })
-
-    fine = grouped_agg(
-        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        ["o_orderpriority", "o_orderstatus"], [
-            ("cents", "sum", "revenue_cents"),
-            (None, "count", "n_orders"),
-        ])
-
-    def roll(keys: list[str]) -> pa.Table:
-        if keys:
-            agg = fine.group_by(keys).aggregate(
-                [("revenue_cents", "sum"), ("n_orders", "sum")])
-        else:
-            agg = pa.table({
-                "revenue_cents_sum":
-                    [pc.sum(fine.column("revenue_cents")).as_py()],
-                "n_orders_sum": [pc.sum(fine.column("n_orders")).as_py()],
-            })
-        n = agg.num_rows
-        null_s = pa.nulls(n, pa.string())
-        return pa.table({
-            "o_orderpriority": (agg.column("o_orderpriority")
-                                if "o_orderpriority" in keys else null_s),
-            "o_orderstatus": (agg.column("o_orderstatus")
-                              if "o_orderstatus" in keys else null_s),
-            "revenue_cents": pc.cast(agg.column("revenue_cents_sum"),
-                                     pa.int64()),
-            "n_orders": pc.cast(agg.column("n_orders_sum"), pa.int64()),
-        })
-
-    return pa.concat_tables([
-        fine.select(["o_orderpriority", "o_orderstatus",
-                     "revenue_cents", "n_orders"]),
-        roll(["o_orderpriority"]),
-        roll(["o_orderstatus"]),
-        roll([]),
-    ])
+    """CUBE aggregate (B18): the rollup's strata plus the (NULL, status)
+    marginal (``_revenue_strata``)."""
+    return _revenue_strata(sf_dir, [_PRIORITY_STATUS, ["o_orderpriority"],
+                                    ["o_orderstatus"], []])
 
 
 @register(
@@ -1305,8 +1250,10 @@ def q_running_revenue(sf_dir: str):
     UNBOUNDED PRECEDING)``.
 
     Same single-exchange co-group plan as ``q_lead_lag_orders``: one hash
-    exchange on custkey, then a vectorized sort + groupby-cumsum inside
-    each partition.  Integer cents keep every running total hash-exact."""
+    exchange on custkey, then one sort and one cumsum per partition, less
+    the total before each customer's run (``ops.agg.run_starts``; a null
+    custkey is one customer).  Integer cents keep every running total
+    hash-exact."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -1319,14 +1266,20 @@ def q_running_revenue(sf_dir: str):
         })
 
     def cumsum_in_part(rows: pa.Table) -> pa.Table:
-        g = rows.to_pandas().sort_values(
-            ["o_custkey", "o_orderdate", "o_orderkey"])
-        return pa.Table.from_pandas(pd.DataFrame({
-            "o_orderkey": g["o_orderkey"],
-            "o_custkey": g["o_custkey"],
-            "cents": g["cents"],
-            "running_cents": g.groupby("o_custkey")["cents"].cumsum(),
-        }), preserve_index=False)
+        g = rows.take(pc.sort_indices(rows, [
+            ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
+            ("o_orderkey", "ascending")]))
+        starts = run_starts(g, ["o_custkey"])
+        cents = np.asarray(g.column("cents"))
+        total = np.cumsum(cents)
+        # minus the running total before each customer's first order
+        before = (total - cents)[starts][np.cumsum(starts) - 1]
+        return pa.table({
+            "o_orderkey": g.column("o_orderkey"),
+            "o_custkey": g.column("o_custkey"),
+            "cents": g.column("cents"),
+            "running_cents": pa.array(total - before, pa.int64()),
+        })
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
     return exchange(ds, ["o_custkey"], cumsum_in_part)
@@ -1465,7 +1418,7 @@ def q_ntile_customers(sf_dir: str, tiles: int = 4):
 
     def assign(b: pa.Table) -> pa.Table:
         bmap = ray.get(ref)
-        segs = b.column("c_mktsegment").to_pandas().to_numpy()
+        segs = b.column("c_mktsegment").to_numpy()
         comp = np.asarray(b.column("__comp"))
         tile = np.ones(len(comp), np.int64)
         for g, bv in bmap.items():
@@ -1741,30 +1694,38 @@ def q_events_resampled(sf_dir: str):
                          [(None, "count", "n")], as_dataset=True).materialize()
     span = grouped_agg(counts, [], [("day", "min", "lo"),
                                     ("day", "max", "hi")]).to_pylist()[0]
-    lo = pd.Timestamp(span["lo"]).to_datetime64()
-    hi = pd.Timestamp(span["hi"]).to_datetime64()
-
-    grid = pd.date_range(lo, hi, freq="D").values.astype("datetime64[us]")
+    lo, hi = (np.datetime64(span[c], "us") for c in ("lo", "hi"))
+    one_day = np.timedelta64(1, "D")
+    # no ts at all: generate_series(NULL, NULL) is no day
+    grid = (np.array([], lo.dtype) if np.isnat(lo)
+            else np.arange(lo, hi + one_day, one_day))
     n_days = len(grid)
-    day0 = grid[0]
 
     # one Python call fills MANY series vectorized instead of one call per
     # series — per-series Python overhead was the wall-time at sf0.1
     def fill_many(rows: pa.Table) -> pa.Table:
-        g = rows.to_pandas()
-        codes, uniques = pd.factorize(
-            list(zip(g["user_id"], g["event_type"])), sort=True)
-        k = len(uniques)
+        series = ["user_id", "event_type"]
+        rows = rows.take(pc.sort_indices(
+            rows, [(c, "ascending") for c in series]))
+        starts = run_starts(rows, series)
+        codes = np.cumsum(starts) - 1
+        k = int(starts.sum())
+        # a null user or type is a series, yet its counts never join it
+        # (NULL = NULL is not true): its days stay 0
+        day = rows.column("day").to_numpy()
+        hit = ~np.isnat(day)
+        for c in series:
+            hit &= rows.column(c).is_valid().to_numpy()
         arr = np.zeros(k * n_days, np.int64)
-        day_idx = ((g["day"].to_numpy().astype("datetime64[us]") - day0)
-                   // np.timedelta64(1, "D")).astype(np.int64)
-        arr[codes * n_days + day_idx] = g["n"].to_numpy()
-        return pa.Table.from_pandas(pd.DataFrame({
-            "user_id": np.repeat([u for u, _ in uniques], n_days),
-            "event_type": np.repeat([e for _, e in uniques], n_days),
-            "day": np.tile(grid, k),
+        arr[codes[hit] * n_days + (day[hit] - lo) // one_day] = np.asarray(
+            rows.column("n"))[hit]
+        each = pa.array(np.repeat(np.arange(k), n_days))
+        return pa.table({
+            "user_id": rows.column("user_id").filter(starts).take(each),
+            "event_type": rows.column("event_type").filter(starts).take(each),
+            "day": pa.array(np.tile(grid, k)),
             "n": arr,
-        }), preserve_index=False)
+        })
 
     return exchange(counts, ["user_id"], fill_many)
 
@@ -1818,7 +1779,7 @@ def q_quantity_percentiles(sf_dir: str):
 
     def assign(b: pa.Table) -> pa.Table:
         m = ray.get(ref)
-        flags = b.column("l_returnflag").to_pandas().to_numpy()
+        flags = b.column("l_returnflag").to_numpy()
         qty = np.asarray(b.column("l_quantity"), np.float64)
         pct = np.empty(len(qty), np.float64)
         cume = np.empty(len(qty), np.float64)
@@ -2079,7 +2040,7 @@ def q_winsorized_prices(sf_dir: str):
 
     def clamp(b: pa.Table) -> pa.Table:
         m = ray.get(ref)
-        flags = b.column("l_returnflag").to_pandas().to_numpy()
+        flags = b.column("l_returnflag").to_numpy()
         c = np.asarray(b.column("c"), np.int64).copy()
         for g, (lo, hi) in m.items():
             mask = flags == g
@@ -2266,7 +2227,8 @@ def q_fuzzy_name_pairs(sf_dir: str):
         names_in = b.column("c_name").to_pylist()
         ids, names, keys = [], [], []
         for cid, name in zip(ids_in, names_in):
-            name = name or ""
+            if name is None:
+                continue  # levenshtein(NULL, x) is NULL: no pair
             variants = [name] + [name[:i] + name[i + 1:]
                                  for i in range(len(name))]
             ids.extend([cid] * len(variants))
@@ -2282,23 +2244,23 @@ def q_fuzzy_name_pairs(sf_dir: str):
                                zero_copy_batch=True)
 
     def part_pairs(rows: pa.Table) -> pa.Table:
-        g = rows.to_pandas()
+        rows = rows.take(pc.sort_indices(
+            rows, [("key", "ascending"), ("c_custkey", "ascending")]))
+        # a customer once per key ("aa" emits "a" twice), ids ascending
+        rows = rows.filter(run_starts(rows, ["key", "c_custkey"]))
+        cuts = np.append(np.flatnonzero(run_starts(rows, ["key"])),
+                         rows.num_rows)
+        ids = rows.column("c_custkey").to_pylist()
+        names = rows.column("c_name").to_pylist()
         out_a, out_b = [], []
-        dup = g[g.duplicated("key", keep=False)]
-        for _, grp in dup.groupby("key", sort=False):
-            sub = grp.drop_duplicates("c_custkey")
-            ids = sub["c_custkey"].to_numpy()
-            names = sub["c_name"].to_numpy()
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            for i in range(lo, hi):
+                for j in range(i + 1, hi):
                     if _dist_is_1(names[i], names[j]):
-                        lo, hi = sorted((int(ids[i]), int(ids[j])))
-                        out_a.append(lo)
-                        out_b.append(hi)
-        return pa.Table.from_pandas(
-            pd.DataFrame({"custkey_a": out_a, "custkey_b": out_b},
-                         dtype="int64").drop_duplicates(),
-            preserve_index=False)
+                        out_a.append(ids[i])
+                        out_b.append(ids[j])
+        return pa.table({"custkey_a": pa.array(out_a, pa.int64()),
+                         "custkey_b": pa.array(out_b, pa.int64())})
 
     pairs = exchange(blocked, ["key"], part_pairs)
     deduped = grouped_agg(pairs, ["custkey_a", "custkey_b"],
@@ -2448,7 +2410,7 @@ def q_price_mad(sf_dir: str):
 
     def abs_dev(b: pa.Table) -> pa.Table:
         m = ray.get(mref)
-        flags = b.column("l_returnflag").to_pandas().to_numpy()
+        flags = b.column("l_returnflag").to_numpy()
         c = np.asarray(b.column("c"), np.int64).copy()
         for g, mv in m.items():
             mask = flags == g
@@ -2609,7 +2571,7 @@ def q_minmax_scaled(sf_dir: str):
 
     def scale(b: pa.Table) -> pa.Table:
         m = ray.get(ref)
-        flags = b.column("l_returnflag").to_pandas().to_numpy()
+        flags = b.column("l_returnflag").to_numpy()
         c = np.asarray(b.column("c"), np.int64)
         scaled = np.empty(len(c), np.float64)
         for g, (lo, hi) in m.items():

@@ -25,7 +25,7 @@ from ocr_proofreader_ray.ops.agg import (
     gather,
     grouped_agg,
     grouped_sketch,
-    top_k,
+    grouped_top_k,
 )
 from ocr_proofreader_ray.ops.io import read_parquet
 from ocr_proofreader_ray.pipelines.registry import register
@@ -110,9 +110,9 @@ def q_ann_topk(sf_dir: str):
         })
 
     scored = emb.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-    # per-block local top-k + driver merge: no global sort shuffle
-    return top_k(scored, [("cos_micro", "descending"),
-                          ("vec_id", "ascending")], 10)
+    # per-block local top-k + one merge: no global sort shuffle
+    return grouped_top_k(scored, [], [("cos_micro", "descending"),
+                                      ("vec_id", "ascending")], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,8 @@ def q_ann_ivf(sf_dir: str, k: int = 10, n_cells: int = 16, n_probe: int = 4):
 
     scored = emb.map_batches(score_cells, batch_format="pyarrow",
                              zero_copy_batch=True)
-    return top_k(scored, [("cos_micro", "descending"),
-                          ("vec_id", "ascending")], k)
+    return grouped_top_k(scored, [], [("cos_micro", "descending"),
+                                      ("vec_id", "ascending")], k)
 
 
 @register("q_kmeans_labels")  # iterative algorithm: rows-only driver check
@@ -300,8 +300,8 @@ def q_ann_lsh(sf_dir: str, k: int = 10):
 
     scored = emb.map_batches(score_probed, batch_format="pyarrow",
                              zero_copy_batch=True)
-    return top_k(scored, [("cos_micro", "descending"),
-                          ("vec_id", "ascending")], k)
+    return grouped_top_k(scored, [], [("cos_micro", "descending"),
+                                      ("vec_id", "ascending")], k)
 
 
 @register(

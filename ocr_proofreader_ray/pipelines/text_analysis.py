@@ -17,6 +17,7 @@ import ray.data
 
 from ocr_proofreader_ray.functions.sketches import stable_hash64
 from ocr_proofreader_ray.ops.agg import (
+    _head,
     grouped_agg,
     grouped_sketch,
     grouped_sum_top_k,
@@ -368,11 +369,13 @@ def _explode_token_counts(b: pa.Table) -> pa.Table:
 
     Shared by the exact and CMS heavy-hitter paths so their tokenization
     can never silently diverge (single-space split, matching the
-    string_split(text, ' ') oracle semantics)."""
+    string_split(text, ' ') oracle semantics: a null text has no token,
+    an empty one is one '' token)."""
     import numpy as np
 
     toks = pc.split_pattern(b.column("text"), pattern=" ")
-    lens = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
+    lens = pc.fill_null(pc.list_value_length(toks), 0).to_numpy(
+        zero_copy_only=False)
     flat = pc.list_flatten(toks)
     row_idx = np.repeat(np.arange(len(b), dtype=np.int64), lens)
     langs = b.column("lang").take(pa.array(row_idx))
@@ -497,11 +500,10 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
         sk = CountMinSketch()
         sk.add(_key_hashes(counts.column("lang"), counts.column("tok")),
                counts.column("cnt").to_numpy(zero_copy_only=False))
-        df = counts.to_pandas()
-        cand = (df.sort_values(["lang", "cnt", "tok"],
-                               ascending=[True, False, True])
-                .groupby("lang", sort=False).head(cand_per_lang))
-        return sk, dict.fromkeys(zip(cand["lang"], cand["tok"]))
+        cand = _head(counts, ["lang"], [("cnt", "descending"),
+                                        ("tok", "ascending")], cand_per_lang)
+        return sk, dict.fromkeys(zip(cand.column("lang").to_pylist(),
+                                     cand.column("tok").to_pylist()))
 
     def merge(acc: tuple, part: tuple) -> tuple:
         # a dict keeps first-seen order: new candidates append, seen stay
@@ -523,13 +525,8 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
         cand_langs, cand_toks)))
     full = pa.table({"lang": cand_langs, "tok": cand_toks,
                      "est": pa.array(est, pa.int64())})
-    parts = []
-    for lang in pc.unique(full.column("lang")).to_pylist():
-        sub = full.filter(pc.equal(full.column("lang"), lang))
-        idx = pc.sort_indices(sub, sort_keys=[("est", "descending"),
-                                              ("tok", "ascending")])
-        parts.append(sub.take(idx[:k]))
-    return pa.concat_tables(parts)
+    return _head(full, ["lang"], [("est", "descending"), ("tok", "ascending")],
+                 k)
 
 
 @register(
@@ -569,13 +566,10 @@ def q_doc_length_quantiles(sf_dir: str):
     langs = hist.column("lang").to_pylist()
     vals = hist.column("n_chars").to_numpy(zero_copy_only=False)
     cnts = hist.column("cnt").to_numpy(zero_copy_only=False)
-    import itertools
-
-    pos = 0
-    for lang, grp in itertools.groupby(range(len(langs)),
-                                       key=lambda i: langs[i]):
-        ii = list(grp)
-        v, c = vals[ii], cnts[ii]
+    cuts = np.append(np.flatnonzero(run_starts(hist, ["lang"])),
+                     hist.num_rows)
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        lang, v, c = langs[start], vals[start:end], cnts[start:end]
         n = int(c.sum())
         cum = np.cumsum(c)
 
@@ -682,12 +676,8 @@ def q_tfidf_top_terms(sf_dir: str):
         tab = pa.table({"doc_id": joined.column("doc_id"),
                         "top_term": joined.column("tok"),
                         "score": pc.cast(score, pa.int64())})
-        idx = pc.sort_indices(tab, sort_keys=[("doc_id", "ascending"),
-                                              ("score", "descending"),
-                                              ("top_term", "ascending")])
-        df = tab.take(idx).to_pandas()
-        return pa.Table.from_pandas(df.groupby("doc_id", sort=False).head(1),
-                                    preserve_index=False)
+        return _head(tab, ["doc_id"], [("score", "descending"),
+                                       ("top_term", "ascending")], 1)
 
     return ds.map_batches(score_argmax, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -1305,12 +1295,10 @@ def q_bm25_topk(sf_dir: str, query: tuple = _BM25_QUERY, k: int = 10):
        other's separator in non-overlapping counting);
     2. scoring pass: idf (driver floats, term-count-sized) broadcasts in
        the closure; each batch computes tf vectorized and the BM25 sum in
-       numpy; block-local top-k + driver merge (ops/agg.top_k — no global
-       sort).
+       numpy; block-local top-k + one merge (``grouped_top_k`` with no
+       group column — no global sort).
     """
     import numpy as np
-
-    from ocr_proofreader_ray.ops.agg import top_k
 
     docs = t(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1370,7 +1358,8 @@ def q_bm25_topk(sf_dir: str, query: tuple = _BM25_QUERY, k: int = 10):
 
     scored = docs.map_batches(score, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return top_k(scored, [("score", "descending"), ("doc_id", "ascending")], k)
+    return grouped_top_k(scored, [], [("score", "descending"),
+                                      ("doc_id", "ascending")], k)
 
 
 @register(

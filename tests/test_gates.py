@@ -1,9 +1,10 @@
 """The package has one size gate, ``ops.agg._DRIVER_MAX_BYTES``, which
 ``conftest.all_exchange`` forces, so no plan runs only at a scale the
-tests never reach; no pipeline module holds a gate; only ``ops/``
-builds Bloom filters; only ``ops.agg`` pickles partials or reads block
-refs; every block is Arrow; and every package module has a caller
-outside ``tests/``."""
+tests never reach; no pipeline module defines a gate, and only two
+named dedup functions read the bound; only ``ops/`` builds Bloom
+filters; only ``ops.agg`` pickles partials or reads block refs; every
+block is Arrow and no row path crosses into pandas; and every package
+module has a caller outside ``tests/``."""
 
 import ast
 import os
@@ -51,9 +52,45 @@ def test_every_gate_is_forced_by_all_exchange():
                                 "_DRIVER_MAX_BYTES")]
 
 
+# pipeline functions that compare a size with the bound themselves, each
+# with why ``ops/`` cannot decide for them
+_BOUND_READERS = {
+    ("ocr_proofreader_ray.pipelines.dedup", "_candidate_pairs"):
+        "bounds the expanded pairs, which the band rows' bytes cannot "
+        "predict",
+    ("ocr_proofreader_ray.pipelines.dedup", "dedup_clusters"):
+        "bounds the pairs the driver kernel holds, which no partial's "
+        "bytes predict",
+}
+
+
+def _bound_reads(tree, scope=None):
+    """(enclosing function, node) of every ``_DRIVER_MAX_BYTES`` attribute
+    read or name import in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _bound_reads(node, scope or node.name)
+            continue
+        if ((isinstance(node, ast.Attribute)
+             and node.attr == "_DRIVER_MAX_BYTES")
+                or (isinstance(node, ast.ImportFrom) and any(
+                    a.name == "_DRIVER_MAX_BYTES" for a in node.names))):
+            yield scope, node
+        yield from _bound_reads(node, scope)
+
+
 def test_no_pipeline_module_holds_a_gate():
+    """A pipeline module defines no size constant, and reads the one
+    bound only in the functions ``_BOUND_READERS`` names: every other
+    plan choice is made inside ``ops/``."""
     assert not [g for g in _gates()
                 if g[0].startswith("ocr_proofreader_ray.pipelines.")]
+    readers = {(module, scope) for module, tree in _modules()
+               if module.startswith("ocr_proofreader_ray.pipelines.")
+               for scope, _node in _bound_reads(tree)}
+    assert readers == set(_BOUND_READERS), (
+        f"pipeline code reading ops.agg._DRIVER_MAX_BYTES: "
+        f"{sorted(readers - set(_BOUND_READERS), key=str)}")
 
 
 def _imports(tree):
@@ -97,6 +134,26 @@ def test_no_module_makes_pandas_blocks():
                 if kw.arg == "batch_format"
                 and isinstance(kw.value, ast.Constant)
                 and kw.value.value == "pandas"]
+
+
+# the two modules that may cross into pandas: the as-of join, whose
+# ``merge_asof`` is the algorithm, and the CLI's result printer
+_PANDAS_ALLOWED = {"ocr_proofreader_ray.ops.join",
+                   "ocr_proofreader_ray.__main__"}
+
+
+def test_no_row_path_uses_pandas():
+    """Rows stay Arrow end to end: outside ``_PANDAS_ALLOWED`` no package
+    module imports pandas or calls ``to_pandas``/``from_pandas``."""
+    found = sorted({
+        module for module, tree in _modules()
+        if module not in _PANDAS_ALLOWED
+        and (any(n == "pandas" or n.startswith("pandas.")
+                 for n in _imports(tree))
+             or any(getattr(call.func, "attr", getattr(call.func, "id", None))
+                    in ("to_pandas", "from_pandas")
+                    for call in _calls(tree)))})
+    assert not found, f"modules crossing into pandas: {found}"
 
 
 def test_only_ops_agg_reads_block_refs():

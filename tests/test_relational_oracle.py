@@ -44,8 +44,8 @@ QUERIES = all_queries()
 pytestmark = pytest.mark.usefixtures("no_ray_groupby_aggregate")
 
 
-def _assert_matches_oracle(con, name):
-    got = canon(to_pandas(QUERIES[name](SF_DIR)))
+def _assert_matches_oracle(con, name, sf_dir=SF_DIR):
+    got = canon(to_pandas(QUERIES[name](sf_dir)))
     want = canon(con.sql(ORACLES[name]).df())
     assert list(got.columns) == list(want.columns), (
         f"{name}: columns {list(got.columns)} vs {list(want.columns)}"
