@@ -47,12 +47,15 @@ Supported agg fns: ``sum`` / ``min`` / ``max`` / ``count`` (count of rows).
 Means are derived by callers from sum+count (exact-integer trick).
 
 One key-run rule.  ``run_starts`` (which rows of a key-sorted table open
-a run of equal keys) and ``_head`` (the first k rows of each group) are
-the only code that cuts rows into key groups: windows, sessions, gap
-fills, blocking buckets and per-group heads all sort their rows and cut
-them here.  A null key is a value: null keys form one group and sort
-last, like SQL's default ``NULLS LAST``.  Top-k is ``grouped_top_k``
-with no group columns.
+a run of equal keys) is the only code that cuts rows into key groups;
+``run_bounds``, ``run_ids`` and ``run_positions`` read a run's offsets,
+a row's run number and its place in the run off that mask,
+``shared_runs`` keeps the runs of two rows or more, and ``group_head``
+keeps the first k rows of each group.  Windows, sessions, gap fills,
+blocking buckets and per-group heads all sort their rows and cut them
+here.  A null key is a value: null keys form one group and sort last,
+like SQL's default ``NULLS LAST``.  Top-k is ``grouped_top_k`` with no
+group columns.
 
 A partial that is not an Arrow row — an HLL, KLL, Count-Min or Bloom
 sketch, PCA's moment sums — goes through ``grouped_sketch(ds, key, build,
@@ -215,19 +218,45 @@ def run_starts(rows: pa.Table, cols: list[str]) -> np.ndarray:
     return starts
 
 
-def _head(rows: pa.Table, group_cols: list[str],
-          sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
+def run_bounds(starts: np.ndarray) -> np.ndarray:
+    """Offsets of the runs a ``run_starts`` mask opens: run ``i`` is rows
+    ``b[i]:b[i + 1]``."""
+    return np.append(np.flatnonzero(starts), len(starts))
+
+
+def run_ids(starts: np.ndarray) -> np.ndarray:
+    """Each row's run number (0, 1, ...) under a ``run_starts`` mask."""
+    return np.cumsum(starts) - 1
+
+
+def run_positions(starts: np.ndarray) -> np.ndarray:
+    """Each row's position (0, 1, ...) in its run under a ``run_starts``
+    mask."""
+    pos = np.arange(len(starts))
+    return pos - np.maximum.accumulate(np.where(starts, pos, 0))
+
+
+def shared_runs(rows: pa.Table, cols: list[str]
+                ) -> tuple[pa.Table, np.ndarray]:
+    """The rows of ``rows`` (sorted on ``cols``) whose run holds two rows
+    or more, and those runs' ``run_bounds``: a row alone in its run pairs
+    with nothing, so a pair search drops it before any per-run loop."""
+    sizes = np.diff(run_bounds(run_starts(rows, cols)))
+    shared = sizes >= 2
+    rows = rows.filter(np.repeat(shared, sizes))
+    return rows, np.append(0, np.cumsum(sizes[shared]))
+
+
+def group_head(rows: pa.Table, group_cols: list[str],
+               sort_keys: list[tuple[str, str]], k: int) -> pa.Table:
     """The first ``k`` rows of each group in ``sort_keys`` order, group by
     group.  A null group key is a group (SQL window PARTITION BY semantics
     — the oracles keep a NULL stratum, so must we).  The rows stay Arrow,
     so an int64 column holding a null keeps every value exact."""
     rows = rows.take(pc.sort_indices(
         rows, sort_keys=[(c, "ascending") for c in group_cols] + sort_keys))
-    n = rows.num_rows
-    new_group = run_starts(rows, group_cols)
-    # each row's position in its group run
-    starts = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
-    return rows.filter(np.arange(n) - starts < k).combine_chunks()
+    pos = run_positions(run_starts(rows, group_cols))
+    return rows.filter(pos < k).combine_chunks()
 
 
 def grouped_top_k(
@@ -250,7 +279,7 @@ def grouped_top_k(
     row to keep k of them.
     """
     def head(rows: pa.Table) -> pa.Table:
-        return _head(rows, group_cols, sort_keys, k)
+        return group_head(rows, group_cols, sort_keys, k)
 
     survivors = ds.map_batches(head, batch_format="pyarrow",
                                zero_copy_batch=True)
@@ -284,7 +313,7 @@ def grouped_sum_top_k(
                           ).rename_columns(cols)
 
     def rank(partials: pa.Table) -> pa.Table:
-        return _head(partial(partials), [group_col], order, k)
+        return group_head(partial(partials), [group_col], order, k)
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
@@ -298,7 +327,7 @@ def grouped_sketch(ds: "ray.data.Dataset", key: str | None, build,
 
     In the workers each batch splits into its ``key`` groups (the whole
     batch is one group when ``key`` is None; a null key is a group, as in
-    ``_head``) and ``build(rows)`` runs once per group on the group's
+    ``group_head``) and ``build(rows)`` runs once per group on the group's
     Arrow rows.  The built objects travel pickled, one row per group, so
     only ``n_blocks x n_groups`` partials leave the map stage.  The
     driver fetches the partial blocks one at a time, in the order

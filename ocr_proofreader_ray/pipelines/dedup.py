@@ -45,7 +45,9 @@ from ocr_proofreader_ray.ops.agg import (
     gather,
     grouped_agg,
     materialized,
+    run_ids,
     run_starts,
+    shared_runs,
 )
 from ocr_proofreader_ray.ops.exchange import exchange, num_partitions
 from ocr_proofreader_ray.ops.join import broadcast_semi_anti, join, prefilter
@@ -558,17 +560,15 @@ def simhash_hamming_pairs(docs: "ray.data.Dataset | None" = None,
 
     def part_pairs(rows: pa.Table) -> pa.Table:
         # one call per partition: sort on (bucket, doc) and cut the buckets
+        # that hold two docs or more
         bucket = ["band_id", "band_bits"]
         rows = rows.take(pc.sort_indices(
             rows, [(c, "ascending") for c in bucket + ["doc_id"]]))
-        cuts = np.append(np.flatnonzero(run_starts(rows, bucket)),
-                         rows.num_rows)
+        rows, cuts = shared_runs(rows, bucket)
         all_ids = rows.column("doc_id").to_numpy()
         all_sims = rows.column("simhash").to_numpy().view(np.uint64)
         out = {"doc_a": [], "doc_b": [], "hamming": []}
         for start, end in zip(cuts[:-1], cuts[1:]):
-            if end - start < 2:
-                continue
             # a doc emits exactly one row per band_id → ids are distinct
             # here, and sorted ascending
             ids, sims = all_ids[start:end], all_sims[start:end]
@@ -795,13 +795,14 @@ def q_dedup_embedding(sf_dir: str, threshold: float = 0.99,
     def bucket_pairs(rows: pa.Table) -> pa.Table:
         rows = rows.take(pc.sort_indices(rows, sort_keys=[
             (c, "ascending") for c in keys + ["vec_id"]]))
+        rows, cuts = shared_runs(rows, keys)
         ids = rows.column("vec_id").to_numpy()
         mat = _emb_matrix(rows.column("embedding").combine_chunks(), len(ids))
-        starts = np.flatnonzero(agg.run_starts(rows, keys))
         empty = np.zeros(0, np.int64)
         vec_a, vec_b, cos_milli = [empty], [empty], [empty]
-        # one cosine matrix per bucket, its rows in vec_id order
-        for lo, hi in zip(starts, np.append(starts[1:], len(ids))):
+        # one cosine matrix per bucket of two vectors or more, its rows in
+        # vec_id order
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             g_ids = ids[lo:hi]
             g = mat[lo:hi]
             norms = np.sqrt((g * g).sum(axis=1))
@@ -1103,7 +1104,7 @@ def q_segment_dedup(sf_dir: str):
         starts = run_starts(rows, ["h1", "h2"])
         doc = rows.column("doc_id").to_numpy()
         # a window's keeper is the min doc_id of its run
-        keep_doc = doc[starts][np.cumsum(starts) - 1]
+        keep_doc = doc[starts][run_ids(starts)]
         cnt = rows.column("cnt").to_numpy()
         out = pa.table({
             "doc_id": doc,

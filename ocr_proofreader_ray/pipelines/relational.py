@@ -29,7 +29,10 @@ from ocr_proofreader_ray.ops.agg import (
     grouped_agg,
     grouped_sketch,
     grouped_top_k,
+    run_ids,
+    run_positions,
     run_starts,
+    shared_runs,
 )
 from ocr_proofreader_ray.ops.exchange import exchange
 from ocr_proofreader_ray.ops.io import read_parquet
@@ -729,9 +732,7 @@ def q_rank_in_segment(sf_dir: str):
     order = [("revenue_cents", "descending"), ("o_custkey", "ascending")]
     top = grouped_top_k(rev, ["segment"], order, 3)
     top = top.take(pc.sort_indices(top, [("segment", "ascending")] + order))
-    starts = run_starts(top, ["segment"])
-    pos = np.arange(top.num_rows)
-    rnk = pos - np.flatnonzero(starts)[np.cumsum(starts) - 1] + 1
+    rnk = run_positions(run_starts(top, ["segment"])) + 1
     return pa.table({
         "segment": top.column("segment"),
         "custkey": top.column("o_custkey"),
@@ -766,8 +767,9 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30):
     user land in one partition, which sorts them and cuts its users with
     ``ops.agg.run_starts`` (a null user is one user, as in SQL's
     ``PARTITION BY``).  A row opens a session when it opens its user or
-    its lag ts is null, or the gap from it is over ``gap_minutes``; a null
-    ts sorts last and opens none (its gap is NULL)."""
+    its lag ts is null, or the gap from it is over ``gap_minutes``.  A
+    null ts sorts last: a user's first null-ts row opens no session (its
+    gap is NULL) and each later one opens one (its lag is NULL)."""
     ds = t(sf_dir, "events", ["user_id", "ts"])
     gap = np.timedelta64(gap_minutes * 60, "s")
 
@@ -1116,7 +1118,7 @@ def q_lead_lag_orders(sf_dir: str):
     rows of one customer land in one partition, so the lag boundary mask
     (``ops.agg.run_starts``; a null custkey is one customer) is local.
     The first order per customer gets a null delta, matching SQL
-    ``lag``."""
+    ``lag``, and so does an order whose price or lag price is null."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -1133,15 +1135,18 @@ def q_lead_lag_orders(sf_dir: str):
             ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
             ("o_orderkey", "ascending")])
         g = g.take(idx)
-        cents = np.asarray(g.column("cents"))
-        delta = np.empty_like(cents)
+        missing = g.column("cents").is_null().to_numpy()
+        cents = pc.fill_null(g.column("cents"), 0).to_numpy()
+        delta = np.zeros_like(cents)
         delta[1:] = cents[1:] - cents[:-1]
-        first = run_starts(g, ["o_custkey"])
+        # null on a customer's first order and where either price is null
+        null = run_starts(g, ["o_custkey"]) | missing
+        null[1:] |= missing[:-1]
         return pa.table({
             "o_orderkey": g.column("o_orderkey"),
             "o_custkey": g.column("o_custkey"),
             "cents": g.column("cents"),
-            "delta_cents": pa.array(delta, type=pa.int64(), mask=first),
+            "delta_cents": pa.array(delta, type=pa.int64(), mask=null),
         })
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
@@ -1252,8 +1257,9 @@ def q_running_revenue(sf_dir: str):
     Same single-exchange co-group plan as ``q_lead_lag_orders``: one hash
     exchange on custkey, then one sort and one cumsum per partition, less
     the total before each customer's run (``ops.agg.run_starts``; a null
-    custkey is one customer).  Integer cents keep every running total
-    hash-exact."""
+    custkey is one customer).  A null price adds nothing, and a running
+    total over no price yet is null, as SQL's ``sum`` skips nulls.
+    Integer cents keep every running total hash-exact."""
     ds = t(sf_dir, "orders",
            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
@@ -1270,15 +1276,18 @@ def q_running_revenue(sf_dir: str):
             ("o_custkey", "ascending"), ("o_orderdate", "ascending"),
             ("o_orderkey", "ascending")]))
         starts = run_starts(g, ["o_custkey"])
-        cents = np.asarray(g.column("cents"))
-        total = np.cumsum(cents)
-        # minus the running total before each customer's first order
-        before = (total - cents)[starts][np.cumsum(starts) - 1]
+        ids = run_ids(starts)
+        priced = g.column("cents").is_valid().to_numpy().astype(np.int64)
+        cents = pc.fill_null(g.column("cents"), 0).to_numpy()
+        total, seen = np.cumsum(cents), np.cumsum(priced)
+        # minus the running sums before each customer's first order
+        total -= (total - cents)[starts][ids]
+        seen -= (seen - priced)[starts][ids]
         return pa.table({
             "o_orderkey": g.column("o_orderkey"),
             "o_custkey": g.column("o_custkey"),
             "cents": g.column("cents"),
-            "running_cents": pa.array(total - before, pa.int64()),
+            "running_cents": pa.array(total, pa.int64(), mask=seen == 0),
         })
 
     ds = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
@@ -1708,7 +1717,7 @@ def q_events_resampled(sf_dir: str):
         rows = rows.take(pc.sort_indices(
             rows, [(c, "ascending") for c in series]))
         starts = run_starts(rows, series)
-        codes = np.cumsum(starts) - 1
+        codes = run_ids(starts)
         k = int(starts.sum())
         # a null user or type is a series, yet its counts never join it
         # (NULL = NULL is not true): its days stay 0
@@ -2248,8 +2257,7 @@ def q_fuzzy_name_pairs(sf_dir: str):
             rows, [("key", "ascending"), ("c_custkey", "ascending")]))
         # a customer once per key ("aa" emits "a" twice), ids ascending
         rows = rows.filter(run_starts(rows, ["key", "c_custkey"]))
-        cuts = np.append(np.flatnonzero(run_starts(rows, ["key"])),
-                         rows.num_rows)
+        rows, cuts = shared_runs(rows, ["key"])
         ids = rows.column("c_custkey").to_pylist()
         names = rows.column("c_name").to_pylist()
         out_a, out_b = [], []

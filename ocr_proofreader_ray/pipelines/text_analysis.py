@@ -17,11 +17,12 @@ import ray.data
 
 from ocr_proofreader_ray.functions.sketches import stable_hash64
 from ocr_proofreader_ray.ops.agg import (
-    _head,
+    group_head,
     grouped_agg,
     grouped_sketch,
     grouped_sum_top_k,
     grouped_top_k,
+    run_bounds,
     run_starts,
 )
 from ocr_proofreader_ray.ops.exchange import exchange
@@ -500,8 +501,9 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
         sk = CountMinSketch()
         sk.add(_key_hashes(counts.column("lang"), counts.column("tok")),
                counts.column("cnt").to_numpy(zero_copy_only=False))
-        cand = _head(counts, ["lang"], [("cnt", "descending"),
-                                        ("tok", "ascending")], cand_per_lang)
+        cand = group_head(counts, ["lang"], [("cnt", "descending"),
+                                             ("tok", "ascending")],
+                          cand_per_lang)
         return sk, dict.fromkeys(zip(cand.column("lang").to_pylist(),
                                      cand.column("tok").to_pylist()))
 
@@ -525,8 +527,8 @@ def q_heavy_hitters_approx(sf_dir: str, k: int = 20, cand_per_lang: int = 60):
         cand_langs, cand_toks)))
     full = pa.table({"lang": cand_langs, "tok": cand_toks,
                      "est": pa.array(est, pa.int64())})
-    return _head(full, ["lang"], [("est", "descending"), ("tok", "ascending")],
-                 k)
+    return group_head(full, ["lang"],
+                      [("est", "descending"), ("tok", "ascending")], k)
 
 
 @register(
@@ -566,8 +568,7 @@ def q_doc_length_quantiles(sf_dir: str):
     langs = hist.column("lang").to_pylist()
     vals = hist.column("n_chars").to_numpy(zero_copy_only=False)
     cnts = hist.column("cnt").to_numpy(zero_copy_only=False)
-    cuts = np.append(np.flatnonzero(run_starts(hist, ["lang"])),
-                     hist.num_rows)
+    cuts = run_bounds(run_starts(hist, ["lang"]))
     for start, end in zip(cuts[:-1], cuts[1:]):
         lang, v, c = langs[start], vals[start:end], cnts[start:end]
         n = int(c.sum())
@@ -676,8 +677,8 @@ def q_tfidf_top_terms(sf_dir: str):
         tab = pa.table({"doc_id": joined.column("doc_id"),
                         "top_term": joined.column("tok"),
                         "score": pc.cast(score, pa.int64())})
-        return _head(tab, ["doc_id"], [("score", "descending"),
-                                       ("top_term", "ascending")], 1)
+        return group_head(tab, ["doc_id"], [("score", "descending"),
+                                            ("top_term", "ascending")], 1)
 
     return ds.map_batches(score_argmax, batch_format="pyarrow",
                           zero_copy_batch=True)

@@ -112,7 +112,7 @@ def test_head_keeps_int64_values_exact():
     """A null in an int64 column must not round its other values through
     float64: ids above 2^53 keep their low bits, in the group key and in
     a value column."""
-    from ocr_proofreader_ray.ops.agg import _head
+    from ocr_proofreader_ray.ops.agg import group_head
 
     big = 2 ** 53 + 1
     tab = pa.table({
@@ -120,7 +120,7 @@ def test_head_keeps_int64_values_exact():
         "ts": pa.array([1, 2, 3], pa.int64()),
         "v": pa.array([big + 2, None, big], pa.int64()),
     })
-    out = _head(tab, ["user_id"], [("ts", "descending")], 1)
+    out = group_head(tab, ["user_id"], [("ts", "descending")], 1)
     assert sorted(out.to_pylist(), key=lambda r: r["ts"]) == [
         {"user_id": None, "ts": 2, "v": None},
         {"user_id": big, "ts": 3, "v": big},
@@ -130,12 +130,12 @@ def test_head_keeps_int64_values_exact():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_head_rows_and_group_order_match_pandas_head(seed):
-    """``_head`` keeps the rows a pandas ``groupby(dropna=False).head(k)``
+    """``group_head`` keeps the rows a pandas ``groupby(dropna=False).head(k)``
     keeps after the sort, in the same order within each group."""
     import numpy as np
     import pyarrow.compute as pc
 
-    from ocr_proofreader_ray.ops.agg import _head
+    from ocr_proofreader_ray.ops.agg import group_head
 
     rng = np.random.default_rng(seed)
     n = 300
@@ -149,7 +149,7 @@ def test_head_rows_and_group_order_match_pandas_head(seed):
     order = [("v", "descending"), ("i", "ascending")]
     df = tab.take(pc.sort_indices(tab, sort_keys=order)).to_pandas()
     want = df.groupby(["g", "h"], sort=False, dropna=False).head(3)
-    got = _head(tab, ["g", "h"], order, 3).to_pandas()
+    got = group_head(tab, ["g", "h"], order, 3).to_pandas()
 
     def per_group(d):
         out = {}
@@ -297,3 +297,39 @@ def test_asof_join_float_ts_nan_dropped(ray_session):
     assert out == {1: 100, 3: 100}  # NaN/null ts rows on both sides drop
     assert not any(isinstance(r["rts"], float) and math.isnan(r["rts"])
                    for r in got)
+
+
+def test_run_helpers_cut_null_keys_as_one_run():
+    """Integer, timestamp and string keys cut the same runs: 0 and null
+    differ, ids above 2^53 stay apart and the null keys make one run."""
+    import numpy as np
+
+    from ocr_proofreader_ray.ops.agg import (
+        run_bounds,
+        run_ids,
+        run_positions,
+        run_starts,
+        shared_runs,
+    )
+
+    big = 2 ** 53
+    keys = [0, 0, big, big + 1, None, None]
+    tab = pa.table({
+        "i": pa.array(keys, pa.int64()),
+        "ts": pa.array(keys, pa.timestamp("us")),
+        "s": pa.array([None if k is None else str(k) for k in keys]),
+        "row": pa.array(range(6), pa.int64()),
+    })
+    starts = run_starts(tab, ["i"])
+    assert starts.tolist() == [True, False, True, True, True, False]
+    for col in ("ts", "s"):
+        assert run_starts(tab, [col]).tolist() == starts.tolist()
+    assert run_bounds(starts).tolist() == [0, 2, 3, 4, 6]
+    assert run_ids(starts).tolist() == [0, 0, 1, 2, 3, 3]
+    assert run_positions(starts).tolist() == [0, 1, 0, 0, 0, 1]
+    rows, bounds = shared_runs(tab, ["i"])
+    assert rows.column("row").to_pylist() == [0, 1, 4, 5]
+    assert bounds.tolist() == [0, 2, 4]
+    empty, bounds = shared_runs(tab.slice(0, 0), ["i"])
+    assert empty.num_rows == 0 and bounds.tolist() == [0]
+    assert run_starts(tab.slice(0, 0), ["i"]).dtype == np.bool_

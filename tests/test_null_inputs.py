@@ -1,7 +1,7 @@
 """Null keys and null values follow each query's registered SQL.
 
-Small tables with a null user, customer, name, segment, language and
-text run through the queries that cut rows into key groups (windows,
+Small tables with a null user, customer, price, name, segment,
+language and text run through the queries that cut rows into key groups (windows,
 sessions, gap fill, blocking, per-group heads) and are compared with
 DuckDB by the oracle gate's own check."""
 
@@ -33,11 +33,16 @@ _TABLES = {
                        pa.timestamp("us")),
     }),
     "orders": pa.table({
-        "o_orderkey": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-        "o_custkey": pa.array([1, None, 1, None, 2, 3], pa.int64()),
-        "o_orderdate": pa.array([date(2024, 1, d) for d in (1, 2, 5, 3, 4, 4)],
+        "o_orderkey": pa.array([1, 2, 3, 4, 5, 6, 7, 8, 9], pa.int64()),
+        "o_custkey": pa.array([1, None, 1, None, 2, 3, 1, 4, 4], pa.int64()),
+        "o_orderdate": pa.array([date(2024, 1, d)
+                                 for d in (1, 2, 5, 3, 4, 4, 3, 1, 2)],
                                 pa.date32()),
-        "o_totalprice": pa.array([100.0, 200.0, 150.0, 300.0, 50.0, 75.0]),
+        # a null price between two of customer 1's prices, and customer
+        # 4's first price null: null deltas, a running sum that skips it
+        # and one that is null before any price
+        "o_totalprice": pa.array([100.0, 200.0, 150.0, 300.0, 50.0, 75.0,
+                                  None, None, 20.0]),
     }),
     "customer": pa.table({
         "c_custkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
